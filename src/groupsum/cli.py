@@ -100,7 +100,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise SpecError(f"bad range {text!r}: expected A..B")
-    return int(lo), int(hi)
+    start, stop = int(lo), int(hi)
+    if stop < start:
+        raise SpecError(f"empty range {text!r}")
+    return start, stop
 
 
 def _emit(text: str, out_path):

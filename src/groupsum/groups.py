@@ -83,18 +83,25 @@ def _closure_of(arr: np.ndarray, seed: Sequence[int]) -> np.ndarray:
         cur = prods
 
 
-def _validate_table(arr: np.ndarray, identity: int) -> None:
-    n = arr.shape[0]
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise GroupValidationError(f"table must be square, got shape {arr.shape}")
+def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
+    """Check the group axioms and return the table narrowed to int32.
+    Entries are range-checked before narrowing, so none can wrap into range."""
+    if raw.ndim != 2 or raw.shape[0] == 0 or raw.shape[0] != raw.shape[1]:
+        raise GroupValidationError(f"table must be a nonempty square, got shape {raw.shape}")
+    if not np.issubdtype(raw.dtype, np.integer):
+        raise GroupValidationError(f"table entries must be integers, got {raw.dtype}")
+    if isinstance(identity, bool) or not isinstance(identity, int):
+        raise GroupValidationError(f"identity must be an integer index, got {identity!r}")
+    n = raw.shape[0]
     if not (0 <= identity < n):
         raise NoIdentityError(identity, "index out of range")
 
-    bad = (arr < 0) | (arr >= n)
+    bad = (raw < 0) | (raw >= n)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
-        raise NotClosedError(i, j, int(arr[i, j]), n)
+        raise NotClosedError(i, j, int(raw[i, j]), n)
 
+    arr = raw.astype(np.int32)
     idx = np.arange(n)
     if not (np.array_equal(arr[identity], idx) and np.array_equal(arr[:, identity], idx)):
         row_bad = np.nonzero(arr[identity] != idx)[0]
@@ -124,6 +131,7 @@ def _validate_table(arr: np.ndarray, identity: int) -> None:
         if not np.array_equal(left, right):
             x, y = map(int, np.argwhere(left != right)[0])
             raise NotAssociativeError(x, g, y)
+    return arr
 
 
 # --- the group itself ---
@@ -141,13 +149,7 @@ class FiniteGroup:
         name: str = "G",
         labels: Optional[Sequence[str]] = None,
     ):
-        raw = np.asarray(table)
-        if raw.ndim != 2 or raw.shape[0] == 0:
-            raise GroupValidationError(f"table must be a nonempty square, got {raw.shape}")
-        if not np.issubdtype(raw.dtype, np.integer):
-            raise GroupValidationError(f"table entries must be integers, got {raw.dtype}")
-        arr = raw.astype(np.int32)
-        _validate_table(arr, identity)
+        arr = _validate_table(np.asarray(table), identity)
         self._rows: tuple[tuple[int, ...], ...] = tuple(
             tuple(row) for row in arr.tolist()
         )
@@ -257,24 +259,14 @@ class FiniteGroup:
 
     def phi(self) -> int:
         """The totient-sum invariant: sum of phi(order(g)) over all g."""
-        tot_cache: dict[int, int] = {}
-        total = 0
-        for o in self.element_orders():
-            t = tot_cache.get(o)
-            if t is None:
-                t = tot_cache[o] = numtheory.totient(o)
-            total += t
-        return total
+        orders = self.element_orders()
+        tot = numtheory.totient_table(orders)
+        return sum(tot[o] for o in orders)
 
     def is_cyclic(self) -> bool:
         """True iff some element has order equal to the group order."""
         n = self.order
         return any(o == n for o in self.element_orders())
-
-    def is_abelian(self) -> bool:
-        rows = self._rows
-        n = self.order
-        return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
 
     # --- subgroups ---
 
@@ -438,6 +430,10 @@ class FiniteGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteGroup":
+        if not isinstance(data, dict):
+            raise GroupValidationError(
+                f"group JSON must be an object, got {type(data).__name__}"
+            )
         try:
             table = data["table"]
             identity = data["identity"]

@@ -226,6 +226,11 @@ def totient(n: IntLike) -> int:
     return result
 
 
+def totient_table(values: Iterable[int]) -> dict[int, int]:
+    """phi(v) for each distinct v in values, each computed once."""
+    return {v: totient(v) for v in set(values)}
+
+
 def _divisor_totients(fact: Factorization) -> Iterator[tuple[int, int]]:
     """Yield (d, phi(d)) for every divisor d of n, phi built multiplicatively."""
     pairs = [(1, 1)]

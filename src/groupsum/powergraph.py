@@ -1,16 +1,17 @@
 """Directed power graphs of finite groups, and their undirected edge sets.
 
 The directed power graph has an edge (g, h) whenever h is a power of g
-other than g itself.  A pair of oppositely directed edges ("undirected
-edge") occurs exactly between distinct elements generating the same cyclic
-subgroup; the undirected set is always derived from the directed set, and
-the build asserts that derivation agrees with the mutual-generation
-criterion.
+other than g itself.  A pair of opposite edges ("undirected edge") joins
+exactly two distinct elements generating the same cyclic subgroup, so a
+graph is held as one key per element, the smallest generator of its cyclic
+subgroup; edges, counts, degrees and exports are derived from the keys.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from typing import FrozenSet, Tuple
 
 from . import numtheory
@@ -20,57 +21,62 @@ Edge = Tuple[int, int]
 
 
 class PowerGraph:
-    """Immutable directed power graph over a group's element indices."""
+    """Immutable directed power graph over a group's element indices:
+    `key[g]` is the smallest generator of <g>, `powers[k]` lists <k> ascending."""
 
-    __slots__ = ("group", "directed_edges", "_undirected")
+    __slots__ = ("group", "key", "powers")
 
-    def __init__(self, group: FiniteGroup, directed_edges: FrozenSet[Edge]):
+    def __init__(self, group: FiniteGroup):
+        key = [-1] * group.order
+        self.powers = {}
+        for g in range(group.order):
+            if key[g] < 0:  # a smaller generator of <g> would have keyed g
+                cycle = group.cyclic_subgroup(g)  # g, g^2, ..., identity
+                for i, h in enumerate(cycle, start=1):
+                    if math.gcd(i, len(cycle)) == 1:
+                        key[h] = g
+                self.powers[g] = tuple(sorted(cycle))
         self.group = group
-        self.directed_edges = frozenset(directed_edges)
-        for g, h in self.directed_edges:
-            if g == h:
-                raise ValueError(f"self-loop at {g}")
-        self._undirected = None
+        self.key = tuple(key)
+
+    def _directed(self) -> list:
+        """Directed edges in ascending order."""
+        return [(g, h) for g, k in enumerate(self.key) for h in self.powers[k] if h != g]
+
+    def _undirected(self) -> list:
+        """Undirected edges (g, h), g < h, in ascending order."""
+        key = self.key
+        return [(g, h) for g, h in self._directed() if g < h and key[h] == key[g]]
+
+    @property
+    def directed_edges(self) -> FrozenSet[Edge]:
+        """Pairs (g, h) with h a power of g other than g."""
+        return frozenset(self._directed())
 
     @property
     def undirected_edges(self) -> FrozenSet[Edge]:
-        """Unordered pairs {g, h} with both (g, h) and (h, g) directed."""
-        if self._undirected is None:
-            de = self.directed_edges
-            self._undirected = frozenset(
-                (g, h) for g, h in de if g < h and (h, g) in de
-            )
-        return self._undirected
+        """Unordered pairs {g, h}, g < h, with both (g, h) and (h, g) directed."""
+        return frozenset(self._undirected())
 
 
 def build(group: FiniteGroup) -> PowerGraph:
-    """Construct the directed power graph of a group.
-
-    The cyclic subgroup of each element is computed once; the derived
-    undirected set is checked against mutual generation (same cyclic
-    subgroup, distinct elements) before returning.
-    """
-    generated = [frozenset(group.cyclic_subgroup(g)) for g in range(group.order)]
-    directed = frozenset(
-        (g, h) for g in range(group.order) for h in generated[g] if h != g
-    )
-    graph = PowerGraph(group, directed)
-    mutual = frozenset(
-        (g, h)
-        for g in range(group.order)
-        for h in range(g + 1, group.order)
-        if generated[g] == generated[h]
-    )
-    if graph.undirected_edges != mutual:
-        raise AssertionError(
-            f"undirected edges disagree with mutual generation in {group.name}"
-        )
+    """Construct the directed power graph of a group, one cyclic subgroup per
+    key, and check the keys against mutual generation in one pass over the
+    edges: for h in <g>, g lies in <h> exactly when o(h) = o(g) (Lagrange),
+    and exactly then must g and h share a key."""
+    graph = PowerGraph(group)
+    orders, key = group.element_orders(), graph.key
+    for g, k in enumerate(key):
+        if any((orders[h] == orders[g]) != (key[h] == k) for h in graph.powers[k]):
+            raise AssertionError(
+                f"undirected edges disagree with mutual generation in {group.name}"
+            )
     return graph
 
 
 def undirected_edge_count(graph: PowerGraph) -> int:
     """Number of undirected edges; equals (phi(G) - |G|) / 2, asserted."""
-    count = len(graph.undirected_edges)
+    count = sum(math.comb(size, 2) for size in Counter(graph.key).values())
     n = graph.group.order
     phi_g = graph.group.phi()
     if 2 * count + n != phi_g:
@@ -84,7 +90,7 @@ def undirected_degree(graph: PowerGraph, g: int) -> int:
     """Undirected degree of g; equals phi(order(g)) - 1, asserted."""
     if not 0 <= g < graph.group.order:
         raise IndexError(f"element index {g} out of range")
-    degree = sum(1 for e in graph.undirected_edges if g in e)
+    degree = graph.key.count(graph.key[g]) - 1
     expected = numtheory.totient(graph.group.element_order(g)) - 1
     if degree != expected:
         raise AssertionError(
@@ -100,8 +106,7 @@ def export_dot(graph: PowerGraph) -> str:
     lines = [f'digraph "{group.name}" {{']
     for g in range(group.order):
         lines.append(f'  {g} [label="{group.labels[g]}"];')
-    for g, h in sorted(graph.directed_edges):
-        lines.append(f"  {g} -> {h};")
+    lines.extend(f"  {g} -> {h};" for g, h in graph._directed())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -111,8 +116,8 @@ def export_json(graph: PowerGraph) -> str:
     payload = {
         "group": graph.group.name,
         "n": graph.group.order,
-        "directed": sorted(list(e) for e in graph.directed_edges),
-        "undirected": sorted(list(e) for e in graph.undirected_edges),
+        "directed": graph._directed(),
+        "undirected": graph._undirected(),
     }
     return json.dumps(payload, sort_keys=True)
 

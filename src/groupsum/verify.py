@@ -90,14 +90,6 @@ class VerificationReport:
         }
 
 
-def _phi_table(orders) -> dict[int, int]:
-    cache: dict[int, int] = {}
-    for o in orders:
-        if o not in cache:
-            cache[o] = numtheory.totient(o)
-    return cache
-
-
 def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     """Check, over the whole catalog of order n, that the cyclic group
     maximizes the totient sum (equality exactly on cyclic entries) and
@@ -107,7 +99,7 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     rows = []
     for group in catalog(n, cap):
         orders = group.element_orders()
-        tot = _phi_table(orders)
+        tot = numtheory.totient_table(orders)
         phi_g = sum(tot[o] for o in orders)
         cyclic_flag = any(o == n for o in orders)
         graph = powergraph.build(group)
@@ -213,7 +205,7 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     p_alpha = p**alpha
     prime_power = fact.k == 1
     orders = group.element_orders()
-    tot = _phi_table(orders)
+    tot = numtheory.totient_table(orders)
 
     sylow = None
     sylow_facts: tuple[bool, bool, bool] = (False, False, False)
@@ -282,7 +274,7 @@ def verify_contrapositive(group: FiniteGroup) -> Verdict:
         )
     q = numtheory.q_of(fact)
     orders = group.element_orders()
-    tot = _phi_table(orders)
+    tot = numtheory.totient_table(orders)
     for g in range(n):
         if q * tot[orders[g]] > n:
             return Verdict(
@@ -377,8 +369,7 @@ def verify_semidirect_lemmas(
     straight = direct_product(cyclic(spec.a, cap), cyclic(spec.b, cap), cap)
     orders_g = twisted.element_orders()
     orders_h = straight.element_orders()
-    tot = _phi_table(orders_g)
-    tot.update(_phi_table(orders_h))
+    tot = numtheory.totient_table(orders_g + orders_h)
 
     divide_bad = next(
         (

@@ -119,6 +119,21 @@ def test_file_spec_round_trip(tmp_path, capsys):
     assert code == 0 and out == f"{gs.dicyclic(2).phi()}\n"
 
 
+def test_malformed_group_files(tmp_path, capsys):
+    table = [[0, 1], [1, 0]]
+    payloads = [
+        {"name": "x", "order": 2, "identity": "0", "table": table},
+        {"name": "x", "order": 2, "identity": 0.0, "table": table},
+        [table],
+    ]
+    for i, payload in enumerate(payloads):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "phi", "--group", f"file:{path}")
+        assert code == 2 and out == "", payload
+        assert "error" in err
+
+
 def test_malformed_specs(capsys):
     for spec in ["nonsense:4", "cyclic:x", "sdp:3:2", "abelian:", "file:/no/such.json"]:
         code, _, err = run_cli(capsys, "phi", "--group", spec)
@@ -254,6 +269,12 @@ def test_bad_format_choice(capsys):
 def test_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify-main", "--range", "5")
     assert code == 2
+
+
+def test_empty_range_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-main", "--range", "5..3")
+    assert code == 2 and out == ""
+    assert "error" in err
 
 
 def test_console_entry_point():

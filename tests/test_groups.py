@@ -87,6 +87,19 @@ def test_nonsquare_rejected():
         gs.from_cayley([[0, 1]], 0)
 
 
+def test_out_of_range_entries_rejected_before_narrowing():
+    # 2**32 + 1 wraps to 1 in 32 bits, which would make this table C2
+    for big in (2**32 + 1, -(2**32) + 1):
+        with pytest.raises(gs.NotClosedError):
+            gs.from_cayley([[0, big], [big, 0]], 0)
+
+
+def test_non_integer_identity_rejected():
+    for identity in ("0", 0.0, None, True):
+        with pytest.raises(gs.GroupValidationError):
+            gs.from_cayley([[0, 1], [1, 0]], identity)
+
+
 # --- element orders ---
 
 
@@ -427,6 +440,13 @@ def test_json_import_validates():
         )
     with pytest.raises(gs.GroupValidationError):
         gs.FiniteGroup.from_json_dict({"name": "x", "order": 2})
+    with pytest.raises(gs.GroupValidationError):
+        gs.FiniteGroup.from_json_dict(
+            {"name": "x", "order": 2, "identity": "0", "table": [[0, 1], [1, 0]]}
+        )
+    for text in ("[[0, 1], [1, 0]]", "[]", "0", '"table"'):
+        with pytest.raises(gs.GroupValidationError):
+            gs.FiniteGroup.from_json(text)
 
 
 def test_non_integer_table_rejected():

@@ -83,6 +83,29 @@ def test_edges_match_brute_force_oracle():
             assert graph.undirected_edges == undirected
 
 
+def test_edges_match_networkx_oracle():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 41):
+        for group in gs.catalog(n):
+            graph = pg.build(group)
+            digraph = nx.DiGraph()
+            digraph.add_nodes_from(range(n))
+            for g in range(n):
+                digraph.add_edges_from((g, h) for h in naive_power_set(group, g) if h != g)
+            reciprocal = {
+                (g, h) for g, h in digraph.edges if g < h and digraph.has_edge(h, g)
+            }
+            assert set(digraph.edges) == graph.directed_edges, group.name
+            assert reciprocal == graph.undirected_edges, group.name
+
+
+def test_build_checks_keys_against_element_orders():
+    group = gs.cyclic(6)
+    group._orders = (1,) * 6  # corrupt the cached orders the check reads
+    with pytest.raises(AssertionError, match="mutual generation"):
+        pg.build(group)
+
+
 def test_edge_count_identity_over_catalog():
     for n in range(1, 41):
         for group in gs.catalog(n):
@@ -146,12 +169,28 @@ def test_json_round_trip():
         assert parsed["n"] == group.order
 
 
+def test_exports_match_text_rebuilt_from_oracle():
+    for n in range(1, 41):
+        for group in gs.catalog(n):
+            graph = pg.build(group)
+            directed, undirected = naive_edges(group)
+            dot = [f'digraph "{group.name}" {{']
+            dot += [f'  {g} [label="{group.labels[g]}"];' for g in range(n)]
+            dot += [f"  {g} -> {h};" for g, h in sorted(directed)]
+            assert pg.export_dot(graph) == "\n".join(dot + ["}"]) + "\n", group.name
+            expected_json = json.dumps(
+                {
+                    "group": group.name,
+                    "n": n,
+                    "directed": sorted(list(e) for e in directed),
+                    "undirected": sorted(list(e) for e in undirected),
+                },
+                sort_keys=True,
+            )
+            assert pg.export_json(graph) == expected_json, group.name
+
+
 def test_exports_are_byte_stable():
     g = gs.dicyclic(3)
     assert pg.export_json(pg.build(g)) == pg.export_json(pg.build(g))
     assert pg.export_dot(pg.build(g)) == pg.export_dot(pg.build(g))
-
-
-def test_self_loop_rejected():
-    with pytest.raises(ValueError):
-        pg.PowerGraph(gs.cyclic(2), frozenset({(1, 1)}))
