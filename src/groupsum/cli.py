@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from functools import partial
 
@@ -207,8 +208,9 @@ def _cmd_verify_main(args) -> int:
         lo, hi = _parse_range(args.range_)
         ns = list(range(lo, hi + 1))
     worker = partial(verify.verify_main, cap=args.cap)
-    if args.jobs > 1 and len(ns) > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    jobs = min(args.jobs, os.cpu_count() or 1, len(ns))
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             reports = pool.map(worker, ns)
     else:
         reports = [worker(n) for n in ns]

@@ -193,33 +193,10 @@ class FiniteGroup:
             self._inverses = tuple(row.index(e) for row in self._rows)
         return self._inverses[g]
 
-    def power(self, g: int, k: int) -> int:
-        """g**k for any integer k (negative via the inverse)."""
-        self._check_index(g)
-        if k < 0:
-            g, k = self.inverse(g), -k
-        acc = self.identity
-        base = g
-        while k:
-            if k & 1:
-                acc = self._rows[acc][base]
-            base = self._rows[base][base]
-            k >>= 1
-        return acc
-
     def element_order(self, g: int) -> int:
         """Smallest m >= 1 with g^m = identity; divides the group order."""
         self._check_index(g)
-        e = self.identity
-        row = None
-        x = g
-        m = 1
-        while x != e:
-            if row is None:
-                row = [r[g] for r in self._rows]  # right-multiplication by g
-            x = row[x]
-            m += 1
-        return m
+        return self.element_orders()[g]
 
     def element_orders(self) -> tuple[int, ...]:
         """Orders of all elements (computed once, then cached)."""
@@ -300,23 +277,6 @@ class FiniteGroup:
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,))
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(self.order))
-
-    def centralizer(self, sub: "Subgroup") -> "Subgroup":
-        """Elements commuting with every member of `sub`."""
-        self._own(sub)
-        rows = self._rows
-        members = [
-            g
-            for g in range(self.order)
-            if all(rows[g][h] == rows[h][g] for h in sub.members)
-        ]
-        return Subgroup(self, members)
-
-    def center(self) -> "Subgroup":
-        return self.centralizer(self.full_subgroup())
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
         """Elements g with g * sub * g^-1 == sub."""

@@ -41,18 +41,18 @@ def nth_prime(i: int) -> int:
     """Return the i-th prime, 1-indexed (nth_prime(1) == 2)."""
     if i < 1:
         raise ValueError("prime index must be >= 1")
-    count = 0
-    candidate = 1
-    while count < i:
-        candidate += 1
-        if is_prime(candidate):
-            count += 1
-    return candidate
+    return first_primes(i)[-1]
 
 
 def first_primes(ell: int) -> tuple[int, ...]:
     """The set of the first `ell` primes, ascending."""
-    return tuple(nth_prime(i) for i in range(1, ell + 1))
+    primes = []
+    candidate = 1
+    while len(primes) < ell:
+        candidate += 1
+        if is_prime(candidate):
+            primes.append(candidate)
+    return tuple(primes)
 
 
 def skip_primes(ell: int) -> tuple[int, ...]:
@@ -62,28 +62,6 @@ def skip_primes(ell: int) -> tuple[int, ...]:
     the tabulated special values of the rational invariant Q.
     """
     return tuple(nth_prime(i) for i in range(1, ell)) + (nth_prime(ell + 1),)
-
-
-@dataclass(frozen=True)
-class PrimeSetTag:
-    """Classification of a set of primes: an initial segment of the primes
-    ("first"), an initial segment with the last prime skipped forward
-    ("skip"), or anything else ("other")."""
-
-    kind: str
-    ell: Optional[int] = None
-
-
-def classify_prime_set(primes: Iterable[int]) -> PrimeSetTag:
-    ps = tuple(sorted(set(primes)))
-    ell = len(ps)
-    if ell == 0:
-        return PrimeSetTag("other")
-    if ps == first_primes(ell):
-        return PrimeSetTag("first", ell)
-    if ps == skip_primes(ell):
-        return PrimeSetTag("skip", ell)
-    return PrimeSetTag("other")
 
 
 # --- factorization ---
@@ -129,19 +107,6 @@ class Factorization:
         if not self.factors:
             raise ValueError("1 has no prime factors")
         return self.factors[-1][0]
-
-    @property
-    def largest_exponent(self) -> int:
-        """Exponent of the largest prime factor."""
-        if not self.factors:
-            raise ValueError("1 has no prime factors")
-        return self.factors[-1][1]
-
-    def exponent_of(self, p: int) -> int:
-        for q, a in self.factors:
-            if q == p:
-                return a
-        return 0
 
 
 IntLike = Union[int, Factorization]
@@ -280,10 +245,8 @@ def phi_cyclic_product(n: IntLike) -> int:
 
 def q_of_primes(primes: Iterable[int]) -> Fraction:
     """Q over an explicit set of primes: prod (p+1)/(p-1), exact."""
-    q = Fraction(1)
-    for p in primes:
-        q *= Fraction(p + 1, p - 1)
-    return q
+    primes = tuple(primes)
+    return Fraction(math.prod(p + 1 for p in primes), math.prod(p - 1 for p in primes))
 
 
 def q_of(n: IntLike) -> Fraction:
@@ -348,7 +311,7 @@ def lemma_n_geq_check(n: IntLike) -> tuple[bool, bool]:
     if fact.primes == (2,):
         raise HypothesisViolation(f"n={fact.n}: powers of two are excluded")
     p, a = fact.factors[-1]
-    cofactor = fact.n // p**a
+    cofactor = Factorization(fact.n // p**a, fact.factors[:-1])
     rhs = q_of(fact) * totient(cofactor) * p ** (a - 1)
     return fact.n >= rhs, fact.n == rhs
 

@@ -99,13 +99,19 @@ def undirected_degree(graph: PowerGraph, g: int) -> int:
     return degree
 
 
+def _dot_string(text: str) -> str:
+    """Escape backslashes and double quotes for a quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(graph: PowerGraph) -> str:
     """Graphviz digraph; one node line per element, one '->' line per
-    directed edge, in ascending index order (byte-stable)."""
+    directed edge, in ascending index order (byte-stable).  The group name
+    and the labels are escaped as quoted DOT strings."""
     group = graph.group
-    lines = [f'digraph "{group.name}" {{']
+    lines = [f'digraph "{_dot_string(group.name)}" {{']
     for g in range(group.order):
-        lines.append(f'  {g} [label="{group.labels[g]}"];')
+        lines.append(f'  {g} [label="{_dot_string(group.labels[g])}"];')
     lines.extend(f"  {g} -> {h};" for g, h in graph._directed())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -90,6 +90,14 @@ class VerificationReport:
         }
 
 
+def _witnesses(group: FiniteGroup, q: Fraction) -> list[int]:
+    """The elements g with |G| < Q * phi(order(g)), ascending; q is Q(|G|)."""
+    n = group.order
+    orders = group.element_orders()
+    tot = numtheory.totient_table(orders)
+    return [g for g in range(n) if q * tot[orders[g]] > n]
+
+
 def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     """Check, over the whole catalog of order n, that the cyclic group
     maximizes the totient sum (equality exactly on cyclic entries) and
@@ -98,14 +106,11 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     q = numtheory.q_of(n)
     rows = []
     for group in catalog(n, cap):
-        orders = group.element_orders()
-        tot = numtheory.totient_table(orders)
-        phi_g = sum(tot[o] for o in orders)
-        cyclic_flag = any(o == n for o in orders)
-        graph = powergraph.build(group)
-        edges = powergraph.undirected_edge_count(graph)
-        max_phi = max(tot[o] for o in orders)
-        witnesses = [g for g in range(n) if q * tot[orders[g]] > n]
+        phi_g = group.phi()
+        cyclic_flag = group.is_cyclic()
+        edges = powergraph.undirected_edge_count(powergraph.build(group))
+        max_phi = max(numtheory.totient_table(group.element_orders()).values())
+        witnesses = _witnesses(group, q)
         ok = phi_cn >= phi_g and (phi_g == phi_cn) == cyclic_flag
         rows.append(
             GroupRow(group.name, n, phi_g, cyclic_flag, edges, max_phi, witnesses, ok)
@@ -204,31 +209,23 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     p, alpha = fact.factors[-1]
     p_alpha = p**alpha
     prime_power = fact.k == 1
+    witnesses = _witnesses(group, q)
+    if not witnesses:
+        return []
     orders = group.element_orders()
-    tot = numtheory.totient_table(orders)
-
-    sylow = None
-    sylow_facts: tuple[bool, bool, bool] = (False, False, False)
+    sylow = group.sylow_subgroup(p)
+    unique = group.count_sylow(p) == 1
+    normal = group.is_normal(sylow)
+    cyc = sylow.is_cyclic()
     outcomes = []
-    for g in range(n):
+    for g in witnesses:
         og = orders[g]
-        phi_og = tot[og]
-        if not q * phi_og > n:
-            continue
-        if sylow is None:
-            sylow = group.sylow_subgroup(p)
-            sylow_facts = (
-                group.count_sylow(p) == 1,
-                group.is_normal(sylow),
-                sylow.is_cyclic(),
-            )
-        unique, normal, cyc = sylow_facts
         generated = frozenset(group.cyclic_subgroup(g))
         outcomes.append(
             CriterionOutcome(
                 witness=g,
                 witness_order=og,
-                phi_witness_order=phi_og,
+                phi_witness_order=numtheory.totient(og),
                 sylow_prime=p,
                 sylow_order=len(sylow),
                 unique=unique,
@@ -272,17 +269,14 @@ def verify_contrapositive(group: FiniteGroup) -> Verdict:
         return Verdict(
             "cor-contrapositive", True, f"{group.name}: unique Sylow-{p}, vacuous"
         )
-    q = numtheory.q_of(fact)
-    orders = group.element_orders()
-    tot = numtheory.totient_table(orders)
-    for g in range(n):
-        if q * tot[orders[g]] > n:
-            return Verdict(
-                "cor-contrapositive",
-                False,
-                f"{group.name}: {count} Sylow-{p} subgroups but a witness exists",
-                {"group": group.name, "witness": g},
-            )
+    witnesses = _witnesses(group, numtheory.q_of(fact))
+    if witnesses:
+        return Verdict(
+            "cor-contrapositive",
+            False,
+            f"{group.name}: {count} Sylow-{p} subgroups but a witness exists",
+            {"group": group.name, "witness": witnesses[0]},
+        )
     return Verdict(
         "cor-contrapositive",
         True,
@@ -623,9 +617,7 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
         return verdicts
 
     spf = numtheory.smallest_prime_factors(limit)
-    first9 = numtheory.first_primes(9)
     tot = [0] * (limit + 1)
-    cross_limit = min(limit, 2000)
 
     failures: dict[str, dict] = {}
     counts: dict[str, int] = {}
@@ -648,43 +640,27 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
             continue
 
         q = numtheory.q_of(fact)
-        p, alpha = fact.factors[-1]
+        p = fact.largest_prime
 
         bump("eq6-lower-bound")
         if not sum_form * q > n * n:
             fail("eq6-lower-bound", n, f"phi(C_n)*Q = {sum_form * q} <= n^2")
 
-        if fact.k >= 9 or fact.primes != first9[: fact.k]:
+        bounds = numtheory.lemma_Q_bounds(fact)
+        if bounds.q_le_p_plus_1 is not None:
             bump("lem-2.4i")
-            if not q <= p + 1:
+            if not bounds.q_le_p_plus_1:
                 fail("lem-2.4i", n, f"Q = {q} > {p + 1}")
-        if n % 2 == 1:
+        if bounds.q_lt_p_odd is not None:
             bump("lem-2.4ii")
-            if not q < p:
+            if not bounds.q_lt_p_odd:
                 fail("lem-2.4ii", n, f"Q = {q} >= {p}")
 
         if fact.primes != (2,):
             bump("lem-2.6")
-            rhs = q * tot[n // p**alpha] * p ** (alpha - 1)
-            holds = n >= rhs
-            equality = n == rhs
-            expect_equality = fact.primes == (2, 3)
-            if not holds or equality != expect_equality:
-                fail("lem-2.6", n, f"rhs = {rhs}, equality = {equality}")
-
-        # tie the inlined comparisons back to the public single-shot ops
-        if n <= cross_limit:
-            lb_holds, _ = numtheory.q_lower_bound_check(fact)
-            if lb_holds != (sum_form * q > n * n):
-                fail("eq6-lower-bound", n, "disagrees with q_lower_bound_check")
-            bounds = numtheory.lemma_Q_bounds(fact)
-            if n % 2 == 1 and bounds.q_lt_p_odd != (q < p):
-                fail("lem-2.4ii", n, "disagrees with lemma_Q_bounds")
-            if fact.primes != (2,):
-                holds2, eq2 = numtheory.lemma_n_geq_check(fact)
-                rhs = q * tot[n // p**alpha] * p ** (alpha - 1)
-                if (holds2, eq2) != (n >= rhs, n == rhs):
-                    fail("lem-2.6", n, "disagrees with lemma_n_geq_check")
+            holds, equality = numtheory.lemma_n_geq_check(fact)
+            if not holds or equality != (fact.primes == (2, 3)):
+                fail("lem-2.6", n, f"holds = {holds}, equality = {equality}")
 
     for key in ("eq5-two-forms", "eq6-lower-bound", "lem-2.4i", "lem-2.4ii", "lem-2.6"):
         record(

@@ -134,6 +134,15 @@ def test_malformed_group_files(tmp_path, capsys):
         assert "error" in err
 
 
+def test_graph_dot_escapes_group_name_from_file(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"name": 'a"b', "order": 2, "identity": 0,
+                                "table": [[0, 1], [1, 0]]}))
+    code, out, _ = run_cli(capsys, "graph", "--group", f"file:{path}")
+    assert code == 0
+    assert out.splitlines()[0] == 'digraph "a\\"b" {'
+
+
 def test_malformed_specs(capsys):
     for spec in ["nonsense:4", "cyclic:x", "sdp:3:2", "abelian:", "file:/no/such.json"]:
         code, _, err = run_cli(capsys, "phi", "--group", spec)
@@ -183,6 +192,36 @@ def test_verify_main_jobs_matches_serial(capsys):
                              "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_main_jobs_clamped_to_cpus_and_orders(monkeypatch, capsys):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    _, serial, _ = run_cli(capsys, "verify-main", "--range", "1..6", "--format", "csv")
+    for argv, size in [(["1..6", "--jobs", "1000"], 4), (["1..3", "--jobs", "1000"], 3),
+                       (["1..6", "--jobs", "2"], 2)]:
+        code, out, _ = run_cli(capsys, "verify-main", "--range", argv[0], "--format", "csv",
+                               *argv[1:])
+        assert code == 0 and sizes[-1] == size
+        assert serial.startswith(out)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_cli(capsys, "verify-main", "--range", "1..6", "--jobs", "8")
+    assert len(sizes) == 3
 
 
 def test_verify_main_deterministic(capsys):
@@ -285,3 +324,9 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "8\n"
+
+
+def test_package_exports_resolve_without_duplicates():
+    assert len(gs.__all__) == len(set(gs.__all__))
+    for name in gs.__all__:
+        assert hasattr(gs, name), name

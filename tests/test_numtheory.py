@@ -71,9 +71,6 @@ def test_factorization_properties():
     assert fact.primes == (2, 3, 5)
     assert fact.k == 3
     assert fact.largest_prime == 5
-    assert fact.largest_exponent == 1
-    assert fact.exponent_of(2) == 3
-    assert fact.exponent_of(7) == 0
 
 
 def test_spf_sieve_matches_factorize():
@@ -104,14 +101,6 @@ def test_nth_prime_and_families():
     assert nt.skip_primes(3) == (2, 3, 7)
     with pytest.raises(ValueError):
         nt.nth_prime(0)
-
-
-def test_classify_prime_set():
-    assert nt.classify_prime_set([2, 3, 5]) == nt.PrimeSetTag("first", 3)
-    assert nt.classify_prime_set([2, 3, 7]) == nt.PrimeSetTag("skip", 3)
-    assert nt.classify_prime_set([3]) == nt.PrimeSetTag("skip", 1)
-    assert nt.classify_prime_set([2, 7]) == nt.PrimeSetTag("other")
-    assert nt.classify_prime_set([]) == nt.PrimeSetTag("other")
 
 
 # --- totient ---
@@ -247,6 +236,9 @@ def test_lemma_n_geq_equality_classification():
         if fact.primes == (2,):
             continue
         holds, equality = nt.lemma_n_geq_check(fact)
+        p, a = fact.factors[-1]
+        rhs = nt.q_of(n) * nt.totient(n // p**a) * p ** (a - 1)
+        assert (holds, equality) == (n >= rhs, n == rhs)
         assert holds
         assert equality == (fact.primes == (2, 3))
 

@@ -151,6 +151,18 @@ def test_dot_export_trivial():
     assert '0 [label="0"];' in text
 
 
+def test_dot_export_escapes_quotes_and_backslashes():
+    group = gs.from_cayley([[0, 1], [1, 0]], name='a"b\\c', labels=['e"', "x\\"])
+    text = pg.export_dot(pg.build(group))
+    assert text == (
+        'digraph "a\\"b\\\\c" {\n'
+        '  0 [label="e\\""];\n'
+        '  1 [label="x\\\\"];\n'
+        "  1 -> 0;\n"
+        "}\n"
+    )
+
+
 def test_json_export_shape():
     data = json.loads(pg.export_json(pg.build(gs.cyclic(6))))
     assert set(data) == {"group", "n", "directed", "undirected"}
