@@ -1,14 +1,22 @@
 """Exact integer and rational arithmetic for totient-sum computations.
 
-Everything here is deterministic and exact: factorization is plain trial
-division, totients come from the prime factorization, and every inequality
-is decided with `fractions.Fraction` (never floats).  All integers are
-arbitrary precision, so products of many prime powers cannot overflow.
+Everything here is deterministic and exact.  Primality is a strong
+probable-prime test on the first 13 prime bases, which is a proof below
+psi_13 (Sorenson & Webster 2015) and is confirmed by trial division at or
+above it.  Factorization divides out the primes below 1000 and splits what
+is left with Pollard's rho in Brent's form, using fixed constants, so both
+the factors and the running time repeat from run to run.  Totients come
+from the prime factorization, and every inequality is decided with
+`fractions.Fraction` (never floats).  All integers are arbitrary precision,
+so products of many prime powers cannot overflow.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -21,14 +29,47 @@ class HypothesisViolation(ValueError):
 # --- primes ---
 
 
+# The first 13 primes: trial divisors and strong-probable-prime bases.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least odd composite that is a strong probable prime to every base in
+# _BASES (Sorenson & Webster, Math. Comp. 2015); below it the test is a proof.
+_PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine for desk-scale n)."""
+    """Deterministic primality test, exact for every integer.
+
+    Divides by the primes up to 41, then runs a strong-probable-prime test
+    on those 13 bases.  Below psi_13 = 3317044064679887385961981 a number
+    that passes every base is prime; at or above it, a number that passes
+    is confirmed by trial division up to its square root, which is slow.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+        if p * p > n:
+            return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _PSI_13 or _is_prime_by_trial_division(n)
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    """Trial division by every odd number up to sqrt(n); n is odd and > 2."""
     f = 3
     while f * f <= n:
         if n % f == 0:
@@ -93,7 +134,7 @@ class Factorization:
         if prod != self.n:
             raise ValueError(f"factors multiply to {prod}, not {self.n}")
 
-    @property
+    @functools.cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
@@ -112,17 +153,27 @@ class Factorization:
 IntLike = Union[int, Factorization]
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization by trial division up to sqrt(n).
+# factorize divides by 2 and the odd numbers below this bound; a cofactor
+# left above the bound's square goes to is_prime and Pollard's rho.
+_TRIAL_BOUND = 1000
+# Brent's rho multiplies this many differences together between gcds.
+_RHO_BATCH = 128
 
-    n == 1 yields an empty factor list; n < 1 is rejected.
+
+def factorize(n: int) -> Factorization:
+    """Prime factorization: trial division below 1000, then Pollard-Brent rho.
+
+    n == 1 yields an empty factor list; n < 1 is rejected.  Every n below
+    10^6 is factored by trial division alone.  A cofactor with no prime
+    factor below 1000 is tested with `is_prime` and, if composite, split by
+    Brent's rho, recursively.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     m = n
     factors = []
     p = 2
-    while p * p <= m:
+    while p * p <= m and p < _TRIAL_BOUND:
         if m % p == 0:
             a = 0
             while m % p == 0:
@@ -130,9 +181,52 @@ def factorize(n: int) -> Factorization:
                 a += 1
             factors.append((p, a))
         p += 1 if p == 2 else 2
-    if m > 1:
+    if p * p <= m:
+        factors.extend(sorted(Counter(_large_prime_factors(m)).items()))
+    elif m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
+
+
+def _large_prime_factors(m: int) -> list[int]:
+    """The prime factors of m > 1, with multiplicity, in no set order."""
+    if is_prime(m):
+        return [m]
+    d = _brent_rho(m)
+    return _large_prime_factors(d) + _large_prime_factors(m // d)
+
+
+def _brent_rho(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor below 1000.
+
+    Pollard's rho in Brent's form (BIT 1980): iterate x -> x^2 + c mod n
+    from 2, compare against the value saved at each power of two, and take
+    one gcd per _RHO_BATCH differences.  When a batch overshoots to gcd n,
+    the batch is replayed one step at a time; when that also gives n, the
+    next c is tried.  The constants are fixed, so the result repeats.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
 
 
 def _coerce(n: IntLike) -> Factorization:
@@ -142,8 +236,8 @@ def _coerce(n: IntLike) -> Factorization:
 def smallest_prime_factors(limit: int) -> list[int]:
     """Sieve of smallest prime factors for 0..limit (spf[1] == 1).
 
-    Used to factor every n in a range sweep in O(log n) each; per-call
-    factorization stays trial division.
+    Used to factor every n in a range sweep in O(log n) each, where one
+    sieve serves the whole range; a single n goes to `factorize`.
     """
     spf = list(range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):

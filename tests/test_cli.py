@@ -326,6 +326,30 @@ def test_console_entry_point():
     assert result.stdout == "8\n"
 
 
+def test_q_and_phi_on_large_n_finish():
+    # A Mersenne prime and a product of two 13-digit primes: both are far
+    # beyond trial division, so each run is bounded by a timeout.
+    sympy = pytest.importorskip("sympy")
+    semiprime = sympy.nextprime(10**12) * sympy.nextprime(2 * 10**12)
+    for command, n in (("q", 2**61 - 1), ("phi", semiprime)):
+        factors = sympy.factorint(n)
+        if command == "q":
+            expected = sympy.prod(sympy.Rational(p + 1, p - 1) for p in factors)
+        else:
+            expected = sympy.prod(
+                1 + sum((p ** (j - 1) * (p - 1)) ** 2 for j in range(1, a + 1))
+                for p, a in factors.items()
+            )
+        result = subprocess.run(
+            [sys.executable, "-m", "groupsum.cli", command, "--n", str(n)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{expected}\n"
+
+
 def test_package_exports_resolve_without_duplicates():
     assert len(gs.__all__) == len(set(gs.__all__))
     for name in gs.__all__:

@@ -69,6 +69,9 @@ def test_factorization_validation():
 def test_factorization_properties():
     fact = nt.factorize(360)
     assert fact.primes == (2, 3, 5)
+    assert fact.primes is fact.primes  # computed once, then cached
+    fresh = nt.factorize(360)
+    assert fact == fresh and hash(fact) == hash(fresh)  # the cache is not compared
     assert fact.k == 3
     assert fact.largest_prime == 5
 
@@ -92,6 +95,73 @@ def test_divisors():
 def test_is_prime_small():
     primes = [n for n in range(60) if nt.is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+# --- differential tests against sympy ---
+
+CARMICHAEL = (561, 41041, 825265)
+STRONG_PSEUDOPRIMES_BASE_2 = (2047, 1373653, 3215031751)
+# psi_12: the least odd composite that is a strong probable prime to every
+# prime base up to 37; only base 41 exposes it.
+PSI_12 = 318665857834031151167461
+
+
+def _sympy_factors(sympy, n):
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+def _large_inputs(sympy):
+    primes = [sympy.nextprime(10**e) for e in (3, 6, 9, 12, 18)]
+    powers = [p**k for p in primes[:3] for k in (2, 3)] + [1009**5]
+    semiprimes = [
+        sympy.nextprime(10**a) * sympy.nextprime(10**b)
+        for a, b in ((4, 20), (6, 18), (8, 15), (10, 13), (11, 12))
+    ]
+    mixed = [2**5 * 3 * 997 * primes[2] ** 2 * primes[3]]
+    return [*CARMICHAEL, *STRONG_PSEUDOPRIMES_BASE_2, *primes, *powers, *semiprimes, *mixed, PSI_12]
+
+
+def test_is_prime_and_factorize_match_sympy_up_to_20000():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 20001):
+        assert nt.is_prime(n) == sympy.isprime(n), n
+        assert nt.factorize(n).factors == _sympy_factors(sympy, n), n
+
+
+def test_is_prime_and_factorize_match_sympy_on_large_inputs():
+    sympy = pytest.importorskip("sympy")
+    for n in _large_inputs(sympy):
+        assert nt.is_prime(n) == sympy.isprime(n), n
+        assert nt.factorize(n).factors == _sympy_factors(sympy, n), n
+
+
+def test_factorize_matches_sympy_on_drawn_integers():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(hypothesis.strategies.integers(min_value=1, max_value=10**20 - 1))
+    def check(n):
+        assert nt.is_prime(n) == sympy.isprime(n)
+        assert nt.factorize(n).factors == _sympy_factors(sympy, n)
+
+    check()
+
+
+def test_is_prime_needs_base_41():
+    assert nt.is_prime(PSI_12) is False
+
+
+def test_is_prime_certifies_by_trial_division_at_or_above_psi_13(monkeypatch):
+    # With base 2 alone and the boundary moved to 0, every base-2 strong
+    # probable prime takes the certification path of numbers at or above
+    # psi_13, and the base-2 strong pseudoprimes must be rejected there.
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(nt, "_BASES", (2,))
+    monkeypatch.setattr(nt, "_PSI_13", 0)
+    candidates = [*range(1, 5000), *CARMICHAEL, *STRONG_PSEUDOPRIMES_BASE_2, 10**9 + 7]
+    for n in candidates:
+        assert nt.is_prime(n) == sympy.isprime(n), n
 
 
 def test_nth_prime_and_families():
