@@ -1,11 +1,14 @@
 """Finite groups as dense Cayley tables, with constructions and subgroup machinery.
 
 A group of order n is an n x n table of element indices plus the index of
-the identity.  Tables are validated on construction: closure, identity,
-inverses, and associativity.  Associativity is verified with the
-generator-translation test (find a generating set under the operation,
-then compare the two bracketings against each generator), which is a
-complete check at cost O(g * n^2) instead of O(n^3).
+the identity.  The table is held once, as the read-only int32 array that
+validation returns, and `FiniteGroup.table` returns that array; subgroup
+queries (closure, conjugation) run on it with numpy.  Tables are validated
+on construction: closure, identity, inverses, and associativity.
+Associativity is verified with the generator-translation test (find a
+generating set under the operation, then compare the two bracketings
+against each generator), which is a complete check at cost O(g * n^2)
+instead of O(n^3).
 
 Groups are immutable after validation and safe to share across threads.
 """
@@ -83,6 +86,13 @@ def _closure_of(arr: np.ndarray, seed: Sequence[int]) -> np.ndarray:
         cur = prods
 
 
+def _member_mask(order: int, members: Sequence[int]) -> np.ndarray:
+    """Boolean membership vector of length `order`."""
+    inside = np.zeros(order, dtype=bool)
+    inside[np.asarray(members, dtype=np.intp)] = True
+    return inside
+
+
 def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
     """Check the group axioms and return the table narrowed to int32.
     Entries are range-checked before narrowing, so none can wrap into range."""
@@ -120,9 +130,7 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
     gens: list[int] = []
     closed = _closure_of(arr, [identity])
     while closed.size < n:
-        in_closure = np.zeros(n, dtype=bool)
-        in_closure[closed] = True
-        g = int(np.nonzero(~in_closure)[0][0])
+        g = int(np.nonzero(~_member_mask(n, closed))[0][0])
         gens.append(g)
         closed = _closure_of(arr, [identity, *gens])
     for g in gens:
@@ -140,7 +148,7 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
 class FiniteGroup:
     """An immutable finite group given by its multiplication table."""
 
-    __slots__ = ("name", "identity", "labels", "_rows", "_orders", "_inverses")
+    __slots__ = ("name", "identity", "labels", "_table", "_orders", "_inverses")
 
     def __init__(
         self,
@@ -150,12 +158,11 @@ class FiniteGroup:
         labels: Optional[Sequence[str]] = None,
     ):
         arr = _validate_table(np.asarray(table), identity)
-        self._rows: tuple[tuple[int, ...], ...] = tuple(
-            tuple(row) for row in arr.tolist()
-        )
+        arr.flags.writeable = False
+        self._table = arr
         self.identity = identity
         self.name = name
-        n = len(self._rows)
+        n = arr.shape[0]
         if labels is not None:
             if len(labels) != n:
                 raise ValueError("need one label per element")
@@ -163,35 +170,38 @@ class FiniteGroup:
         else:
             self.labels = tuple(str(i) for i in range(n))
         self._orders: Optional[tuple[int, ...]] = None
-        self._inverses: Optional[tuple[int, ...]] = None
+        self._inverses: Optional[np.ndarray] = None
 
     @property
     def order(self) -> int:
-        return len(self._rows)
+        return self._table.shape[0]
 
     @property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
+    def table(self) -> np.ndarray:
+        """The validated Cayley table: a read-only n x n int32 array."""
+        return self._table
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._table.shape[0]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
     def mul(self, i: int, j: int) -> int:
-        return self._rows[i][j]
+        return int(self._table[i, j])
 
     def _check_index(self, g: int) -> None:
         if not (0 <= g < self.order):
             raise IndexError(f"element index {g} out of range for order {self.order}")
 
+    def _inverse_array(self) -> np.ndarray:
+        if self._inverses is None:
+            self._inverses = np.argmax(self._table == self.identity, axis=1)
+        return self._inverses
+
     def inverse(self, g: int) -> int:
         self._check_index(g)
-        if self._inverses is None:
-            e = self.identity
-            self._inverses = tuple(row.index(e) for row in self._rows)
-        return self._inverses[g]
+        return int(self._inverse_array()[g])
 
     def element_order(self, g: int) -> int:
         """Smallest m >= 1 with g^m = identity; divides the group order."""
@@ -201,37 +211,29 @@ class FiniteGroup:
     def element_orders(self) -> tuple[int, ...]:
         """Orders of all elements (computed once, then cached)."""
         if self._orders is None:
-            e = self.identity
-            rows = self._rows
             orders = [0] * self.order
-            orders[e] = 1
+            orders[self.identity] = 1
             for g in range(self.order):
                 if orders[g]:
                     continue
-                # walk the cycle of g, assigning orders to all its powers
-                powers = [g]
-                x = rows[g][g]
-                while x != e:
-                    powers.append(x)
-                    x = rows[x][g]
-                m = len(powers) + 1
-                for idx, y in enumerate(powers, start=1):
+                # g^k has order m / gcd(m, k) in the cycle g, ..., g^m = identity
+                powers = self.cyclic_subgroup(g)
+                m = len(powers)
+                for k, y in enumerate(powers, start=1):
                     if not orders[y]:
-                        d = m // math.gcd(m, idx)
-                        orders[y] = d
+                        orders[y] = m // math.gcd(m, k)
             self._orders = tuple(orders)
         return self._orders
 
     def cyclic_subgroup(self, g: int) -> tuple[int, ...]:
         """The powers of g: (g, g^2, ..., identity)."""
         self._check_index(g)
-        e = self.identity
-        rows = self._rows
+        column = self._table[:, g].tolist()  # column[x] = x * g
         out = [g]
-        x = rows[g][g]
+        x = column[g]
         while x != g:
             out.append(x)
-            x = rows[x][g]
+            x = column[x]
         return tuple(out)
 
     def phi(self) -> int:
@@ -254,26 +256,7 @@ class FiniteGroup:
             raise ValueError("need at least one generator")
         for g in gens:
             self._check_index(g)
-        rows = self._rows
-        seen = {self.identity}
-        elems = [self.identity]
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                elems.append(g)
-        i = 0
-        while i < len(elems):
-            x = elems[i]
-            j = 0
-            while j < len(elems):
-                y = elems[j]
-                for z in (rows[x][y], rows[y][x]):
-                    if z not in seen:
-                        seen.add(z)
-                        elems.append(z)
-                j += 1
-            i += 1
-        return Subgroup(self, elems)
+        return Subgroup(self, _closure_of(self._table, [self.identity, *gens]).tolist())
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,))
@@ -281,25 +264,13 @@ class FiniteGroup:
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
         """Elements g with g * sub * g^-1 == sub."""
         self._own(sub)
-        rows = self._rows
-        hset = sub.member_set
-        members = []
-        for g in range(self.order):
-            gi = self.inverse(g)
-            if all(rows[rows[g][h]][gi] in hset for h in sub.members):
-                members.append(g)
-        return Subgroup(self, members)
+        t = self._table
+        conjugates = t[t[:, sub.members], self._inverse_array()[:, None]]  # [g, k] = g h_k g^-1
+        inside = _member_mask(self.order, sub.members)
+        return Subgroup(self, np.flatnonzero(inside[conjugates].all(axis=1)).tolist())
 
     def is_normal(self, sub: "Subgroup") -> bool:
-        self._own(sub)
-        rows = self._rows
-        hset = sub.member_set
-        for g in range(self.order):
-            gi = self.inverse(g)
-            for h in sub.members:
-                if rows[rows[g][h]][gi] not in hset:
-                    return False
-        return True
+        return len(self.normalizer(sub)) == self.order
 
     def _own(self, sub: "Subgroup") -> None:
         if sub.parent is not self:
@@ -382,7 +353,7 @@ class FiniteGroup:
             "name": self.name,
             "order": self.order,
             "identity": self.identity,
-            "table": [list(row) for row in self._rows],
+            "table": self._table.tolist(),
         }
 
     def to_json(self) -> str:
@@ -422,13 +393,14 @@ class Subgroup:
             raise ValueError("a subgroup cannot be empty")
         if parent.identity not in self.member_set:
             raise ValueError("subgroup must contain the identity")
-        rows = parent._rows
-        for x in self.members:
-            for y in self.members:
-                if rows[x][y] not in self.member_set:
-                    raise ValueError(
-                        f"not closed: {x}*{y} = {rows[x][y]} escapes the subgroup"
-                    )
+        if self.members[0] < 0 or self.members[-1] >= parent.order:
+            raise IndexError(f"subgroup members must lie in [0, {parent.order})")
+        products = parent.table[np.ix_(self.members, self.members)]
+        escaped = ~_member_mask(parent.order, self.members)[products]
+        if escaped.any():
+            i, j = np.argwhere(escaped)[0]  # first escape in row-major order
+            x, y = self.members[i], self.members[j]
+            raise ValueError(f"not closed: {x}*{y} = {products[i, j]} escapes the subgroup")
         if parent.order % len(self.members) != 0:
             raise AssertionError("subgroup order must divide the group order")
 
@@ -544,15 +516,9 @@ def dihedral(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("need m >= 1")
     _check_cap(2 * m, cap)
     n = 2 * m
-    table = np.zeros((n, n), dtype=np.int64)
-    for s1 in (0, 1):
-        for r1 in range(m):
-            i = r1 + m * s1
-            for s2 in (0, 1):
-                for r2 in range(m):
-                    j = r2 + m * s2
-                    r = (r1 - r2) % m if s1 else (r1 + r2) % m
-                    table[i, j] = r + m * ((s1 + s2) % 2)
+    s1, r1, s2, r2 = np.ix_(np.arange(2), np.arange(m), np.arange(2), np.arange(m))
+    new_r = (r1 + (1 - 2 * s1) * r2) % m
+    table = (new_r + m * ((s1 + s2) % 2)).reshape(n, n)
     labels = [f"r{r}" for r in range(m)] + [f"sr{r}" for r in range(m)]
     return FiniteGroup(table, 0, name=f"dihedral:{m}", labels=labels)
 
@@ -568,19 +534,10 @@ def dicyclic(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     _check_cap(4 * m, cap)
     two_m = 2 * m
     n = 4 * m
-    table = np.zeros((n, n), dtype=np.int64)
-    for s1 in (0, 1):
-        for r1 in range(two_m):
-            i = r1 + two_m * s1
-            for s2 in (0, 1):
-                for r2 in range(two_m):
-                    j = r2 + two_m * s2
-                    r = (r1 - r2) % two_m if s1 else (r1 + r2) % two_m
-                    s = s1 + s2
-                    if s == 2:
-                        r = (r + m) % two_m
-                        s = 0
-                    table[i, j] = r + two_m * s
+    s1, r1, s2, r2 = np.ix_(np.arange(2), np.arange(two_m), np.arange(2), np.arange(two_m))
+    # b^2 = a^m: two b's meeting add m to the exponent of a
+    new_r = (r1 + (1 - 2 * s1) * r2 + m * s1 * s2) % two_m
+    table = (new_r + two_m * ((s1 + s2) % 2)).reshape(n, n)
     labels = [f"a{r}" for r in range(two_m)] + [f"ba{r}" for r in range(two_m)]
     return FiniteGroup(table, 0, name=f"dicyclic:{m}", labels=labels)
 
@@ -633,9 +590,7 @@ def direct_product(
     """
     n = g1.order * g2.order
     _check_cap(n, cap)
-    t1 = np.asarray(g1.table, dtype=np.int64)
-    t2 = np.asarray(g2.table, dtype=np.int64)
-    table = _combine_tables(t1, t2)
+    table = _combine_tables(g1.table, g2.table)
     identity = g1.identity * g2.order + g2.identity
     labels = [f"({a},{b})" for a in g1.labels for b in g2.labels]
     product = FiniteGroup(

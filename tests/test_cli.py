@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -254,6 +255,38 @@ def test_criterion_json(capsys):
     assert data["n"] == 2
     assert len(data["witnesses"]) == 2
     assert all(w["satisfied"] for w in data["witnesses"])
+
+
+# --- pinned output bytes ---
+
+# sha256 of stdout, recorded before the Cayley table moved from nested tuples
+# to one read-only int32 array; any change to these bytes is a wire-format change.
+PINNED_CRITERION_JSON = {
+    "alt:4": "8f58c1464158b4eb4995c8a49568e9e3b5ee5f3976100eaa253b8af2b0c77d30",
+    "sym:4": "370e92b2719f943aa64e5cb27dcfb09a07c549d5f86ad0eb4d2de429b794b7d6",
+    "dicyclic:6": "27c387cfce8fd32c4dc799bc6928fe2d07d9eef25a6c13139595b932c04e20e8",
+    "dihedral:6": "ce6345c19dd126d9f486cf28d11963bd3f1707eed1713310027bdafb3f790779",
+    "abelian:2x4x8": "26a16d8d1b7c619010fe5882987551bfc96177c758406d3b3a6f9c6e156d1791",
+    "prod:cyclic:3,sym:3": "b57621c1b02be75484260bff10487ba2f91a27c3f0917a163ec5bf49c633ed59",
+    "sdp:7:3:2": "600f5bcc9feca02a57a76a144bde833c6bf0a7f3141a25bf0043a9421f5251d0",
+    "cyclic:64": "d6fcd87a3028a595e473fa8c115ae70c54c5bc104965d9010bfb8155d1fdd005",
+}
+PINNED_VERIFY_MAIN_CSV_1_100 = "8cbdb236f25ea8daa5527e64855e4d21c0a58ed4f1ca451b5b2ad1bf520f59cb"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_main_csv_bytes_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify-main", "--range", "1..100", "--format", "csv")
+    assert code == 0 and sha256(out) == PINNED_VERIFY_MAIN_CSV_1_100
+
+
+def test_criterion_json_bytes_pinned(capsys):
+    for spec, digest in PINNED_CRITERION_JSON.items():
+        code, out, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
+        assert code == 0 and sha256(out) == digest, spec
 
 
 # --- tables ---

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import groupsum as gs
@@ -40,6 +42,26 @@ def naive_closure(group, gens):
                     members.add(z)
                     changed = True
     return members
+
+
+def naive_normalizer(group, members):
+    e = group.identity
+    n = group.order
+    inverse = [next(x for x in range(n) if group.mul(g, x) == e) for g in range(n)]
+    hset = set(members)
+    return {
+        g for g in range(n)
+        if {group.mul(group.mul(g, h), inverse[g]) for h in members} == hset
+    }
+
+
+def small_groups():
+    return [gs.symmetric(4), gs.dicyclic(3), gs.dihedral(6), gs.abelian([2, 2, 2])]
+
+
+def one_or_two_generators(group):
+    n = group.order
+    return [[g] for g in range(n)] + [[g, h] for g in range(n) for h in range(g + 1, n)]
 
 
 # --- table validation ---
@@ -92,6 +114,23 @@ def test_out_of_range_entries_rejected_before_narrowing():
     for big in (2**32 + 1, -(2**32) + 1):
         with pytest.raises(gs.NotClosedError):
             gs.from_cayley([[0, big], [big, 0]], 0)
+
+
+def test_table_is_read_only():
+    g = gs.cyclic(4)
+    with pytest.raises(ValueError):
+        g.table[0, 0] = 1
+    assert g.table.dtype == np.int32 and g.table.tolist()[1] == [1, 2, 3, 0]
+
+
+def test_caller_table_is_not_aliased():
+    idx = np.arange(5)
+    raw = ((idx[:, None] + idx[None, :]) % 5).astype(np.int32)
+    expected = raw.copy()
+    group = gs.from_cayley(raw, 0)
+    raw[:] = 0
+    assert np.array_equal(group.table, expected)
+    assert group.element_orders() == (1, 5, 5, 5, 5)
 
 
 def test_non_integer_identity_rejected():
@@ -159,10 +198,14 @@ def test_cyclic_subgroup_powers():
 
 def test_subgroup_validation():
     c6 = gs.cyclic(6)
-    with pytest.raises(ValueError):
-        gs.Subgroup(c6, [0, 1])  # not closed
+    with pytest.raises(ValueError, match=re.escape("not closed: 1*1 = 2 escapes the subgroup")):
+        gs.Subgroup(c6, [0, 1])
+    with pytest.raises(ValueError, match=re.escape("not closed: 1*2 = 3 escapes the subgroup")):
+        gs.Subgroup(c6, [0, 1, 2])  # 2*1 and 2*2 escape too; the first in row-major order is named
     with pytest.raises(ValueError):
         gs.Subgroup(c6, [2, 4])  # missing identity
+    with pytest.raises(IndexError):
+        gs.Subgroup(gs.cyclic(8), [-8, -4, 0, 4])  # negative indices alias 0 and 4
     sub = gs.Subgroup(c6, [0, 2, 4])
     assert sub.index() == 2 and 2 in sub
 
@@ -201,6 +244,15 @@ def test_index_two_subgroup_is_normal():
     rotations = d4.generated_subgroup([1])
     assert rotations.index() == 2
     assert d4.is_normal(rotations)
+
+
+def test_normalizer_and_is_normal_match_naive_conjugation():
+    for group in small_groups():
+        subgroups = {group.generated_subgroup(gens) for gens in one_or_two_generators(group)}
+        for sub in subgroups:
+            expected = naive_normalizer(group, sub.members)
+            assert set(group.normalizer(sub)) == expected, (group.name, sub.members)
+            assert group.is_normal(sub) == (len(expected) == group.order), (group.name, sub.members)
 
 
 def test_foreign_subgroup_rejected():
@@ -285,6 +337,29 @@ def test_dihedral_census():
     assert census[2] == 5  # four reflections plus the half turn
 
 
+def test_dihedral_and_dicyclic_match_presentations():
+    for m in range(1, 41):
+        g = gs.dihedral(m)
+        for i in range(2 * m):
+            for j in range(2 * m):
+                (s1, r1), (s2, r2) = divmod(i, m), divmod(j, m)
+                r = (r1 - r2) % m if s1 else (r1 + r2) % m
+                assert g.mul(i, j) == r + m * ((s1 + s2) % 2), (m, i, j)
+        assert g.labels == tuple([f"r{r}" for r in range(m)] + [f"sr{r}" for r in range(m)])
+    for m in range(1, 21):
+        g = gs.dicyclic(m)
+        for i in range(4 * m):
+            for j in range(4 * m):
+                (s1, r1), (s2, r2) = divmod(i, 2 * m), divmod(j, 2 * m)
+                r = (r1 - r2) % (2 * m) if s1 else (r1 + r2) % (2 * m)
+                if s1 and s2:  # b^2 = a^m
+                    r, s = (r + m) % (2 * m), 0
+                else:
+                    s = s1 + s2
+                assert g.mul(i, j) == r + 2 * m * s, (m, i, j)
+        assert g.labels == tuple([f"a{r}" for r in range(2 * m)] + [f"ba{r}" for r in range(2 * m)])
+
+
 def test_dicyclic_is_quaternion_at_two():
     census = Counter(gs.dicyclic(2).element_orders())
     assert census == {1: 1, 2: 1, 4: 6}
@@ -308,7 +383,7 @@ def test_order_cap():
 def test_direct_product_with_trivial_group():
     s3 = gs.symmetric(3)
     prod = gs.direct_product(s3, gs.cyclic(1))
-    assert prod.table == s3.table
+    assert np.array_equal(prod.table, s3.table)
 
 
 def test_direct_product_coprime_is_cyclic():
@@ -421,7 +496,7 @@ def test_catalog_always_contains_cyclic():
 def test_json_round_trip():
     g = gs.dihedral(4)
     restored = gs.FiniteGroup.from_json(g.to_json())
-    assert restored.table == g.table
+    assert np.array_equal(restored.table, g.table)
     assert restored.identity == g.identity
     assert restored.name == g.name
     assert restored.order == g.order
@@ -459,9 +534,10 @@ def test_non_integer_table_rejected():
 
 
 def test_generated_subgroup_matches_naive_closure():
-    g = gs.symmetric(4)
-    for gens in [[1], [5], [1, 2], [7, 11]]:
-        assert set(g.generated_subgroup(gens)) == naive_closure(g, gens)
+    for group in small_groups():
+        for gens in one_or_two_generators(group):
+            assert set(group.generated_subgroup(gens)) == naive_closure(group, gens), (
+                group.name, gens)
 
 
 # --- randomized validation fuzzing (fixed seed) ---
