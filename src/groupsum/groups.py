@@ -75,15 +75,32 @@ def _check_cap(order: int, cap: int) -> None:
 # --- table validation ---
 
 
-def _closure_of(arr: np.ndarray, seed: Sequence[int]) -> np.ndarray:
-    """Sorted element closure of `seed` under the table (seed must contain
-    the identity, so the closure only grows)."""
-    cur = np.unique(np.asarray(seed, dtype=np.intp))
-    while True:
-        prods = np.unique(arr[np.ix_(cur, cur)])
-        if prods.size == cur.size:
-            return cur
-        cur = prods
+def _closure_of(
+    arr: np.ndarray, seed: Sequence[int], inside: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Membership mask of the smallest set that contains `seed` and the
+    members of `inside` and is closed under the table.
+
+    `inside`, if given, is a boolean mask of a set that is already closed
+    (a subgroup, or an earlier result); it is not modified.  Each round
+    forms only the products that involve an element added in the round
+    before, so each ordered pair of members is multiplied once, and pairs
+    inside `inside` never.  Associativity is not assumed, so validation
+    can use it on raw tables.
+    """
+    n = arr.shape[0]
+    members = np.zeros(n, dtype=bool) if inside is None else inside.copy()
+    fresh = np.asarray(seed, dtype=np.intp)
+    fresh = np.unique(fresh[~members[fresh]])
+    while fresh.size:
+        old = np.flatnonzero(members)
+        members[fresh] = True
+        prods = np.concatenate((
+            arr[fresh[:, None], np.flatnonzero(members)].ravel(),  # fresh * all
+            arr[old[:, None], fresh].ravel(),  # old * fresh
+        ))
+        fresh = np.unique(prods[~members[prods]])
+    return members
 
 
 def _member_mask(order: int, members: Sequence[int]) -> np.ndarray:
@@ -129,10 +146,10 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
     # set greedily, then check both bracketings against each generator.
     gens: list[int] = []
     closed = _closure_of(arr, [identity])
-    while closed.size < n:
-        g = int(np.nonzero(~_member_mask(n, closed))[0][0])
+    while not closed.all():
+        g = int(np.argmin(closed))  # the smallest element outside the closure
         gens.append(g)
-        closed = _closure_of(arr, [identity, *gens])
+        closed = _closure_of(arr, [g], inside=closed)
     for g in gens:
         left = arr[arr[:, g], :]   # (x*g)*y
         right = arr[:, arr[g, :]]  # x*(g*y)
@@ -256,7 +273,8 @@ class FiniteGroup:
             raise ValueError("need at least one generator")
         for g in gens:
             self._check_index(g)
-        return Subgroup(self, _closure_of(self._table, [self.identity, *gens]).tolist())
+        closure = _closure_of(self._table, [self.identity, *gens])
+        return Subgroup(self, np.flatnonzero(closure).tolist())
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,))
@@ -323,7 +341,10 @@ class FiniteGroup:
                 raise AssertionError(
                     f"Sylow growth stalled at order {len(current)} < {q_part}"
                 )
-            grown = self.generated_subgroup([*current.members, extension])
+            inside = _member_mask(n, current.members)
+            grown = Subgroup(
+                self, np.flatnonzero(_closure_of(self._table, [extension], inside)).tolist()
+            )
             if not (len(grown) > len(current) and q_part % len(grown) == 0):
                 raise AssertionError("Sylow growth produced a non-q-subgroup")
             current = grown

@@ -138,6 +138,11 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
+    @functools.cached_property
+    def q(self) -> Fraction:
+        """Q(n) = prod (p+1)/(p-1) over the distinct primes (see `q_of`)."""
+        return q_of_primes(self.primes)
+
     @property
     def k(self) -> int:
         """Number of distinct prime factors."""
@@ -346,7 +351,7 @@ def q_of_primes(primes: Iterable[int]) -> Fraction:
 def q_of(n: IntLike) -> Fraction:
     """The reduced rational Q(n) = prod (p+1)/(p-1) over distinct prime
     factors of n.  Q(1) == 1 (empty product)."""
-    return q_of_primes(_coerce(n).primes)
+    return _coerce(n).q
 
 
 def q_lower_bound_check(n: IntLike) -> tuple[bool, Fraction]:

@@ -61,16 +61,23 @@ class PowerGraph:
 
 def build(group: FiniteGroup) -> PowerGraph:
     """Construct the directed power graph of a group, one cyclic subgroup per
-    key, and check the keys against mutual generation in one pass over the
-    edges: for h in <g>, g lies in <h> exactly when o(h) = o(g) (Lagrange),
-    and exactly then must g and h share a key."""
+    key, and check the keys against mutual generation: for h in <k>, k lies
+    in <h> exactly when o(h) = o(k) (Lagrange), and exactly then must h have
+    key k.  Every element lies in its key's subgroup, so two clauses check
+    this once per key class, at cost the sum of |<k>| over the keys: every
+    element has the order of its key, and every power of a key k with the
+    order of k has key k."""
     graph = PowerGraph(group)
     orders, key = group.element_orders(), graph.key
-    for g, k in enumerate(key):
-        if any((orders[h] == orders[g]) != (key[h] == k) for h in graph.powers[k]):
-            raise AssertionError(
-                f"undirected edges disagree with mutual generation in {group.name}"
-            )
+    if any(orders[g] != orders[k] for g, k in enumerate(key)) or any(
+        key[h] != k
+        for k, powers in graph.powers.items()
+        for h in powers
+        if orders[h] == orders[k]
+    ):
+        raise AssertionError(
+            f"undirected edges disagree with mutual generation in {group.name}"
+        )
     return graph
 
 

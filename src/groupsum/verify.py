@@ -91,11 +91,12 @@ class VerificationReport:
 
 
 def _witnesses(group: FiniteGroup, q: Fraction) -> list[int]:
-    """The elements g with |G| < Q * phi(order(g)), ascending; q is Q(|G|)."""
+    """The elements g with |G| < Q * phi(order(g)), ascending; q is Q(|G|).
+    The inequality is decided once per distinct element order."""
     n = group.order
     orders = group.element_orders()
-    tot = numtheory.totient_table(orders)
-    return [g for g in range(n) if q * tot[orders[g]] > n]
+    hits = {m for m, phi_m in numtheory.totient_table(orders).items() if q * phi_m > n}
+    return [g for g, m in enumerate(orders) if m in hits]
 
 
 def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:

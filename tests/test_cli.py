@@ -272,6 +272,8 @@ PINNED_CRITERION_JSON = {
     "cyclic:64": "d6fcd87a3028a595e473fa8c115ae70c54c5bc104965d9010bfb8155d1fdd005",
 }
 PINNED_VERIFY_MAIN_CSV_1_100 = "8cbdb236f25ea8daa5527e64855e4d21c0a58ed4f1ca451b5b2ad1bf520f59cb"
+# recorded before table validation grew its closures incrementally
+PINNED_VERIFY_MAIN_CSV_101_300 = "64accd255a55da96030433e70ad333eb1a5a7443d6ced5906a4b456933a42ba6"
 
 
 def sha256(text):
@@ -281,6 +283,13 @@ def sha256(text):
 def test_verify_main_csv_bytes_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify-main", "--range", "1..100", "--format", "csv")
     assert code == 0 and sha256(out) == PINNED_VERIFY_MAIN_CSV_1_100
+
+
+def test_verify_main_csv_101_300_bytes_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify-main", "--range", "101..300", "--format", "csv", "--jobs", "1"
+    )
+    assert code == 0 and sha256(out) == PINNED_VERIFY_MAIN_CSV_101_300
 
 
 def test_criterion_json_bytes_pinned(capsys):

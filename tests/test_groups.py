@@ -55,6 +55,52 @@ def naive_normalizer(group, members):
     }
 
 
+def reference_closure(arr, seed):
+    # closure by squaring the whole set each round, recomputed per generator:
+    # the reference for the incremental `_closure_of`
+    cur = np.unique(np.asarray(seed, dtype=np.intp))
+    while True:
+        prods = np.unique(arr[np.ix_(cur, cur)])
+        if prods.size == cur.size:
+            return cur
+        cur = prods
+
+
+def reference_associativity_witness(table, identity):
+    # the generator loop and translation test, with closures from scratch;
+    # returns the (x, g, y) a NotAssociativeError must name, or None
+    arr = np.asarray(table)
+    n = arr.shape[0]
+    gens = []
+    closed = reference_closure(arr, [identity])
+    while closed.size < n:
+        outside = np.ones(n, dtype=bool)
+        outside[closed] = False
+        gens.append(int(np.nonzero(outside)[0][0]))
+        closed = reference_closure(arr, [identity, *gens])
+    for g in gens:
+        left = arr[arr[:, g], :]
+        right = arr[:, arr[g, :]]
+        if not np.array_equal(left, right):
+            x, y = map(int, np.argwhere(left != right)[0])
+            return (x, g, y)
+    return None
+
+
+def all_subgroups(group):
+    # every subgroup, grown one naive-closure generator at a time from {e}
+    found = {frozenset([group.identity])}
+    frontier = list(found)
+    while frontier:
+        grown = {
+            frozenset(naive_closure(group, [*sub, g]))
+            for sub in frontier for g in range(group.order) if g not in sub
+        }
+        frontier = list(grown - found)
+        found |= grown
+    return found
+
+
 def small_groups():
     return [gs.symmetric(4), gs.dicyclic(3), gs.dihedral(6), gs.abelian([2, 2, 2])]
 
@@ -540,6 +586,19 @@ def test_generated_subgroup_matches_naive_closure():
                 group.name, gens)
 
 
+def test_closure_extends_a_closed_mask():
+    for group in [gs.symmetric(4), gs.dicyclic(3), gs.abelian([2, 2, 2])]:
+        n = group.order
+        for sub in all_subgroups(group):
+            inside = np.zeros(n, dtype=bool)
+            inside[list(sub)] = True
+            for x in range(n):
+                grown = gs.groups._closure_of(group.table, [x], inside=inside)
+                assert set(np.flatnonzero(grown)) == naive_closure(group, [*sub, x]), (
+                    group.name, sorted(sub), x)
+            assert set(np.flatnonzero(inside)) == sub  # the caller's mask is kept
+
+
 # --- randomized validation fuzzing (fixed seed) ---
 
 
@@ -575,3 +634,54 @@ def test_single_cell_corruption_always_rejected():
             table[i][j] = rng.choice([v for v in range(n) if v != old])
             with pytest.raises(gs.GroupValidationError):
                 gs.from_cayley(table, base.identity)
+
+
+def intercalate_swaps(base, rng, count):
+    # swapping the two symbols of a 2x2 Latin subsquare away from the
+    # identity's row and column keeps a Latin square with identity
+    t = base.table
+    others = [x for x in range(base.order) if x != base.identity]
+    intercalates = [
+        (i, j, k, l)
+        for i in others for j in others if i < j
+        for k in others for l in others if k < l
+        if t[i, k] == t[j, l] and t[i, l] == t[j, k]
+    ]
+    assert intercalates, base.name
+    for i, j, k, l in rng.sample(intercalates, min(count, len(intercalates))):
+        table = t.copy()
+        table[i, k], table[i, l] = t[i, l], t[i, k]
+        table[j, k], table[j, l] = t[j, l], t[j, k]
+        yield table
+
+
+SWAP_BASES = [gs.dihedral(4), gs.dicyclic(2), gs.abelian([2, 4]), gs.symmetric(4)]
+
+
+def test_intercalate_swaps_name_the_reference_witness():
+    # the associativity failure must be named as the reference loop names it
+    import random
+
+    rng = random.Random(31415)
+    for base in SWAP_BASES:
+        for table in intercalate_swaps(base, rng, 12):
+            witness = reference_associativity_witness(table, base.identity)
+            assert witness is not None, base.name
+            with pytest.raises(gs.NotAssociativeError) as caught:
+                gs.from_cayley(table, base.identity)
+            assert caught.value.witness == witness, base.name
+
+
+def test_closure_matches_reference_on_non_associative_tables():
+    # validation closes generating sets on tables not yet known to be
+    # associative, where a closure may not lean on group structure
+    import random
+
+    rng = random.Random(27182)
+    for base in SWAP_BASES:
+        e = base.identity
+        for table in intercalate_swaps(base, rng, 6):
+            for x in range(base.order):
+                seed = [e, x, rng.randrange(base.order)]
+                got = np.flatnonzero(gs.groups._closure_of(table, seed))
+                assert got.tolist() == reference_closure(table, seed).tolist(), (base.name, seed)

@@ -70,8 +70,11 @@ def test_factorization_properties():
     fact = nt.factorize(360)
     assert fact.primes == (2, 3, 5)
     assert fact.primes is fact.primes  # computed once, then cached
+    assert fact.q == Fraction(3 * 4 * 6, 1 * 2 * 4)
+    assert fact.q is fact.q and nt.q_of(fact) is fact.q
     fresh = nt.factorize(360)
-    assert fact == fresh and hash(fact) == hash(fresh)  # the cache is not compared
+    assert fact == fresh and hash(fact) == hash(fresh)  # the caches are not compared
+    assert "q" in vars(fact) and "q" not in vars(fresh)
     assert fact.k == 3
     assert fact.largest_prime == 5
 

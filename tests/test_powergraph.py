@@ -106,6 +106,14 @@ def test_build_checks_keys_against_element_orders():
         pg.build(group)
 
 
+def test_build_checks_each_element_against_its_key():
+    group = gs.cyclic(6)
+    # 5 shares the key 1 of <1> = <5>, but no longer the order of 1
+    group._orders = (1, 6, 3, 2, 3, 3)
+    with pytest.raises(AssertionError, match="mutual generation"):
+        pg.build(group)
+
+
 def test_edge_count_identity_over_catalog():
     for n in range(1, 41):
         for group in gs.catalog(n):
