@@ -391,7 +391,10 @@ class FiniteGroup:
             identity = data["identity"]
         except KeyError as exc:
             raise GroupValidationError(f"missing field {exc} in group JSON") from exc
-        group = cls(table, identity, name=data.get("name", "G"))
+        name = data.get("name", "G")
+        if not isinstance(name, str):
+            raise GroupValidationError(f"group name must be a string, got {name!r}")
+        group = cls(table, identity, name=name)
         if group.order != data.get("order", group.order):
             raise GroupValidationError("declared order does not match the table")
         return group

@@ -5,14 +5,19 @@ other than g itself.  A pair of opposite edges ("undirected edge") joins
 exactly two distinct elements generating the same cyclic subgroup, so a
 graph is held as one key per element, the smallest generator of its cyclic
 subgroup; edges, counts, degrees and exports are derived from the keys.
+The exports write one block of text per element: the decimal name of each
+element is made once per graph, and an element's out-neighbours (its cyclic
+subgroup without it) or its undirected partners above it (the rest of its
+key class) are joined into that block with one `str.join`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import Counter
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Iterator, Sequence, Tuple
 
 from . import numtheory
 from .groups import FiniteGroup
@@ -39,24 +44,39 @@ class PowerGraph:
         self.group = group
         self.key = tuple(key)
 
-    def _directed(self) -> list:
-        """Directed edges in ascending order."""
-        return [(g, h) for g, k in enumerate(self.key) for h in self.powers[k] if h != g]
+    def _out_neighbours(self, names: Sequence) -> Iterator[Tuple[int, list]]:
+        """Yield (g, [names[h] for each out-neighbour h of g]) for g ascending;
+        the out-neighbours of g are <g> without g, ascending."""
+        powers = self.powers
+        named = {k: [names[h] for h in members] for k, members in powers.items()}
+        for g, k in enumerate(self.key):
+            i = bisect_left(powers[k], g)
+            yield g, named[k][:i] + named[k][i + 1:]
 
-    def _undirected(self) -> list:
-        """Undirected edges (g, h), g < h, in ascending order."""
-        key = self.key
-        return [(g, h) for g, h in self._directed() if g < h and key[h] == key[g]]
+    def _partners(self, names: Sequence) -> Iterator[Tuple[int, list]]:
+        """Yield (g, [names[h] for each h > g with key[h] = key[g]]) for g
+        ascending: the undirected neighbours of g above g, ascending."""
+        classes = {}
+        for g, k in enumerate(self.key):
+            classes.setdefault(k, []).append(names[g])
+        seen = Counter()
+        for g, k in enumerate(self.key):
+            seen[k] += 1
+            yield g, classes[k][seen[k]:]
 
     @property
     def directed_edges(self) -> FrozenSet[Edge]:
         """Pairs (g, h) with h a power of g other than g."""
-        return frozenset(self._directed())
+        return frozenset(
+            (g, h) for g, hs in self._out_neighbours(range(self.group.order)) for h in hs
+        )
 
     @property
     def undirected_edges(self) -> FrozenSet[Edge]:
         """Unordered pairs {g, h}, g < h, with both (g, h) and (h, g) directed."""
-        return frozenset(self._undirected())
+        return frozenset(
+            (g, h) for g, hs in self._partners(range(self.group.order)) for h in hs
+        )
 
 
 def build(group: FiniteGroup) -> PowerGraph:
@@ -114,33 +134,34 @@ def _dot_string(text: str) -> str:
 def export_dot(graph: PowerGraph) -> str:
     """Graphviz digraph; one node line per element, one '->' line per
     directed edge, in ascending index order (byte-stable).  The group name
-    and the labels are escaped as quoted DOT strings."""
+    and the labels are escaped as quoted DOT strings.  Each element's edge
+    lines are written as one block."""
     group = graph.group
-    lines = [f'digraph "{_dot_string(group.name)}" {{']
-    for g in range(group.order):
-        lines.append(f'  {g} [label="{_dot_string(group.labels[g])}"];')
-    lines.extend(f"  {g} -> {h};" for g, h in graph._directed())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = [str(g) for g in range(group.order)]
+    parts = [f'digraph "{_dot_string(group.name)}" {{\n']
+    parts += [
+        f'  {g} [label="{_dot_string(label)}"];\n' for g, label in enumerate(group.labels)
+    ]
+    for g, heads in graph._out_neighbours(names):
+        if heads:
+            lead = f"  {g} -> "
+            parts.append(lead + (";\n" + lead).join(heads) + ";\n")
+    parts.append("}\n")
+    return "".join(parts)
+
+
+def _json_pairs(blocks: Iterator[Tuple[int, list]]) -> str:
+    """The pairs [g, h] of a JSON list, ", "-separated, one block per g."""
+    return ", ".join(f"[{g}, " + f"], [{g}, ".join(hs) + "]" for g, hs in blocks if hs)
 
 
 def export_json(graph: PowerGraph) -> str:
-    """JSON edge lists, pairs sorted ascending for byte-stable output."""
-    payload = {
-        "group": graph.group.name,
-        "n": graph.group.order,
-        "directed": graph._directed(),
-        "undirected": graph._undirected(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def parse_export(text: str) -> dict:
-    """Parse `export_json` output back into edge sets (for round-trips)."""
-    data = json.loads(text)
-    return {
-        "group": data["group"],
-        "n": data["n"],
-        "directed": frozenset((int(a), int(b)) for a, b in data["directed"]),
-        "undirected": frozenset((int(a), int(b)) for a, b in data["undirected"]),
-    }
+    """JSON edge lists, pairs sorted ascending for byte-stable output: the
+    text of `json.dumps(payload, sort_keys=True)`, written directly."""
+    group = graph.group
+    names = [str(g) for g in range(group.order)]
+    return (
+        f'{{"directed": [{_json_pairs(graph._out_neighbours(names))}], '
+        f'"group": {json.dumps(group.name)}, "n": {group.order}, '
+        f'"undirected": [{_json_pairs(graph._partners(names))}]}}'
+    )

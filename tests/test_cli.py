@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,13 +128,17 @@ def test_malformed_group_files(tmp_path, capsys):
         {"name": "x", "order": 2, "identity": "0", "table": table},
         {"name": "x", "order": 2, "identity": 0.0, "table": table},
         [table],
+    ] + [
+        {"name": name, "order": 2, "identity": 0, "table": table}
+        for name in (5, None, ["a"], True)
     ]
     for i, payload in enumerate(payloads):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(payload))
-        code, out, err = run_cli(capsys, "phi", "--group", f"file:{path}")
-        assert code == 2 and out == "", payload
-        assert "error" in err
+        for argv in (["phi"], ["criterion"], ["graph"], ["graph", "--format", "json"]):
+            code, out, err = run_cli(capsys, *argv, "--group", f"file:{path}")
+            assert code == 2 and out == "", (payload, argv)
+            assert "error" in err
 
 
 def test_graph_dot_escapes_group_name_from_file(tmp_path, capsys):
@@ -275,6 +281,26 @@ PINNED_VERIFY_MAIN_CSV_1_100 = "8cbdb236f25ea8daa5527e64855e4d21c0a58ed4f1ca451b
 # recorded before table validation grew its closures incrementally
 PINNED_VERIFY_MAIN_CSV_101_300 = "64accd255a55da96030433e70ad333eb1a5a7443d6ced5906a4b456933a42ba6"
 
+# sha256 of `graph` stdout, recorded before the exports were written one
+# element block at a time.
+PINNED_GRAPH = {
+    ("cyclic:2000", "dot"): "c2eb8fa663099db854e92789777978fc5fd8a91aa9a399b380b4d86d794f782c",
+    ("cyclic:2000", "json"): "c4709b4c904c0f1eb42175994790222403d26ec7d428cb0cafb0c1bd219b37f8",
+    ("dihedral:257", "dot"): "72b474c3c81e2fe2fa2f8035ae7b55ec8d848459219aae98b1717cefb72c4497",
+    ("dihedral:257", "json"): "aa6a75deab99b1cec7ff653ea7c2b374b3a075e87d50c08494b1bc4a4a33f029",
+    ("dicyclic:79", "dot"): "c0e8b80aafeeb69065e3b0011b2c03e216ff78af590fe09b74a0c4eeed7de38a",
+    ("dicyclic:79", "json"): "3b7399d699c7571618cbca5d5e78985cd9f4f16540e0beeef19b22f654ad284f",
+    # 16 has multiplicative order 9 mod 109
+    ("sdp:109:9:16", "dot"): "623dc089851349ed22fbdedb1434bcfd6265c3a34d1a8ebe4266e6dcd60a4a70",
+    ("sdp:109:9:16", "json"): "5c961fbf9c27237d996495d72c67b8d851efcde4a27bf3f4e8cd23c1ee54b607",
+    ("abelian:4x10x10", "dot"): "c7afa940e61932a0463041e6802ad10aeaa03401bd5a303f575641cdf9aabfb4",
+    ("abelian:4x10x10", "json"): "73f781925e43eb1f678b2aa890f46bdf8324ca4b8a9ce1fb7c2de99958e292e0",
+    ("prod:cyclic:10,dihedral:25", "dot"):
+        "ca641f24dd342118d26070600c6c7a5adef29461522513a7e0b107bd0a95704e",
+    ("prod:cyclic:10,dihedral:25", "json"):
+        "9247f274be30fd979c5f103436389c38257a27728abb2cbc731038c4fb1f821e",
+}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -350,6 +376,55 @@ def test_bad_format_choice(capsys):
 def test_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify-main", "--range", "5")
     assert code == 2
+
+
+def test_graph_bytes_pinned(capsys):
+    for (spec, fmt), digest in PINNED_GRAPH.items():
+        code, out, _ = run_cli(capsys, "graph", "--group", spec, "--format", fmt)
+        assert code == 0 and sha256(out) == digest, (spec, fmt)
+
+
+def test_graph_out_file_matches_stdout(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    argv = ["graph", "--group", "dicyclic:79", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_GRAPH[("dicyclic:79", "json")]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# VmHWM is the peak RSS of the process's own address space. ru_maxrss is not:
+# Linux carries it across exec, so a child would report this test process's peak.
+PEAK_RSS = "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+
+
+def _peak_rss_kib(code):
+    """Peak RSS in KiB of a fresh interpreter that runs `code`."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{PEAK_RSS}"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120, check=True,
+    )
+    return int(result.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_graph_export_memory_is_bounded_by_output_size(tmp_path):
+    # Exporting may hold the text and a few per-element blocks, not a list
+    # of every edge line: the growth over building the graph stays under
+    # three times the output size.
+    built = _peak_rss_kib(
+        "import groupsum as gs; from groupsum import powergraph; "
+        "powergraph.build(gs.cyclic(2000))"
+    )
+    for fmt in ("dot", "json"):
+        path = tmp_path / f"graph.{fmt}"
+        exported = _peak_rss_kib(
+            "from groupsum import cli; "
+            f"cli.run(['graph', '--group', 'cyclic:2000', '--format', '{fmt}', '--out', {str(path)!r}])"
+        )
+        assert (exported - built) * 1024 < 3 * path.stat().st_size, fmt
 
 
 def test_empty_range_is_usage_error(capsys):

@@ -183,10 +183,25 @@ def test_json_export_shape():
 def test_json_round_trip():
     for group in [gs.cyclic(8), gs.dihedral(4), gs.alternating(4)]:
         graph = pg.build(group)
-        parsed = pg.parse_export(pg.export_json(graph))
-        assert parsed["directed"] == graph.directed_edges
-        assert parsed["undirected"] == graph.undirected_edges
+        parsed = json.loads(pg.export_json(graph))
+        assert {tuple(e) for e in parsed["directed"]} == graph.directed_edges
+        assert {tuple(e) for e in parsed["undirected"]} == graph.undirected_edges
         assert parsed["n"] == group.order
+
+
+def test_json_export_escapes_name():
+    for name in ['a"b', "back\\slash", "new\nline", "tab\there", "café", "ctrl\x01"]:
+        graph = pg.build(gs.from_cayley(gs.cyclic(6).table.tolist(), name=name))
+        expected = json.dumps(
+            {
+                "group": name,
+                "n": 6,
+                "directed": sorted(graph.directed_edges),
+                "undirected": sorted(graph.undirected_edges),
+            },
+            sort_keys=True,
+        )
+        assert pg.export_json(graph) == expected, name
 
 
 def test_exports_match_text_rebuilt_from_oracle():
