@@ -274,8 +274,7 @@ def _cmd_criterion(args) -> int:
         fact = numtheory.factorize(n)
         q = numtheory.q_of(fact)
         p = fact.largest_prime
-        orders = group.element_orders()
-        best = max(q * numtheory.totient(o) for o in set(orders))
+        best = q * max(group.order_totients().values())
         count = group.count_sylow(p)
         if outcomes:
             for o in outcomes:

@@ -11,6 +11,13 @@ against each generator), which is a complete check at cost O(g * n^2)
 instead of O(n^3).
 
 Groups are immutable after validation and safe to share across threads.
+A group fills a few private memos lazily, each on first use: the element
+orders, the inverses, the totient of each element order, and, per prime q
+dividing the order, one Sylow q-subgroup P with its normalizer N(P).  Later
+queries (`phi`, `sylow_subgroup`, `count_sylow`, `normalizer` and
+`is_normal` on that P) read the memo instead of recomputing.  Filling a memo
+is idempotent: two threads that race on one compute equal values, and either
+write may stand, so sharing a group across threads stays safe.
 """
 
 from __future__ import annotations
@@ -90,16 +97,16 @@ def _closure_of(
     """
     n = arr.shape[0]
     members = np.zeros(n, dtype=bool) if inside is None else inside.copy()
-    fresh = np.asarray(seed, dtype=np.intp)
-    fresh = np.unique(fresh[~members[fresh]])
+    new = np.zeros(n, dtype=bool)
+    new[np.asarray(seed, dtype=np.intp)] = True
+    fresh = np.flatnonzero(new & ~members)
     while fresh.size:
         old = np.flatnonzero(members)
         members[fresh] = True
-        prods = np.concatenate((
-            arr[fresh[:, None], np.flatnonzero(members)].ravel(),  # fresh * all
-            arr[old[:, None], fresh].ravel(),  # old * fresh
-        ))
-        fresh = np.unique(prods[~members[prods]])
+        new = np.zeros(n, dtype=bool)
+        new[arr[fresh[:, None], np.flatnonzero(members)]] = True  # fresh * all
+        new[arr[old[:, None], fresh]] = True  # old * fresh
+        fresh = np.flatnonzero(new & ~members)
     return members
 
 
@@ -165,7 +172,9 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
 class FiniteGroup:
     """An immutable finite group given by its multiplication table."""
 
-    __slots__ = ("name", "identity", "labels", "_table", "_orders", "_inverses")
+    __slots__ = (
+        "name", "identity", "labels", "_table", "_orders", "_inverses", "_totients", "_sylow",
+    )
 
     def __init__(
         self,
@@ -174,7 +183,13 @@ class FiniteGroup:
         name: str = "G",
         labels: Optional[Sequence[str]] = None,
     ):
-        arr = _validate_table(np.asarray(table), identity)
+        try:
+            raw = np.asarray(table)
+        except ValueError as exc:  # ragged rows: numpy's "inhomogeneous shape"
+            raise GroupValidationError(
+                "table must be a nonempty square, got rows of unequal length"
+            ) from exc
+        arr = _validate_table(raw, identity)
         arr.flags.writeable = False
         self._table = arr
         self.identity = identity
@@ -188,6 +203,8 @@ class FiniteGroup:
             self.labels = tuple(str(i) for i in range(n))
         self._orders: Optional[tuple[int, ...]] = None
         self._inverses: Optional[np.ndarray] = None
+        self._totients: Optional[dict[int, int]] = None
+        self._sylow: dict[int, tuple[Subgroup, Subgroup]] = {}  # q -> (P, N(P))
 
     @property
     def order(self) -> int:
@@ -203,9 +220,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self._table[i, j])
 
     def _check_index(self, g: int) -> None:
         if not (0 <= g < self.order):
@@ -253,11 +267,16 @@ class FiniteGroup:
             x = column[x]
         return tuple(out)
 
+    def order_totients(self) -> dict[int, int]:
+        """phi(m) for each distinct element order m (computed once, then cached)."""
+        if self._totients is None:
+            self._totients = numtheory.totient_table(self.element_orders())
+        return self._totients
+
     def phi(self) -> int:
         """The totient-sum invariant: sum of phi(order(g)) over all g."""
-        orders = self.element_orders()
-        tot = numtheory.totient_table(orders)
-        return sum(tot[o] for o in orders)
+        tot = self.order_totients()
+        return sum(tot[o] for o in self.element_orders())
 
     def is_cyclic(self) -> bool:
         """True iff some element has order equal to the group order."""
@@ -280,12 +299,21 @@ class FiniteGroup:
         return Subgroup(self, (self.identity,))
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
-        """Elements g with g * sub * g^-1 == sub."""
+        """Elements g with g * sub * g^-1 == sub.  For a Sylow subgroup that
+        `sylow_subgroup` returned, this is its stored normalizer."""
         self._own(sub)
-        t = self._table
-        conjugates = t[t[:, sub.members], self._inverse_array()[:, None]]  # [g, k] = g h_k g^-1
+        for p_subgroup, normalizer in self._sylow.values():
+            if sub == p_subgroup:
+                return normalizer
         inside = _member_mask(self.order, sub.members)
-        return Subgroup(self, np.flatnonzero(inside[conjugates].all(axis=1)).tolist())
+        return Subgroup(self, np.flatnonzero(self._normalizer_mask(inside)).tolist())
+
+    def _normalizer_mask(self, inside: np.ndarray) -> np.ndarray:
+        """Membership mask of N(H), for H given by its membership mask."""
+        t = self._table
+        members = np.flatnonzero(inside)
+        conjugates = t[t[:, members], self._inverse_array()[:, None]]  # [g, k] = g h_k g^-1
+        return inside[conjugates].all(axis=1)
 
     def is_normal(self, sub: "Subgroup") -> bool:
         return len(self.normalizer(sub)) == self.order
@@ -300,58 +328,58 @@ class FiniteGroup:
         """A Sylow q-subgroup: full q-part of the order.
 
         Found by normalizer-guided growth: start from the cyclic subgroup
-        of a maximal-order q-element; while the current q-subgroup H is too
-        small, some q-element of N(H) outside H extends H to a strictly
-        larger q-subgroup (guaranteed to exist, so the loop terminates at
-        the full q-part).  Returns the trivial subgroup when q does not
-        divide the order.
+        of the first q-element of maximal order; while the current
+        q-subgroup H is too small, the smallest q-element of N(H) outside H
+        extends H to a strictly larger q-subgroup (one is guaranteed to
+        exist, so the loop terminates at the full q-part).  The growth runs
+        on membership masks.  The first call for q stores P and N(P) in the
+        group's memo; later calls return the same P.  Returns the trivial
+        subgroup when q does not divide the order.
         """
         if not numtheory.is_prime(q):
             raise ValueError(f"{q} is not prime")
+        if self.order % q != 0:
+            return self.trivial_subgroup()
+        return self._sylow_pair(q)[0]
+
+    def _sylow_pair(self, q: int) -> tuple["Subgroup", "Subgroup"]:
+        """(P, N(P)) for the Sylow q-subgroup P; q is a prime dividing the order."""
+        pair = self._sylow.get(q)
+        if pair is not None:
+            return pair
         n = self.order
         q_part = 1
         m = n
         while m % q == 0:
             q_part *= q
             m //= q
-        if q_part == 1:
-            return self.trivial_subgroup()
+        orders = np.asarray(self.element_orders())
+        q_elements = q_part % orders == 0  # orders divide n, so these are the q-powers
+        seed = int(np.argmax(np.where(q_elements, orders, 0)))
 
-        orders = self.element_orders()
-
-        def is_q_power(o: int) -> bool:
-            while o % q == 0:
-                o //= q
-            return o == 1
-
-        seed = max(
-            (g for g in range(n) if is_q_power(orders[g])),
-            key=lambda g: orders[g],
-        )
-        current = self.generated_subgroup([seed])
-        while len(current) < q_part:
-            normalizer = self.normalizer(current)
-            hset = current.member_set
-            extension = None
-            for x in normalizer.members:
-                if x not in hset and is_q_power(orders[x]):
-                    extension = x
-                    break
-            if extension is None:
-                raise AssertionError(
-                    f"Sylow growth stalled at order {len(current)} < {q_part}"
-                )
-            inside = _member_mask(n, current.members)
-            grown = Subgroup(
-                self, np.flatnonzero(_closure_of(self._table, [extension], inside)).tolist()
-            )
-            if not (len(grown) > len(current) and q_part % len(grown) == 0):
+        p_subgroup = self.generated_subgroup([seed])
+        inside = _member_mask(n, p_subgroup.members)
+        size = len(p_subgroup)
+        normalizer_mask = self._normalizer_mask(inside)
+        while size < q_part:
+            outside = np.flatnonzero(normalizer_mask & q_elements & ~inside)
+            if not outside.size:
+                raise AssertionError(f"Sylow growth stalled at order {size} < {q_part}")
+            grown = _closure_of(self._table, [int(outside[0])], inside)
+            grown_size = int(np.count_nonzero(grown))
+            if not (grown_size > size and q_part % grown_size == 0):
                 raise AssertionError("Sylow growth produced a non-q-subgroup")
-            current = grown
-        return current
+            inside, size = grown, grown_size
+            normalizer_mask = self._normalizer_mask(inside)
+        if len(p_subgroup) < size:
+            p_subgroup = Subgroup(self, np.flatnonzero(inside).tolist())
+        pair = (p_subgroup, Subgroup(self, np.flatnonzero(normalizer_mask).tolist()))
+        self._sylow[q] = pair
+        return pair
 
     def count_sylow(self, q: int) -> int:
-        """Number of Sylow q-subgroups, as the index of one's normalizer.
+        """Number of Sylow q-subgroups, as the index of one's normalizer,
+        which `sylow_subgroup`'s memo holds.
 
         Checks the classical constraints: congruent to 1 mod q and divides
         the q-free part of the order.
@@ -360,8 +388,8 @@ class FiniteGroup:
             raise ValueError(f"{q} is not prime")
         if self.order % q != 0:
             raise ValueError(f"{q} does not divide the group order {self.order}")
-        p_subgroup = self.sylow_subgroup(q)
-        count = self.order // len(self.normalizer(p_subgroup))
+        p_subgroup, normalizer = self._sylow_pair(q)
+        count = self.order // len(normalizer)
         q_free = self.order // len(p_subgroup)
         if count % q != 1 or q_free % count != 0:
             raise AssertionError(f"Sylow count {count} violates the counting laws")
@@ -394,6 +422,10 @@ class FiniteGroup:
         name = data.get("name", "G")
         if not isinstance(name, str):
             raise GroupValidationError(f"group name must be a string, got {name!r}")
+        if "order" in data:
+            declared = data["order"]
+            if isinstance(declared, bool) or not isinstance(declared, int):
+                raise GroupValidationError(f"declared order must be an integer, got {declared!r}")
         group = cls(table, identity, name=name)
         if group.order != data.get("order", group.order):
             raise GroupValidationError("declared order does not match the table")
@@ -453,9 +485,6 @@ class Subgroup:
     def is_cyclic(self) -> bool:
         orders = self.parent.element_orders()
         return any(orders[g] == len(self) for g in self.members)
-
-    def index(self) -> int:
-        return self.parent.order // len(self)
 
 
 # --- module-level operation aliases ---

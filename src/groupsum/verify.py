@@ -94,9 +94,8 @@ def _witnesses(group: FiniteGroup, q: Fraction) -> list[int]:
     """The elements g with |G| < Q * phi(order(g)), ascending; q is Q(|G|).
     The inequality is decided once per distinct element order."""
     n = group.order
-    orders = group.element_orders()
-    hits = {m for m, phi_m in numtheory.totient_table(orders).items() if q * phi_m > n}
-    return [g for g, m in enumerate(orders) if m in hits]
+    hits = {m for m, phi_m in group.order_totients().items() if q * phi_m > n}
+    return [g for g, m in enumerate(group.element_orders()) if m in hits]
 
 
 def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
@@ -110,7 +109,7 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
         phi_g = group.phi()
         cyclic_flag = group.is_cyclic()
         edges = powergraph.undirected_edge_count(powergraph.build(group))
-        max_phi = max(numtheory.totient_table(group.element_orders()).values())
+        max_phi = max(group.order_totients().values())
         witnesses = _witnesses(group, q)
         ok = phi_cn >= phi_g and (phi_g == phi_cn) == cyclic_flag
         rows.append(
@@ -200,7 +199,9 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     (except in order 2); in a prime-power group of order > 2 a witness
     generates; the full largest-prime power divides the witness order when
     the order exceeds 2; and an even-order witness g has |G|/order(g)
-    below the largest prime.
+    below the largest prime.  Whether the Sylow subgroup lies in <g> is
+    decided once per cyclic subgroup: one walk of <g> answers for every
+    generator of <g>, and those are witnesses together with g.
     """
     n = group.order
     if n == 1:
@@ -214,25 +215,32 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     if not witnesses:
         return []
     orders = group.element_orders()
+    tot = group.order_totients()
     sylow = group.sylow_subgroup(p)
     unique = group.count_sylow(p) == 1
     normal = group.is_normal(sylow)
     cyc = sylow.is_cyclic()
+    contained: dict[int, bool] = {}  # witness -> whether <witness> holds the Sylow subgroup
     outcomes = []
     for g in witnesses:
         og = orders[g]
-        generated = frozenset(group.cyclic_subgroup(g))
+        if g not in contained:
+            powers = group.cyclic_subgroup(g)  # g^i is powers[i - 1]
+            inside = sylow.member_set.issubset(powers)
+            for i, x in enumerate(powers, start=1):
+                if math.gcd(i, og) == 1:
+                    contained[x] = inside
         outcomes.append(
             CriterionOutcome(
                 witness=g,
                 witness_order=og,
-                phi_witness_order=numtheory.totient(og),
+                phi_witness_order=tot[og],
                 sylow_prime=p,
                 sylow_order=len(sylow),
                 unique=unique,
                 normal=normal,
                 cyclic=cyc,
-                contained_in_gen=sylow.member_set <= generated,
+                contained_in_gen=contained[g],
                 identity_exception=(g == group.identity and n == 2),
                 non_identity_ok=(g != group.identity or n == 2),
                 p_alpha_divides=(og % p_alpha == 0) if n > 2 else None,

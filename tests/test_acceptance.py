@@ -156,10 +156,10 @@ def test_acceptance_8_degree_law_to_100():
             powers = []
             for g in range(n):
                 seen = {g}
-                x = group.mul(g, g)
+                x = int(group.table[g, g])
                 while x != g:
                     seen.add(x)
-                    x = group.mul(x, g)
+                    x = int(group.table[x, g])
                 powers.append(frozenset(seen))
             for g in range(n):
                 oracle_degree = sum(

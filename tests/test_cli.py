@@ -128,6 +128,10 @@ def test_malformed_group_files(tmp_path, capsys):
         {"name": "x", "order": 2, "identity": "0", "table": table},
         {"name": "x", "order": 2, "identity": 0.0, "table": table},
         [table],
+        {"name": "x", "order": True, "identity": 0, "table": [[0]]},
+        {"name": "x", "order": 1.0, "identity": 0, "table": [[0]]},
+        {"name": "x", "order": "2", "identity": 0, "table": table},
+        {"name": "x", "order": 2, "identity": 0, "table": [[0, 1], [1]]},
     ] + [
         {"name": name, "order": 2, "identity": 0, "table": table}
         for name in (5, None, ["a"], True)
@@ -277,6 +281,18 @@ PINNED_CRITERION_JSON = {
     "sdp:7:3:2": "600f5bcc9feca02a57a76a144bde833c6bf0a7f3141a25bf0043a9421f5251d0",
     "cyclic:64": "d6fcd87a3028a595e473fa8c115ae70c54c5bc104965d9010bfb8155d1fdd005",
 }
+# sha256 of `criterion` text stdout for the same specs, recorded before each
+# group kept its Sylow subgroup and normalizer in a memo.
+PINNED_CRITERION_TEXT = {
+    "alt:4": "5843a2c92239ad01094694a10d56c5fa69b9e6ff2856c42437d591ff34271c92",
+    "sym:4": "13ccd911e4a9e471ad999d1c52b10c7466cc90d34e9919ef0d2b253129250fe0",
+    "dicyclic:6": "6536c0d6890c5863268fc3a77a0d94f62b2deddf027bc64aa92cfd45273f9fbe",
+    "dihedral:6": "f2614545f0643bb407e3d5a0b05212b7b97e2b9c5e3175bd170330943e431268",
+    "abelian:2x4x8": "43b4b2527f3d61823730394cd97c2144d927135466acf444ebd70f18c224a55a",
+    "prod:cyclic:3,sym:3": "29a27302578625af3fffcda87d7574cf9ef1983cd0817c10411a7c1f5530d590",
+    "sdp:7:3:2": "1b21d1413ee424626fe464a164aa50b20c17563220bdf961650eef81e9e4f8e7",
+    "cyclic:64": "0e9c247ebf1df2e0a6c0d5612e0a7165507b510d91bb8e05f7e1f7e7a8f394e1",
+}
 PINNED_VERIFY_MAIN_CSV_1_100 = "8cbdb236f25ea8daa5527e64855e4d21c0a58ed4f1ca451b5b2ad1bf520f59cb"
 # recorded before table validation grew its closures incrementally
 PINNED_VERIFY_MAIN_CSV_101_300 = "64accd255a55da96030433e70ad333eb1a5a7443d6ced5906a4b456933a42ba6"
@@ -321,6 +337,12 @@ def test_verify_main_csv_101_300_bytes_pinned(capsys):
 def test_criterion_json_bytes_pinned(capsys):
     for spec, digest in PINNED_CRITERION_JSON.items():
         code, out, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
+        assert code == 0 and sha256(out) == digest, spec
+
+
+def test_criterion_text_bytes_pinned(capsys):
+    for spec, digest in PINNED_CRITERION_TEXT.items():
+        code, out, _ = run_cli(capsys, "criterion", "--group", spec)
         assert code == 0 and sha256(out) == digest, spec
 
 

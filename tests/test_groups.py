@@ -8,6 +8,7 @@ import pytest
 
 import groupsum as gs
 from groupsum import numtheory as nt
+from groupsum import verify
 
 
 # --- independent oracles ---
@@ -17,7 +18,7 @@ def naive_order(group, g):
     x = g
     m = 1
     while x != group.identity:
-        x = group.mul(x, g)
+        x = int(group.table[x, g])
         m += 1
     return m
 
@@ -37,7 +38,7 @@ def naive_closure(group, gens):
         changed = False
         for x in list(members):
             for y in list(members):
-                z = group.mul(x, y)
+                z = int(group.table[x, y])
                 if z not in members:
                     members.add(z)
                     changed = True
@@ -47,11 +48,11 @@ def naive_closure(group, gens):
 def naive_normalizer(group, members):
     e = group.identity
     n = group.order
-    inverse = [next(x for x in range(n) if group.mul(g, x) == e) for g in range(n)]
+    inverse = [next(x for x in range(n) if int(group.table[g, x]) == e) for g in range(n)]
     hset = set(members)
     return {
         g for g in range(n)
-        if {group.mul(group.mul(g, h), inverse[g]) for h in members} == hset
+        if {int(group.table[group.table[g, h], inverse[g]]) for h in members} == hset
     }
 
 
@@ -151,8 +152,9 @@ def test_nonassociative_loop_rejected():
 
 
 def test_nonsquare_rejected():
-    with pytest.raises(gs.GroupValidationError):
-        gs.from_cayley([[0, 1]], 0)
+    for table in ([[0, 1]], [[0, 1], [1]], [[0], [1, 0]]):  # the last two are ragged
+        with pytest.raises(gs.GroupValidationError, match="table must be a nonempty square"):
+            gs.from_cayley(table, 0)
 
 
 def test_out_of_range_entries_rejected_before_narrowing():
@@ -253,7 +255,7 @@ def test_subgroup_validation():
     with pytest.raises(IndexError):
         gs.Subgroup(gs.cyclic(8), [-8, -4, 0, 4])  # negative indices alias 0 and 4
     sub = gs.Subgroup(c6, [0, 2, 4])
-    assert sub.index() == 2 and 2 in sub
+    assert c6.order // len(sub) == 2 and 2 in sub
 
 
 def test_is_cyclic():
@@ -281,14 +283,14 @@ def test_a4_sylow3_normalizer_has_index_four():
     a4 = gs.alternating(4)
     sylow3 = a4.sylow_subgroup(3)
     assert len(sylow3) == 3
-    assert a4.normalizer(sylow3).index() == 4
+    assert a4.order // len(a4.normalizer(sylow3)) == 4
     assert not a4.is_normal(sylow3)
 
 
 def test_index_two_subgroup_is_normal():
     d4 = gs.dihedral(4)
     rotations = d4.generated_subgroup([1])
-    assert rotations.index() == 2
+    assert d4.order // len(rotations) == 2
     assert d4.is_normal(rotations)
 
 
@@ -350,6 +352,33 @@ def test_sylow_orders_and_counts_over_catalog():
                 assert (n // q**a) % count == 0
 
 
+def sylow_answers(group, p):
+    sylow = group.sylow_subgroup(p)
+    return sylow.members, group.count_sylow(p), group.is_normal(sylow)
+
+
+def test_sylow_memo_matches_brute_force_conjugates():
+    # on groups whose memo the criterion has filled and on fresh ones alike
+    for n in range(2, 61):
+        warm = gs.catalog(n)
+        for group in warm:
+            verify.verify_criterion(group)
+            verify.verify_contrapositive(group)
+        for group, fresh in zip(warm, gs.catalog(n)):
+            t = fresh.table
+            inverse = np.nonzero(t == fresh.identity)[1]  # one identity per row
+            for p, a in nt.factorize(n).factors:
+                answers = sylow_answers(fresh, p)
+                assert sylow_answers(group, p) == answers, (group.name, p)
+                members, count, normal = answers
+                assert len(members) == p**a, (group.name, p)
+                conjugates = {
+                    frozenset(int(t[t[g, h], inverse[g]]) for h in members) for g in range(n)
+                }
+                assert count == len(conjugates), (group.name, p)
+                assert normal == (count == 1), (group.name, p)
+
+
 def test_named_groups_match_sympy_oracle():
     named = pytest.importorskip("sympy.combinatorics.named_groups")
     pairs = (
@@ -390,7 +419,7 @@ def test_dihedral_and_dicyclic_match_presentations():
             for j in range(2 * m):
                 (s1, r1), (s2, r2) = divmod(i, m), divmod(j, m)
                 r = (r1 - r2) % m if s1 else (r1 + r2) % m
-                assert g.mul(i, j) == r + m * ((s1 + s2) % 2), (m, i, j)
+                assert int(g.table[i, j]) == r + m * ((s1 + s2) % 2), (m, i, j)
         assert g.labels == tuple([f"r{r}" for r in range(m)] + [f"sr{r}" for r in range(m)])
     for m in range(1, 21):
         g = gs.dicyclic(m)
@@ -402,7 +431,7 @@ def test_dihedral_and_dicyclic_match_presentations():
                     r, s = (r + m) % (2 * m), 0
                 else:
                     s = s1 + s2
-                assert g.mul(i, j) == r + 2 * m * s, (m, i, j)
+                assert int(g.table[i, j]) == r + 2 * m * s, (m, i, j)
         assert g.labels == tuple([f"a{r}" for r in range(2 * m)] + [f"ba{r}" for r in range(2 * m)])
 
 
@@ -572,6 +601,11 @@ def test_json_import_validates():
     for text in ("[[0, 1], [1, 0]]", "[]", "0", '"table"'):
         with pytest.raises(gs.GroupValidationError):
             gs.FiniteGroup.from_json(text)
+    for declared in (True, 1.0, "1", None):
+        with pytest.raises(gs.GroupValidationError, match="order must be an integer"):
+            gs.FiniteGroup.from_json_dict(
+                {"name": "x", "order": declared, "identity": 0, "table": [[0]]}
+            )
 
 
 def test_non_integer_table_rejected():
@@ -614,7 +648,7 @@ def test_relabelled_tables_still_validate():
             table = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(n):
-                    table[sigma[i]][sigma[j]] = sigma[base.mul(i, j)]
+                    table[sigma[i]][sigma[j]] = sigma[int(base.table[i, j])]
             relabelled = gs.from_cayley(table, sigma[base.identity])
             assert sorted(relabelled.element_orders()) == sorted(base.element_orders())
 

@@ -13,10 +13,10 @@ from groupsum import powergraph as pg
 def naive_power_set(group, g):
     """All powers of g, by repeated multiplication (no library helpers)."""
     powers = {g}
-    x = group.mul(g, g)
+    x = int(group.table[g, g])
     while x != g:
         powers.add(x)
-        x = group.mul(x, g)
+        x = int(group.table[x, g])
     return frozenset(powers)
 
 

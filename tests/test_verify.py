@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import groupsum as gs
-from groupsum import verify
+from groupsum import cli, verify
 
 
 # --- per-order maximality reports ---
@@ -112,6 +112,35 @@ def test_contrapositive_vacuous_cases():
     assert verify.verify_contrapositive(gs.symmetric(3)).passed  # unique Sylow-3
     assert verify.verify_contrapositive(gs.dihedral(5)).passed  # unique Sylow-5
     assert verify.verify_contrapositive(gs.cyclic(1)).passed
+
+
+def test_criterion_builds_each_sylow_subgroup_once(monkeypatch):
+    # P and N(P) are built by the first run and read back from the group
+    for spec in ("cyclic:64", "dihedral:21", "sdp:7:3:2"):
+        group = cli.parse_group_spec(spec)
+        verify.verify_criterion(group)
+        verify.verify_contrapositive(group)
+        p = gs.factorize(group.order).largest_prime
+        sylow = group.sylow_subgroup(p)
+        assert group.sylow_subgroup(p) is sylow, spec
+        assert group.normalizer(sylow) is group.normalizer(sylow), spec
+        closures = []
+        closure_of = gs.groups._closure_of
+        with monkeypatch.context() as patch:
+            patch.setattr(gs.groups, "_closure_of",
+                          lambda *args, **kw: closures.append(args) or closure_of(*args, **kw))
+            verdict, _ = verify.verify_criterion(group)
+            contra = verify.verify_contrapositive(group)
+        assert verdict.passed and contra.passed and closures == [], spec
+
+
+def test_verify_main_builds_one_totient_table_per_group(monkeypatch):
+    tables = []
+    totient_table = gs.numtheory.totient_table
+    monkeypatch.setattr(gs.numtheory, "totient_table",
+                        lambda values: tables.append(values) or totient_table(values))
+    report = verify.verify_main(24)
+    assert report.passed and len(tables) == len(report.rows) == len(gs.catalog(24))
 
 
 def test_criterion_sweep_small():
