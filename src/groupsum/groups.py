@@ -5,10 +5,16 @@ the identity.  The table is held once, as the read-only int32 array that
 validation returns, and `FiniteGroup.table` returns that array; subgroup
 queries (closure, conjugation) run on it with numpy.  Tables are validated
 on construction: closure, identity, inverses, and associativity.
-Associativity is verified with the generator-translation test (find a
-generating set under the operation, then compare the two bracketings
-against each generator), which is a complete check at cost O(g * n^2)
-instead of O(n^3).
+Associativity is verified with the generator-translation test, a complete
+check at cost O(g * n^2) instead of O(n^3): take as the next generator g
+the smallest element outside the closure of those before it, check
+(x*g)*y == x*(g*y) for all x, y, and only then close.  Elements that pass
+the test are closed under the product and the table is associative on them
+(Light's test), and the inverse check gives each of them a bijective row
+and column, so the closure of the generators that passed is a group.  It is
+grown by the group algorithm every subgroup uses: one right coset H*r at a
+time (Dimino's algorithm), or, from the trivial group, one walk down a
+column.
 
 Groups are immutable after validation and safe to share across threads.
 A group fills a few private memos lazily, each on first use: the element
@@ -82,31 +88,49 @@ def _check_cap(order: int, cap: int) -> None:
 # --- table validation ---
 
 
-def _closure_of(
-    arr: np.ndarray, seed: Sequence[int], inside: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Membership mask of the smallest set that contains `seed` and the
-    members of `inside` and is closed under the table.
+def _powers(arr: np.ndarray, g: int) -> list[int]:
+    """g, g^2, ..., identity: the walk down column g (x -> x*g) from g back to g."""
+    column = arr[:, g].tolist()
+    out = [g]
+    x = column[g]
+    while x != g:
+        out.append(x)
+        x = column[x]
+    return out
 
-    `inside`, if given, is a boolean mask of a set that is already closed
-    (a subgroup, or an earlier result); it is not modified.  Each round
-    forms only the products that involve an element added in the round
-    before, so each ordered pair of members is multiplied once, and pairs
-    inside `inside` never.  Associativity is not assumed, so validation
-    can use it on raw tables.
+
+def _closure_of(
+    arr: np.ndarray, inside: np.ndarray, gens: Sequence[int], g: int
+) -> np.ndarray:
+    """Membership mask of <H, g>, where H = <gens> is the subgroup whose
+    membership mask is `inside` (not modified).
+
+    The table must be associative on H and g, and right multiplication by
+    g must be a bijection: a validated group, or validation once g has
+    passed the translation test.  From the trivial group, <g> is the walk
+    down column g.  Otherwise <H, g> is grown as a union of right cosets
+    H*r (Dimino's algorithm): each new representative r is multiplied by
+    the generators, and each product outside the members so far adds its
+    coset, one gather table[H, r].
     """
-    n = arr.shape[0]
-    members = np.zeros(n, dtype=bool) if inside is None else inside.copy()
-    new = np.zeros(n, dtype=bool)
-    new[np.asarray(seed, dtype=np.intp)] = True
-    fresh = np.flatnonzero(new & ~members)
-    while fresh.size:
-        old = np.flatnonzero(members)
-        members[fresh] = True
-        new = np.zeros(n, dtype=bool)
-        new[arr[fresh[:, None], np.flatnonzero(members)]] = True  # fresh * all
-        new[arr[old[:, None], fresh]] = True  # old * fresh
-        fresh = np.flatnonzero(new & ~members)
+    members = inside.copy()
+    if members[g]:
+        return members
+    if not gens:
+        members[_powers(arr, g)] = True
+        return members
+    subgroup = np.flatnonzero(inside)
+    mult = [*gens, g]
+    members[arr[subgroup, g]] = True
+    reps = np.array([g], dtype=np.intp)  # H*e = H needs only e*g = g
+    while reps.size:
+        products = arr[reps[:, None], mult].ravel()
+        fresh = []
+        for r in products[~members[products]].tolist():
+            if not members[r]:  # an earlier r of this round may have covered it
+                members[arr[subgroup, r]] = True
+                fresh.append(r)
+        reps = np.array(fresh, dtype=np.intp)
     return members
 
 
@@ -130,9 +154,8 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
     if not (0 <= identity < n):
         raise NoIdentityError(identity, "index out of range")
 
-    bad = (raw < 0) | (raw >= n)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
+    if raw.min() < 0 or raw.max() >= n:
+        i, j = map(int, np.argwhere((raw < 0) | (raw >= n))[0])
         raise NotClosedError(i, j, int(raw[i, j]), n)
 
     arr = raw.astype(np.int32)
@@ -143,26 +166,30 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
         witness = int(row_bad[0]) if row_bad.size else int(col_bad[0])
         raise NoIdentityError(identity, witness)
 
-    has_right = (arr == identity).any(axis=1)
-    has_left = (arr == identity).any(axis=0)
-    missing = np.nonzero(~(has_right & has_left))[0]
+    is_identity = arr == identity
+    missing = np.flatnonzero(~(is_identity.any(axis=1) & is_identity.any(axis=0)))
     if missing.size:
         raise NoInverseError(int(missing[0]))
 
-    # Associativity by the generator-translation test: grow a generating
-    # set greedily, then check both bracketings against each generator.
+    # Associativity by the generator-translation test.  The next generator
+    # is the smallest element outside the closure so far; it is tested
+    # before the closure grows.  Elements that pass are closed under the
+    # product, the table is associative on them, and the inverse check
+    # makes each one's row and column bijective, so the closure of passing
+    # generators is a group and `_closure_of` may grow it by cosets.  It is
+    # the magma closure, so a failure names the same (x, g, y) as testing
+    # all generators after closing on the raw table.
     gens: list[int] = []
-    closed = _closure_of(arr, [identity])
+    closed = _member_mask(n, [identity])
     while not closed.all():
-        g = int(np.argmin(closed))  # the smallest element outside the closure
-        gens.append(g)
-        closed = _closure_of(arr, [g], inside=closed)
-    for g in gens:
-        left = arr[arr[:, g], :]   # (x*g)*y
-        right = arr[:, arr[g, :]]  # x*(g*y)
+        g = int(np.argmin(closed))
+        left = arr[arr[:, g], :]              # (x*g)*y
+        right = np.take(arr, arr[g], axis=1)  # x*(g*y)
         if not np.array_equal(left, right):
             x, y = map(int, np.argwhere(left != right)[0])
             raise NotAssociativeError(x, g, y)
+        closed = _closure_of(arr, closed, gens, g)
+        gens.append(g)
     return arr
 
 
@@ -190,6 +217,14 @@ class FiniteGroup:
                 "table must be a nonempty square, got rows of unequal length"
             ) from exc
         arr = _validate_table(raw, identity)
+        if not isinstance(table, np.ndarray):
+            # numpy reads a list that mixes ints and bools as integers, so a
+            # bool can only have become a cell holding 0 or 1: 2n cells of a group
+            for i, j in np.argwhere((arr == 0) | (arr == 1)).tolist():
+                if isinstance(table[i][j], (bool, np.bool_)):
+                    raise GroupValidationError(
+                        f"table entries must be integers, got a bool at [{i}][{j}]"
+                    )
         arr.flags.writeable = False
         self._table = arr
         self.identity = identity
@@ -259,13 +294,7 @@ class FiniteGroup:
     def cyclic_subgroup(self, g: int) -> tuple[int, ...]:
         """The powers of g: (g, g^2, ..., identity)."""
         self._check_index(g)
-        column = self._table[:, g].tolist()  # column[x] = x * g
-        out = [g]
-        x = column[g]
-        while x != g:
-            out.append(x)
-            x = column[x]
-        return tuple(out)
+        return tuple(_powers(self._table, g))
 
     def order_totients(self) -> dict[int, int]:
         """phi(m) for each distinct element order m (computed once, then cached)."""
@@ -286,14 +315,16 @@ class FiniteGroup:
     # --- subgroups ---
 
     def generated_subgroup(self, gens: Iterable[int]) -> "Subgroup":
-        """Smallest subgroup containing `gens` (closure under products)."""
+        """Smallest subgroup containing `gens`, adding one generator at a time."""
         gens = list(gens)
         if not gens:
             raise ValueError("need at least one generator")
         for g in gens:
             self._check_index(g)
-        closure = _closure_of(self._table, [self.identity, *gens])
-        return Subgroup(self, np.flatnonzero(closure).tolist())
+        inside = _member_mask(self.order, [self.identity])
+        for i, g in enumerate(gens):
+            inside = _closure_of(self._table, inside, gens[:i], g)
+        return Subgroup(self, np.flatnonzero(inside).tolist())
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,))
@@ -331,10 +362,11 @@ class FiniteGroup:
         of the first q-element of maximal order; while the current
         q-subgroup H is too small, the smallest q-element of N(H) outside H
         extends H to a strictly larger q-subgroup (one is guaranteed to
-        exist, so the loop terminates at the full q-part).  The growth runs
-        on membership masks.  The first call for q stores P and N(P) in the
-        group's memo; later calls return the same P.  Returns the trivial
-        subgroup when q does not divide the order.
+        exist, so the loop terminates at the full q-part).  As that element
+        x normalizes H, <H, x> = H<x>: one gather over H and the powers of
+        x.  The growth runs on membership masks.  The first call for q
+        stores P and N(P) in the group's memo; later calls return the same
+        P.  Returns the trivial subgroup when q does not divide the order.
         """
         if not numtheory.is_prime(q):
             raise ValueError(f"{q} is not prime")
@@ -365,7 +397,10 @@ class FiniteGroup:
             outside = np.flatnonzero(normalizer_mask & q_elements & ~inside)
             if not outside.size:
                 raise AssertionError(f"Sylow growth stalled at order {size} < {q_part}")
-            grown = _closure_of(self._table, [int(outside[0])], inside)
+            powers = _powers(self._table, int(outside[0]))
+            k = int(np.argmax(inside[powers]))  # x^(k+1) is the first power in H
+            grown = inside.copy()
+            grown[self._table[np.flatnonzero(inside)[:, None], powers[:k]]] = True
             grown_size = int(np.count_nonzero(grown))
             if not (grown_size > size and q_part % grown_size == 0):
                 raise AssertionError("Sylow growth produced a non-q-subgroup")
@@ -451,6 +486,8 @@ class Subgroup:
             raise ValueError("subgroup must contain the identity")
         if self.members[0] < 0 or self.members[-1] >= parent.order:
             raise IndexError(f"subgroup members must lie in [0, {parent.order})")
+        if len(self.members) == parent.order:
+            return  # every element: the whole group, closed since validation
         products = parent.table[np.ix_(self.members, self.members)]
         escaped = ~_member_mask(parent.order, self.members)[products]
         if escaped.any():

@@ -132,6 +132,8 @@ def test_malformed_group_files(tmp_path, capsys):
         {"name": "x", "order": 1.0, "identity": 0, "table": [[0]]},
         {"name": "x", "order": "2", "identity": 0, "table": table},
         {"name": "x", "order": 2, "identity": 0, "table": [[0, 1], [1]]},
+        {"name": "x", "order": 2, "identity": 0, "table": [[0, True], [True, 0]]},
+        {"name": "x", "order": 2, "identity": 0, "table": [[False, 1], [1, 0]]},
     ] + [
         {"name": name, "order": 2, "identity": 0, "table": table}
         for name in (5, None, ["a"], True)

@@ -254,8 +254,11 @@ def test_subgroup_validation():
         gs.Subgroup(c6, [2, 4])  # missing identity
     with pytest.raises(IndexError):
         gs.Subgroup(gs.cyclic(8), [-8, -4, 0, 4])  # negative indices alias 0 and 4
+    with pytest.raises(IndexError):
+        gs.Subgroup(c6, [-1, 0, 1, 2, 3, 4])  # |G| members, one out of range: not G
     sub = gs.Subgroup(c6, [0, 2, 4])
     assert c6.order // len(sub) == 2 and 2 in sub
+    assert gs.Subgroup(c6, [5, *range(6)]).members == tuple(range(6))
 
 
 def test_is_cyclic():
@@ -613,6 +616,23 @@ def test_non_integer_table_rejected():
         gs.from_cayley([[0.5, 1.0], [1.0, 0.0]], 0)
 
 
+def test_boolean_table_entries_rejected():
+    # numpy reads a list that mixes ints and bools as int64, so these would be C2 and C3
+    c3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for i, j in [(0, 0), (0, 1), (1, 0), (2, 1)]:
+        for flag in (bool, np.bool_):
+            table = [list(row) for row in c3]
+            table[i][j] = flag(table[i][j])
+            with pytest.raises(gs.GroupValidationError, match="bool"):
+                gs.from_cayley(table, 0)
+            with pytest.raises(gs.GroupValidationError, match="bool"):
+                gs.from_cayley(tuple(map(tuple, table)), 0)
+    with pytest.raises(gs.GroupValidationError, match="bool"):
+        gs.from_cayley([[0, True], [True, 0]], 0)
+    with pytest.raises(gs.GroupValidationError):
+        gs.from_cayley([[True]], 0)  # all bools: numpy's bool dtype, not an integer one
+
+
 def test_generated_subgroup_matches_naive_closure():
     for group in small_groups():
         for gens in one_or_two_generators(group):
@@ -627,7 +647,7 @@ def test_closure_extends_a_closed_mask():
             inside = np.zeros(n, dtype=bool)
             inside[list(sub)] = True
             for x in range(n):
-                grown = gs.groups._closure_of(group.table, [x], inside=inside)
+                grown = gs.groups._closure_of(group.table, inside, sorted(sub), x)
                 assert set(np.flatnonzero(grown)) == naive_closure(group, [*sub, x]), (
                     group.name, sorted(sub), x)
             assert set(np.flatnonzero(inside)) == sub  # the caller's mask is kept
@@ -706,16 +726,108 @@ def test_intercalate_swaps_name_the_reference_witness():
             assert caught.value.witness == witness, base.name
 
 
-def test_closure_matches_reference_on_non_associative_tables():
-    # validation closes generating sets on tables not yet known to be
-    # associative, where a closure may not lean on group structure
+def test_closure_matches_reference_on_group_tables():
+    # <H, g> grown by cosets of H from a generating set of H, against
+    # closure by squaring from scratch
     import random
 
     rng = random.Random(27182)
-    for base in SWAP_BASES:
+    for base in SWAP_BASES + [gs.dihedral(9), gs.symmetric(5), gs.abelian([3, 6])]:
         e = base.identity
-        for table in intercalate_swaps(base, rng, 6):
-            for x in range(base.order):
-                seed = [e, x, rng.randrange(base.order)]
-                got = np.flatnonzero(gs.groups._closure_of(table, seed))
-                assert got.tolist() == reference_closure(table, seed).tolist(), (base.name, seed)
+        for x in range(base.order):
+            gens = [x, rng.randrange(base.order), rng.randrange(base.order)]
+            inside = gs.groups._member_mask(base.order, [e])
+            for i, g in enumerate(gens):
+                inside = gs.groups._closure_of(base.table, inside, gens[:i], g)
+                want = reference_closure(base.table, [e, *gens[:i + 1]])
+                assert np.flatnonzero(inside).tolist() == want.tolist(), (base.name, gens[:i + 1])
+
+
+def test_swap_failing_at_a_later_generator_names_the_reference_witness():
+    # C_k x L for an intercalate-swapped L, indexed l*k + c: element 1 is
+    # (e, 1), central, so it passes the translation test and validation
+    # closes <1> before it tests the next generator
+    import random
+
+    rng = random.Random(16180)
+    for k in (2, 3):
+        idx = np.arange(k)
+        ck = (idx[:, None] + idx[None, :]) % k
+        for base in SWAP_BASES:
+            for swapped in intercalate_swaps(base, rng, 6):
+                table = gs.groups._combine_tables(swapped, ck)
+                identity = base.identity * k
+                witness = reference_associativity_witness(table, identity)
+                assert witness is not None and witness[1] != 1, base.name
+                with pytest.raises(gs.NotAssociativeError) as caught:
+                    gs.from_cayley(table, identity)
+                assert caught.value.witness == witness, (base.name, k)
+
+
+def reference_validation(table, identity):
+    # the checks, in order, as they ran when associativity was tested only
+    # after closing all generators on the raw table: the outcome as
+    # (error class, witness), or (None, None) for a group
+    arr = np.asarray(table)
+    n = arr.shape[0]
+    bad = (arr < 0) | (arr >= n)
+    if bad.any():
+        return gs.NotClosedError, tuple(map(int, np.argwhere(bad)[0]))
+    idx = np.arange(n)
+    row_bad = np.flatnonzero(arr[identity] != idx)
+    col_bad = np.flatnonzero(arr[:, identity] != idx)
+    if row_bad.size or col_bad.size:
+        return gs.NoIdentityError, int(row_bad[0]) if row_bad.size else int(col_bad[0])
+    is_identity = arr == identity
+    missing = np.flatnonzero(~(is_identity.any(axis=1) & is_identity.any(axis=0)))
+    if missing.size:
+        return gs.NoInverseError, int(missing[0])
+    witness = reference_associativity_witness(arr, identity)
+    return (None, None) if witness is None else (gs.NotAssociativeError, witness)
+
+
+FUZZ_BASES = [gs.cyclic(k) for k in range(1, 9)] + [
+    gs.dihedral(3), gs.dihedral(4), gs.dicyclic(2), gs.abelian([2, 2]),
+    gs.abelian([2, 4]), gs.abelian([2, 2, 2]),
+]
+
+
+def test_validation_matches_reference_on_drawn_tables():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def tables(draw):
+        base = draw(st.sampled_from(FUZZ_BASES))
+        n = base.order
+        # a small table may be taken times C2, indexed l*2 + c, with its
+        # identity relabelled 0: then the central (0, 1) is the first
+        # generator and passes, so a rewrite shows at a later generator
+        times_c2 = n <= 4 and draw(st.booleans())
+        sigma = draw(st.permutations(range(n)))
+        if times_c2:
+            k = sigma.index(0)
+            sigma[k], sigma[base.identity] = sigma[base.identity], 0
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[sigma[i]][sigma[j]] = sigma[int(base.table[i, j])]
+        cell = st.integers(0, n - 1)
+        for i, j, value in draw(st.lists(st.tuples(cell, cell, st.integers(-1, n)), max_size=3)):
+            table[i][j] = value
+        if times_c2:
+            return gs.groups._combine_tables(np.array(table), np.array([[0, 1], [1, 0]])).tolist(), 0
+        return table, sigma[base.identity]
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(tables())
+    def check(drawn):
+        table, identity = drawn
+        try:
+            gs.from_cayley(table, identity)
+            got = (None, None)
+        except gs.GroupValidationError as exc:
+            got = (type(exc), exc.witness)
+        assert got == reference_validation(table, identity)
+
+    check()
