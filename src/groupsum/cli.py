@@ -2,7 +2,9 @@
 
 Subcommands: phi, q, graph, verify-main, criterion, tables, sweep.
 Group specs: cyclic:N, abelian:d1xd2x..., dihedral:M, dicyclic:M, sym:K,
-alt:K, sdp:A:B:R, prod:<spec>,<spec>, file:<path.json>.
+alt:K, sdp:A:B:R, prod:<spec>,<spec>, file:<path.json>.  Every integer on
+the command line, in a spec, a range or a flag, is ASCII digits with an
+optional leading minus sign.
 
 Exit status: 0 on success / all verdicts passing, 1 when any verdict
 fails (a counterexample is printed), 2 on usage errors.
@@ -14,6 +16,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import re
 import sys
 from functools import partial
 
@@ -39,24 +42,35 @@ class SpecError(ValueError):
     """Malformed group spec (a usage error)."""
 
 
+def _ascii_int(text: str) -> int:
+    """An integer written as ASCII digits with an optional leading minus.
+
+    `int` also reads non-ASCII digits, surrounding spaces, underscores and
+    a plus sign; every integer on the command line goes through here
+    instead, so each of those is a usage error."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise SpecError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from its spec string (see module docstring)."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "cyclic":
-            return cyclic(int(rest), cap)
+            return cyclic(_ascii_int(rest), cap)
         if kind == "abelian":
-            return abelian([int(d) for d in rest.split("x")], cap)
+            return abelian([_ascii_int(d) for d in rest.split("x")], cap)
         if kind == "dihedral":
-            return dihedral(int(rest), cap)
+            return dihedral(_ascii_int(rest), cap)
         if kind == "dicyclic":
-            return dicyclic(int(rest), cap)
+            return dicyclic(_ascii_int(rest), cap)
         if kind == "sym":
-            return symmetric(int(rest), cap)
+            return symmetric(_ascii_int(rest), cap)
         if kind == "alt":
-            return alternating(int(rest), cap)
+            return alternating(_ascii_int(rest), cap)
         if kind == "sdp":
-            a, b, r = (int(x) for x in rest.split(":"))
+            a, b, r = (_ascii_int(x) for x in rest.split(":"))
             return semidirect_cyclic(SemidirectSpec(a, b, r), cap)
         if kind == "prod":
             left, right = _split_prod(rest)
@@ -101,7 +115,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise SpecError(f"bad range {text!r}: expected A..B")
-    start, stop = int(lo), int(hi)
+    start, stop = _ascii_int(lo), _ascii_int(hi)
     if stop < start:
         raise SpecError(f"empty range {text!r}")
     return start, stop
@@ -125,16 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt_choices):
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP,
+        p.add_argument("--cap", type=_ascii_int, default=DEFAULT_ORDER_CAP,
                        help="maximum constructible group order")
 
     p_phi = sub.add_parser("phi", help="totient sum of a group, or of C_n via --n")
     p_phi.add_argument("--group", default=None)
-    p_phi.add_argument("--n", type=int, default=None)
+    p_phi.add_argument("--n", type=_ascii_int, default=None)
     common(p_phi, ["text", "json"])
 
     p_q = sub.add_parser("q", help="the rational Q of n, reduced")
-    p_q.add_argument("--n", type=int, required=True)
+    p_q.add_argument("--n", type=_ascii_int, required=True)
     common(p_q, ["text", "json"])
 
     p_graph = sub.add_parser("graph", help="directed power graph of a group")
@@ -142,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_graph, ["dot", "json"])
 
     p_vm = sub.add_parser("verify-main", help="maximality checks over the catalog")
-    p_vm.add_argument("--n", type=int, default=None)
+    p_vm.add_argument("--n", type=_ascii_int, default=None)
     p_vm.add_argument("--range", dest="range_", default=None, metavar="A..B")
-    p_vm.add_argument("--jobs", type=int, default=1)
+    p_vm.add_argument("--jobs", type=_ascii_int, default=1)
     common(p_vm, ["text", "json", "csv"])
 
     p_cr = sub.add_parser("criterion", help="normal-Sylow witness criterion for a group")
@@ -155,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_tb, ["text", "json"])
 
     p_sw = sub.add_parser("sweep", help="exhaustive arithmetic invariants up to a limit")
-    p_sw.add_argument("--limit", type=int, default=10000)
+    p_sw.add_argument("--limit", type=_ascii_int, default=10000)
     common(p_sw, ["text", "json"])
 
     return parser

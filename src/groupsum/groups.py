@@ -17,13 +17,17 @@ time (Dimino's algorithm), or, from the trivial group, one walk down a
 column.
 
 Groups are immutable after validation and safe to share across threads.
-A group fills a few private memos lazily, each on first use: the element
-orders, the inverses, the totient of each element order, and, per prime q
-dividing the order, one Sylow q-subgroup P with its normalizer N(P).  Later
-queries (`phi`, `sylow_subgroup`, `count_sylow`, `normalizer` and
-`is_normal` on that P) read the memo instead of recomputing.  Filling a memo
-is idempotent: two threads that race on one compute equal values, and either
-write may stand, so sharing a group across threads stays safe.
+A group fills a few private memos lazily, each on first use: its cyclic
+subgroups, each keyed by its smallest generator with its members ascending,
+and with them the element orders; the inverses; the totient of each element
+order; and, per prime q dividing the order, one Sylow q-subgroup P with its
+normalizer N(P).  The cyclic subgroups are found in one pass that walks each
+of them once, from its smallest generator, and the element orders, the power
+graph and the witness check all read that pass.  Later queries (`phi`,
+`sylow_subgroup`, `count_sylow`, `normalizer` and `is_normal` on that P)
+read the memo instead of recomputing.  Filling a memo is idempotent: two
+threads that race on one compute equal values, and either write may stand,
+so sharing a group across threads stays safe.
 """
 
 from __future__ import annotations
@@ -90,12 +94,11 @@ def _check_cap(order: int, cap: int) -> None:
 
 def _powers(arr: np.ndarray, g: int) -> list[int]:
     """g, g^2, ..., identity: the walk down column g (x -> x*g) from g back to g."""
-    column = arr[:, g].tolist()
     out = [g]
-    x = column[g]
+    x = arr.item(g, g)
     while x != g:
         out.append(x)
-        x = column[x]
+        x = arr.item(x, g)
     return out
 
 
@@ -200,7 +203,8 @@ class FiniteGroup:
     """An immutable finite group given by its multiplication table."""
 
     __slots__ = (
-        "name", "identity", "labels", "_table", "_orders", "_inverses", "_totients", "_sylow",
+        "name", "identity", "labels", "_table", "_orders", "_classes", "_inverses",
+        "_totients", "_sylow",
     )
 
     def __init__(
@@ -237,6 +241,8 @@ class FiniteGroup:
         else:
             self.labels = tuple(str(i) for i in range(n))
         self._orders: Optional[tuple[int, ...]] = None
+        # (key, powers): key[g] is the smallest generator of <g>, powers[k] is <k> ascending
+        self._classes: Optional[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = None
         self._inverses: Optional[np.ndarray] = None
         self._totients: Optional[dict[int, int]] = None
         self._sylow: dict[int, tuple[Subgroup, Subgroup]] = {}  # q -> (P, N(P))
@@ -275,21 +281,36 @@ class FiniteGroup:
         return self.element_orders()[g]
 
     def element_orders(self) -> tuple[int, ...]:
-        """Orders of all elements (computed once, then cached)."""
+        """Orders of all elements (computed once, then cached): o(g) = |<g>|,
+        from the one walk of each cyclic subgroup."""
         if self._orders is None:
-            orders = [0] * self.order
-            orders[self.identity] = 1
-            for g in range(self.order):
-                if orders[g]:
-                    continue
-                # g^k has order m / gcd(m, k) in the cycle g, ..., g^m = identity
-                powers = self.cyclic_subgroup(g)
-                m = len(powers)
-                for k, y in enumerate(powers, start=1):
-                    if not orders[y]:
-                        orders[y] = m // math.gcd(m, k)
-            self._orders = tuple(orders)
+            self._cyclic_classes()
         return self._orders
+
+    def _cyclic_classes(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+        """(key, powers): key[g] is the smallest generator of <g>, and
+        powers[k] is <k> as an ascending tuple, one entry per key.
+
+        One pass over g ascending walks <g> only from an element without a
+        key yet, so each cyclic subgroup is walked once, from its smallest
+        generator.  In the walk g, g^2, ..., g^m = identity, g^i generates
+        <g> exactly when gcd(i, m) = 1.  The pass also fills the element
+        orders, unless they are already set: o(h) = |<h>| = |<key[h]>|."""
+        if self._classes is None:
+            key = [-1] * self.order
+            powers = {}
+            for g in range(self.order):
+                if key[g] < 0:
+                    cycle = self.cyclic_subgroup(g)
+                    m = len(cycle)
+                    for i, h in enumerate(cycle, start=1):
+                        if math.gcd(m, i) == 1:
+                            key[h] = g
+                    powers[g] = tuple(sorted(cycle))
+            if self._orders is None:
+                self._orders = tuple(len(powers[k]) for k in key)
+            self._classes = (tuple(key), powers)
+        return self._classes
 
     def cyclic_subgroup(self, g: int) -> tuple[int, ...]:
         """The powers of g: (g, g^2, ..., identity)."""

@@ -5,6 +5,8 @@ other than g itself.  A pair of opposite edges ("undirected edge") joins
 exactly two distinct elements generating the same cyclic subgroup, so a
 graph is held as one key per element, the smallest generator of its cyclic
 subgroup; edges, counts, degrees and exports are derived from the keys.
+The keys and each key's subgroup come from the group's memo of its cyclic
+subgroups, which walks each of them once and also gives the element orders.
 The exports write one block of text per element: the decimal name of each
 element is made once per graph, and an element's out-neighbours (its cyclic
 subgroup without it) or its undirected partners above it (the rest of its
@@ -27,22 +29,14 @@ Edge = Tuple[int, int]
 
 class PowerGraph:
     """Immutable directed power graph over a group's element indices:
-    `key[g]` is the smallest generator of <g>, `powers[k]` lists <k> ascending."""
+    `key[g]` is the smallest generator of <g>, `powers[k]` lists <k> ascending.
+    Both are the group's memo of its cyclic subgroups, not copies of it."""
 
     __slots__ = ("group", "key", "powers")
 
     def __init__(self, group: FiniteGroup):
-        key = [-1] * group.order
-        self.powers = {}
-        for g in range(group.order):
-            if key[g] < 0:  # a smaller generator of <g> would have keyed g
-                cycle = group.cyclic_subgroup(g)  # g, g^2, ..., identity
-                for i, h in enumerate(cycle, start=1):
-                    if math.gcd(i, len(cycle)) == 1:
-                        key[h] = g
-                self.powers[g] = tuple(sorted(cycle))
         self.group = group
-        self.key = tuple(key)
+        self.key, self.powers = group._cyclic_classes()
 
     def _out_neighbours(self, names: Sequence) -> Iterator[Tuple[int, list]]:
         """Yield (g, [names[h] for each out-neighbour h of g]) for g ascending;

@@ -200,8 +200,9 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     generates; the full largest-prime power divides the witness order when
     the order exceeds 2; and an even-order witness g has |G|/order(g)
     below the largest prime.  Whether the Sylow subgroup lies in <g> is
-    decided once per cyclic subgroup: one walk of <g> answers for every
-    generator of <g>, and those are witnesses together with g.
+    decided once per key, the smallest generator of <g>, from the group's
+    memo of its cyclic subgroups: the answer holds for every generator of
+    <g>, and those are witnesses together with g.
     """
     n = group.order
     if n == 1:
@@ -220,16 +221,14 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     unique = group.count_sylow(p) == 1
     normal = group.is_normal(sylow)
     cyc = sylow.is_cyclic()
-    contained: dict[int, bool] = {}  # witness -> whether <witness> holds the Sylow subgroup
+    key, powers = group._cyclic_classes()
+    contained: dict[int, bool] = {}  # key -> whether <key> holds the Sylow subgroup
     outcomes = []
     for g in witnesses:
         og = orders[g]
-        if g not in contained:
-            powers = group.cyclic_subgroup(g)  # g^i is powers[i - 1]
-            inside = sylow.member_set.issubset(powers)
-            for i, x in enumerate(powers, start=1):
-                if math.gcd(i, og) == 1:
-                    contained[x] = inside
+        k = key[g]
+        if k not in contained:
+            contained[k] = sylow.member_set.issubset(powers[k])
         outcomes.append(
             CriterionOutcome(
                 witness=g,
@@ -240,7 +239,7 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
                 unique=unique,
                 normal=normal,
                 cyclic=cyc,
-                contained_in_gen=contained[g],
+                contained_in_gen=contained[k],
                 identity_exception=(g == group.identity and n == 2),
                 non_identity_ok=(g != group.identity or n == 2),
                 p_alpha_divides=(og % p_alpha == 0) if n > 2 else None,

@@ -157,10 +157,39 @@ def test_graph_dot_escapes_group_name_from_file(tmp_path, capsys):
 
 
 def test_malformed_specs(capsys):
-    for spec in ["nonsense:4", "cyclic:x", "sdp:3:2", "abelian:", "file:/no/such.json"]:
-        code, _, err = run_cli(capsys, "phi", "--group", spec)
+    # spec integers are ASCII digits with an optional minus sign, nothing else
+    for spec in ["nonsense:4", "cyclic:x", "sdp:3:2", "abelian:", "file:/no/such.json",
+                 "cyclic:\u0663", "cyclic: 4", "cyclic:4 ", "cyclic:1_0", "cyclic:+4",
+                 "abelian:2x\uff13", "dihedral:1_0", "sdp:5:4:+1", "prod:cyclic:2,cyclic: 3"]:
+        code, out, err = run_cli(capsys, "phi", "--group", spec)
         assert code == 2, spec
-        assert "error" in err
+        assert out == "" and "error" in err and "Traceback" not in err, spec
+
+
+def test_negative_spec_integer_stays_valid(capsys):
+    code, out, _ = run_cli(capsys, "phi", "--group", "sdp:5:4:-1")
+    assert code == 0 and out == run_cli(capsys, "phi", "--group", "sdp:5:4:4")[1]
+
+
+def test_range_bounds_and_integer_flags_are_ascii_digits(capsys):
+    for argv in [
+        ("verify-main", "--range", "1..1_0"),
+        ("verify-main", "--range", "\u0661..3"),
+        ("verify-main", "--range", " 1..3"),
+        ("verify-main", "--range", "1..+3"),
+        ("verify-main", "--n", "1_2"),
+        ("verify-main", "--n", "4", "--jobs", "\u0661"),
+        ("q", "--n", "1_000"),
+        ("q", "--n", " 12"),
+        ("phi", "--n", "+16"),
+        ("phi", "--group", "cyclic:4", "--cap", "1_0"),
+        ("sweep", "--limit", "\u0661\u0660"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "Traceback" not in err, argv
+    code, out, _ = run_cli(capsys, "q", "--n", "1000")
+    assert code == 0 and out == "9/2\n"
 
 
 def test_cap_exceeded_is_usage_error(capsys):
@@ -455,6 +484,19 @@ def test_empty_range_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify-main", "--range", "5..3")
     assert code == 2 and out == ""
     assert "error" in err
+
+
+def test_python_dash_m_groupsum():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", "groupsum", "phi", "--group", "cyclic:16"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0
+    assert result.stdout == "86\n"
 
 
 def test_console_entry_point():

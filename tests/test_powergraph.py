@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
 import groupsum as gs
 from groupsum import numtheory as nt
 from groupsum import powergraph as pg
+from groupsum import verify
 
 
 # --- independent brute-force oracle ---
@@ -97,6 +99,61 @@ def test_edges_match_networkx_oracle():
             }
             assert set(digraph.edges) == graph.directed_edges, group.name
             assert reciprocal == graph.undirected_edges, group.name
+
+
+# --- the group's memo of its cyclic subgroups ---
+
+
+def test_cyclic_memo_matches_naive_oracle():
+    groups = [group for n in range(1, 61) for group in gs.catalog(n)]
+    groups += [
+        gs.semidirect_cyclic(gs.SemidirectSpec(8, 2, 3)),
+        gs.direct_product(gs.dihedral(3), gs.cyclic(4)),
+        gs.symmetric(4),
+    ]
+    for group in groups:
+        subgroups = [naive_power_set(group, g) for g in range(group.order)]
+        smallest = {}  # <g> -> its smallest generator
+        for h, sub in enumerate(subgroups):
+            smallest.setdefault(sub, h)
+        key, powers = group._cyclic_classes()
+        assert group.element_orders() == tuple(len(sub) for sub in subgroups), group.name
+        assert key == tuple(smallest[sub] for sub in subgroups), group.name
+        assert powers == {k: tuple(sorted(sub)) for sub, k in smallest.items()}, group.name
+
+
+def _count_walks(monkeypatch) -> Counter:
+    """Count FiniteGroup.cyclic_subgroup calls by (group name, subgroup walked)."""
+    walks = Counter()
+    walk = gs.FiniteGroup.cyclic_subgroup
+
+    def counted(group, g):
+        powers = walk(group, g)
+        walks[group.name, frozenset(powers)] += 1
+        return powers
+
+    monkeypatch.setattr(gs.FiniteGroup, "cyclic_subgroup", counted)
+    return walks
+
+
+def test_verify_main_walks_each_cyclic_subgroup_once(monkeypatch):
+    distinct = {
+        (group.name, naive_power_set(group, g)) for group in gs.catalog(48) for g in range(48)
+    }
+    walks = _count_walks(monkeypatch)
+    assert verify.verify_main(48).passed
+    assert set(walks) == distinct
+    assert set(walks.values()) == {1}
+
+
+def test_build_and_witness_check_make_no_walk_after_element_orders(monkeypatch):
+    group = gs.cyclic(60)
+    group.element_orders()
+    walks = _count_walks(monkeypatch)
+    assert pg.undirected_edge_count(pg.build(group)) == (gs.phi_of_group(group) - 60) // 2
+    outcomes = verify.check_witnesses(group)
+    assert outcomes and all(o.satisfied for o in outcomes)
+    assert not walks
 
 
 def test_build_checks_keys_against_element_orders():
