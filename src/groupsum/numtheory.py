@@ -6,9 +6,10 @@ psi_13 (Sorenson & Webster 2015) and is confirmed by trial division at or
 above it.  Factorization divides out the primes below 1000 and splits what
 is left with Pollard's rho in Brent's form, using fixed constants, so both
 the factors and the running time repeat from run to run.  Totients come
-from the prime factorization, and every inequality is decided with
-`fractions.Fraction` (never floats).  All integers are arbitrary precision,
-so products of many prime powers cannot overflow.
+from the prime factorization, and every inequality is decided exactly,
+with `fractions.Fraction` or by cross-multiplying integers (never floats).
+All integers are arbitrary precision, so products of many prime powers
+cannot overflow.
 """
 
 from __future__ import annotations
@@ -85,15 +86,22 @@ def nth_prime(i: int) -> int:
     return first_primes(i)[-1]
 
 
+# The primes found so far, ascending; `first_primes` extends it on demand.
+_PRIMES: tuple[int, ...] = ()
+
+
 def first_primes(ell: int) -> tuple[int, ...]:
-    """The set of the first `ell` primes, ascending."""
-    primes = []
-    candidate = 1
-    while len(primes) < ell:
-        candidate += 1
-        if is_prime(candidate):
-            primes.append(candidate)
-    return tuple(primes)
+    """The set of the first `ell` primes, ascending; () for ell <= 0."""
+    global _PRIMES
+    if ell > len(_PRIMES):
+        primes = list(_PRIMES)
+        candidate = primes[-1] if primes else 1
+        while len(primes) < ell:
+            candidate += 1
+            if is_prime(candidate):
+                primes.append(candidate)
+        _PRIMES = tuple(primes)
+    return _PRIMES[: max(ell, 0)]
 
 
 def skip_primes(ell: int) -> tuple[int, ...]:
@@ -342,10 +350,22 @@ def phi_cyclic_product(n: IntLike) -> int:
 # --- the rational invariant Q ---
 
 
+def _q_terms(primes: tuple[int, ...]) -> tuple[int, int]:
+    """Q's unreduced numerator prod (p+1) and denominator prod (p-1).
+
+    The denominator is positive, so Q compares with an integer x exactly
+    as the numerator compares with x times the denominator.
+    """
+    num = den = 1
+    for p in primes:
+        num *= p + 1
+        den *= p - 1
+    return num, den
+
+
 def q_of_primes(primes: Iterable[int]) -> Fraction:
     """Q over an explicit set of primes: prod (p+1)/(p-1), exact."""
-    primes = tuple(primes)
-    return Fraction(math.prod(p + 1 for p in primes), math.prod(p - 1 for p in primes))
+    return Fraction(*_q_terms(tuple(primes)))
 
 
 def q_of(n: IntLike) -> Fraction:
@@ -386,13 +406,13 @@ def lemma_Q_bounds(n: IntLike) -> QBounds:
     if fact.n < 2:
         raise ValueError("need n >= 2")
     p = fact.largest_prime
-    q = q_of(fact)
+    num, den = _q_terms(fact.primes)
     part_one = None
     if fact.k >= 9 or fact.primes != first_primes(fact.k):
-        part_one = q <= p + 1
+        part_one = num <= (p + 1) * den
     part_two = None
     if fact.n % 2 == 1:
-        part_two = q < p
+        part_two = num < p * den
     return QBounds(part_one, part_two)
 
 
@@ -411,8 +431,9 @@ def lemma_n_geq_check(n: IntLike) -> tuple[bool, bool]:
         raise HypothesisViolation(f"n={fact.n}: powers of two are excluded")
     p, a = fact.factors[-1]
     cofactor = Factorization(fact.n // p**a, fact.factors[:-1])
-    rhs = q_of(fact) * totient(cofactor) * p ** (a - 1)
-    return fact.n >= rhs, fact.n == rhs
+    num, den = _q_terms(fact.primes)
+    lhs, rhs = fact.n * den, num * totient(cofactor) * p ** (a - 1)
+    return lhs >= rhs, lhs == rhs
 
 
 # --- tabulated special values ---

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import numtheory, powergraph
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -597,13 +599,39 @@ def table2_spot_check() -> dict[str, Table2Verdict]:
 # --- exhaustive arithmetic sweeps ---
 
 
+def _totient_sieve(bound: int) -> np.ndarray:
+    """phi(0..bound) from a sieve of its own, never from `numtheory.totient`.
+
+    Each prime p <= sqrt(bound) takes the factor (1 - 1/p) off its
+    multiples, and its powers are divided out of `rest`.  What is left in
+    `rest` is 1 or the one prime factor above sqrt(bound), which one masked
+    step takes off.  Every division is exact; phi(0) is left at 0.
+    """
+    t = np.arange(bound + 1, dtype=np.int64)
+    rest = t.copy()
+    for p in range(2, math.isqrt(bound) + 1):
+        if t[p] == p:  # no smaller prime divides p
+            t[p::p] -= t[p::p] // p
+            power = p
+            while power <= bound:
+                rest[power::power] //= p
+                power *= p
+    big = rest > 1
+    t[big] -= t[big] // rest[big]
+    return t
+
+
 def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
-    """Run every arithmetic invariant over 1..limit (limit <= 10^6).
+    """Run every arithmetic invariant over 1..limit (0 <= limit <= 10^6).
 
     Uses a smallest-prime-factor sieve to hand precomputed factorizations
     to the public operations; the divisibility and multiplicativity
     properties run at their own caps (10^4 and 10^3, clipped to limit).
+    Q is compared by cross-multiplying its numerator and denominator; a
+    `Fraction` is built only to print a failure.
     """
+    if limit < 0:
+        raise ValueError(f"sweep limit must be >= 0, got {limit}")
     if limit > 10**6:
         raise ValueError("sweep limit capped at 10^6")
     verdicts: dict[str, Verdict] = {}
@@ -647,22 +675,23 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
         if n == 1:
             continue
 
-        q = numtheory.q_of(fact)
+        num, den = numtheory._q_terms(fact.primes)
         p = fact.largest_prime
 
         bump("eq6-lower-bound")
-        if not sum_form * q > n * n:
+        if not sum_form * num > n * n * den:
+            q = numtheory.q_of(fact)
             fail("eq6-lower-bound", n, f"phi(C_n)*Q = {sum_form * q} <= n^2")
 
         bounds = numtheory.lemma_Q_bounds(fact)
         if bounds.q_le_p_plus_1 is not None:
             bump("lem-2.4i")
             if not bounds.q_le_p_plus_1:
-                fail("lem-2.4i", n, f"Q = {q} > {p + 1}")
+                fail("lem-2.4i", n, f"Q = {numtheory.q_of(fact)} > {p + 1}")
         if bounds.q_lt_p_odd is not None:
             bump("lem-2.4ii")
             if not bounds.q_lt_p_odd:
-                fail("lem-2.4ii", n, f"Q = {q} >= {p}")
+                fail("lem-2.4ii", n, f"Q = {numtheory.q_of(fact)} >= {p}")
 
         if fact.primes != (2,):
             bump("lem-2.6")
@@ -697,31 +726,30 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
         div_bad,
     )
 
+    # An independent sieve is checked against totient() up to 10^4, then
+    # phi(mn) = phi(m) phi(n) on every coprime pair m <= n up to 10^3.  The
+    # first failure is the one a row-by-row walk over the pairs meets, and
+    # `pairs` counts the pairs that walk checks up to and including it.
     mul_limit = min(limit, 10**3)
-    square = mul_limit * mul_limit
-    sieve_tot = list(range(square + 1))
-    for p in range(2, square + 1):
-        if sieve_tot[p] == p:  # p prime
-            for m in range(p, square + 1, p):
-                sieve_tot[m] -= sieve_tot[m] // p
+    sieve_tot = _totient_sieve(mul_limit * mul_limit)
     agree_limit = min(limit, 10**4)
     mul_bad = None
-    for i in range(1, agree_limit + 1):
-        if sieve_tot[i] != tot[i]:
-            mul_bad = {"n": i, "info": "sieve disagrees with totient()"}
-            break
     pairs = 0
-    if mul_bad is None:
-        for m in range(1, mul_limit + 1):
-            tm = sieve_tot[m]
-            for n2 in range(m, mul_limit + 1):
-                if math.gcd(m, n2) == 1:
-                    pairs += 1
-                    if tm * sieve_tot[n2] != sieve_tot[m * n2]:
-                        mul_bad = {"m": m, "n": n2}
-                        break
-            if mul_bad:
-                break
+    disagree = np.flatnonzero(sieve_tot[1 : agree_limit + 1] != tot[1 : agree_limit + 1])
+    if disagree.size:
+        mul_bad = {"n": int(disagree[0]) + 1, "info": "sieve disagrees with totient()"}
+    else:
+        m, n2 = np.triu_indices(mul_limit)
+        m += 1
+        n2 += 1
+        coprime = np.gcd(m, n2) == 1
+        m, n2 = m[coprime], n2[coprime]
+        bad = np.flatnonzero(sieve_tot[m] * sieve_tot[n2] != sieve_tot[m * n2])
+        pairs = m.size
+        if bad.size:
+            i = int(bad[0])
+            mul_bad = {"m": int(m[i]), "n": int(n2[i])}
+            pairs = i + 1
     record(
         "phi-multiplicativity",
         mul_bad is None,

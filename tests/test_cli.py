@@ -348,6 +348,23 @@ PINNED_GRAPH = {
         "9247f274be30fd979c5f103436389c38257a27728abb2cbc731038c4fb1f821e",
 }
 
+# sha256 of `sweep --limit N` stdout and of `tables --format json`, recorded
+# before the multiplicativity oracle's sieve moved to numpy and Q was
+# compared by cross-multiplying.
+PINNED_SWEEP = {
+    (0, "json"): "5a4283d50871f40208bd52c61b784e8af89148e1c3cb8b9b23f6d01204bcd8c6",
+    (0, "text"): "707f285f426973ae3b5bb461be558e41bf28edc23fd2ef044c32a1106da5a73d",
+    (1, "json"): "deaa68e92d424e7884310af36efc6390024be026ef36a46857ea315bf3ac72f3",
+    (1, "text"): "46dad653ffd2ec4135546521f7863ec7714adc458edad3d669674a7496f58f40",
+    (2, "json"): "e4fe6653770ea7e04274fabc52d1c7724a9bf18a842c454a533ee583900e59b5",
+    (2, "text"): "c78d76707bc77acbc3034187ba9709467929225e21595f2ef5a599176240364a",
+    (250, "json"): "ace4e9ee2143cddb245932cbe3053e5d89f2d07003a538b8b411f194411cc9f8",
+    (250, "text"): "c344058ab08f8e0f8c55ee178cc4a000a38b97521f07d515ea10317fc8fa2189",
+    (2000, "json"): "6ced454be956798ff1011091ab126961cc226f1a1afec605a336a17b02bb707b",
+    (2000, "text"): "603e63d4a2f120b111c6eb97fffac845eef5bc352c54682442f08904ef99e0df",
+}
+PINNED_TABLES_JSON = "35b6a105d3335a6ae376733ad3134ce6e757614f944e25c0743ebdfe5d0bffae"
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -415,6 +432,12 @@ def test_sweep_json(capsys):
     assert data["eq5-two-forms"]["passed"]
 
 
+def test_sweep_negative_limit_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 # --- usage errors ---
 
 
@@ -429,6 +452,14 @@ def test_bad_format_choice(capsys):
 def test_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify-main", "--range", "5")
     assert code == 2
+
+
+def test_sweep_and_tables_bytes_pinned(capsys):
+    for (limit, fmt), digest in PINNED_SWEEP.items():
+        code, out, _ = run_cli(capsys, "sweep", "--limit", str(limit), "--format", fmt)
+        assert code == 0 and sha256(out) == digest, (limit, fmt)
+    code, out, _ = run_cli(capsys, "tables", "--format", "json")
+    assert code == 0 and sha256(out) == PINNED_TABLES_JSON
 
 
 def test_graph_bytes_pinned(capsys):

@@ -176,6 +176,26 @@ def test_nth_prime_and_families():
         nt.nth_prime(0)
 
 
+def _fresh_first_primes(ell):
+    primes, candidate = [], 1
+    while len(primes) < ell:
+        candidate += 1
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+    return tuple(primes)
+
+
+def test_first_primes_grows_one_shared_tuple(monkeypatch):
+    monkeypatch.setattr(nt, "_PRIMES", ())
+    assert nt.first_primes(0) == ()
+    assert nt.first_primes(-1) == ()
+    for ell in (20, 9, 25, 0, 1, -3, 25):
+        assert nt.first_primes(ell) == _fresh_first_primes(max(ell, 0)), ell
+    assert nt._PRIMES == _fresh_first_primes(25)
+    assert [nt.skip_primes(ell) for ell in (1, 2, 9)] == [
+        (3,), (2, 5), (2, 3, 5, 7, 11, 13, 17, 19, 29)]
+
+
 # --- totient ---
 
 
@@ -290,6 +310,19 @@ def test_lemma_Q_bounds_sweep():
         assert b.q_lt_p_odd in (None, True)
         if n % 2 == 1:
             assert b.q_lt_p_odd is True
+
+
+def test_lemma_Q_bounds_match_fraction_comparisons():
+    # The bounds compare by cross-multiplying; Fraction is the reference.
+    primorial = math.prod(nt.first_primes(9))
+    samples = [*range(2, 2000), primorial, primorial * 29, primorial // 2,
+               math.prod(nt.skip_primes(9)), math.prod(nt.first_primes(12)) // 3]
+    for n in samples:
+        fact = nt.factorize(n)
+        q, p = nt.q_of(fact), fact.largest_prime
+        applies = fact.k >= 9 or fact.primes != nt.first_primes(fact.k)
+        expected = nt.QBounds(q <= p + 1 if applies else None, q < p if n % 2 else None)
+        assert nt.lemma_Q_bounds(fact) == expected, n
 
 
 # --- the n >= Q phi(n/p^a) p^(a-1) inequality ---

@@ -287,9 +287,105 @@ def test_numtheory_sweep_small():
     assert all(v.passed for v in verdicts.values())
 
 
+def _old_totient_sieve(bound):
+    """The pure-Python sieve the phi-multiplicativity oracle used to run."""
+    sieve = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if sieve[p] == p:
+            for m in range(p, bound + 1, p):
+                sieve[m] -= sieve[m] // p
+    return sieve
+
+
+def _old_multiplicativity(limit, tot, sieve):
+    """The old row-by-row check: (counterexample, pairs checked)."""
+    mul_limit = min(limit, 10**3)
+    for i in range(1, min(limit, 10**4) + 1):
+        if sieve[i] != tot[i]:
+            return {"n": i, "info": "sieve disagrees with totient()"}, 0
+    pairs = 0
+    for m in range(1, mul_limit + 1):
+        for n in range(m, mul_limit + 1):
+            if math.gcd(m, n) == 1:
+                pairs += 1
+                if sieve[m] * sieve[n] != sieve[m * n]:
+                    return {"m": m, "n": n}, pairs
+    return None, pairs
+
+
+def _expected_multiplicativity(limit, sieve):
+    tot = [0] + [gs.numtheory.totient(n) for n in range(1, min(limit, 10**4) + 1)]
+    bad, pairs = _old_multiplicativity(limit, tot, sieve)
+    return bad is None, f"{pairs} coprime pairs up to {min(limit, 10**3)}", bad
+
+
+def _multiplicativity(verdicts):
+    v = verdicts["phi-multiplicativity"]
+    return v.passed, v.detail, v.counterexample
+
+
+def test_totient_sieve_matches_the_old_sieve():
+    for bound in range(200):
+        assert verify._totient_sieve(bound).tolist() == _old_totient_sieve(bound), bound
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 7, 31, 250, 1000])
+def test_multiplicativity_oracle_matches_the_old_loop(limit):
+    old_sieve = _old_totient_sieve(min(limit, 10**3) ** 2)
+    assert verify._totient_sieve(min(limit, 10**3) ** 2).tolist() == old_sieve
+    verdicts = verify.verify_numtheory_sweep(limit)
+    assert _multiplicativity(verdicts) == _expected_multiplicativity(limit, old_sieve)
+    assert verdicts["phi-multiplicativity"].passed
+
+
+def test_multiplicativity_reports_a_wrong_totient_as_the_old_loop_did(monkeypatch):
+    real = gs.numtheory.totient
+
+    def wrong_at_97(n):
+        value = real(n)
+        return value + 1 if getattr(n, "n", n) == 97 else value
+
+    monkeypatch.setattr(gs.numtheory, "totient", wrong_at_97)
+    verdicts = verify.verify_numtheory_sweep(300)
+    expected = _expected_multiplicativity(300, _old_totient_sieve(300**2))
+    assert _multiplicativity(verdicts) == expected
+    assert expected == (False, "0 coprime pairs up to 300",
+                        {"n": 97, "info": "sieve disagrees with totient()"})
+
+
+@pytest.mark.parametrize("index, counterexample", [
+    (1, {"n": 1, "info": "sieve disagrees with totient()"}),
+    (250, {"n": 250, "info": "sieve disagrees with totient()"}),
+    (1400, {"m": 7, "n": 200}),  # 1400 = 7 * 200 = 8 * 175 = 25 * 56
+    (89700, {"m": 299, "n": 300}),  # the last pair of the walk
+])
+def test_multiplicativity_reports_a_bad_sieve_entry_as_the_old_loop_did(
+    monkeypatch, index, counterexample
+):
+    real = verify._totient_sieve
+
+    def corrupted(bound):
+        sieve = real(bound)
+        sieve[index] += 2
+        return sieve
+
+    monkeypatch.setattr(verify, "_totient_sieve", corrupted)
+    old_sieve = _old_totient_sieve(300**2)
+    old_sieve[index] += 2
+    verdicts = verify.verify_numtheory_sweep(300)
+    expected = _expected_multiplicativity(300, old_sieve)
+    assert expected[2] == counterexample
+    assert _multiplicativity(verdicts) == expected
+
+
 def test_numtheory_sweep_limit_cap():
     with pytest.raises(ValueError):
         verify.verify_numtheory_sweep(10**6 + 1)
+
+
+def test_numtheory_sweep_rejects_negative_limit():
+    with pytest.raises(ValueError, match="limit"):
+        verify.verify_numtheory_sweep(-1)
 
 
 def test_numtheory_sweep_trivial_limit():
