@@ -12,9 +12,10 @@ the smallest element outside the closure of those before it, check
 the test are closed under the product and the table is associative on them
 (Light's test), and the inverse check gives each of them a bijective row
 and column, so the closure of the generators that passed is a group.  It is
-grown by the group algorithm every subgroup uses: one right coset H*r at a
-time (Dimino's algorithm), or, from the trivial group, one walk down a
-column.
+grown by `_closure_of`, as is every subgroup, Sylow subgroups included:
+one right coset H*r at a time (Dimino's algorithm), or, from the trivial
+group, one walk down a column.  A `Subgroup` is its read-only membership
+mask, built once when it is validated; its members are the mask's indices.
 
 Groups are immutable after validation and safe to share across threads.
 A group fills a few private memos lazily, each on first use: its cyclic
@@ -240,8 +241,8 @@ class FiniteGroup:
             self.labels = tuple(str(s) for s in labels)
         else:
             self.labels = tuple(str(i) for i in range(n))
+        # _cyclic_classes fills both; see there for (key, powers)
         self._orders: Optional[tuple[int, ...]] = None
-        # (key, powers): key[g] is the smallest generator of <g>, powers[k] is <k> ascending
         self._classes: Optional[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = None
         self._inverses: Optional[np.ndarray] = None
         self._totients: Optional[dict[int, int]] = None
@@ -282,9 +283,8 @@ class FiniteGroup:
 
     def element_orders(self) -> tuple[int, ...]:
         """Orders of all elements (computed once, then cached): o(g) = |<g>|,
-        from the one walk of each cyclic subgroup."""
-        if self._orders is None:
-            self._cyclic_classes()
+        filled with the memo of the one walk of each cyclic subgroup."""
+        self._cyclic_classes()
         return self._orders
 
     def _cyclic_classes(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
@@ -295,7 +295,7 @@ class FiniteGroup:
         key yet, so each cyclic subgroup is walked once, from its smallest
         generator.  In the walk g, g^2, ..., g^m = identity, g^i generates
         <g> exactly when gcd(i, m) = 1.  The pass also fills the element
-        orders, unless they are already set: o(h) = |<h>| = |<key[h]>|."""
+        orders: o(h) = |<h>| = |<key[h]>|."""
         if self._classes is None:
             key = [-1] * self.order
             powers = {}
@@ -307,8 +307,7 @@ class FiniteGroup:
                         if math.gcd(m, i) == 1:
                             key[h] = g
                     powers[g] = tuple(sorted(cycle))
-            if self._orders is None:
-                self._orders = tuple(len(powers[k]) for k in key)
+            self._orders = tuple(len(powers[k]) for k in key)
             self._classes = (tuple(key), powers)
         return self._classes
 
@@ -345,7 +344,7 @@ class FiniteGroup:
         inside = _member_mask(self.order, [self.identity])
         for i, g in enumerate(gens):
             inside = _closure_of(self._table, inside, gens[:i], g)
-        return Subgroup(self, np.flatnonzero(inside).tolist())
+        return Subgroup(self, np.flatnonzero(inside))
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,))
@@ -357,8 +356,7 @@ class FiniteGroup:
         for p_subgroup, normalizer in self._sylow.values():
             if sub == p_subgroup:
                 return normalizer
-        inside = _member_mask(self.order, sub.members)
-        return Subgroup(self, np.flatnonzero(self._normalizer_mask(inside)).tolist())
+        return Subgroup(self, np.flatnonzero(self._normalizer_mask(sub.mask)))
 
     def _normalizer_mask(self, inside: np.ndarray) -> np.ndarray:
         """Membership mask of N(H), for H given by its membership mask."""
@@ -383,11 +381,10 @@ class FiniteGroup:
         of the first q-element of maximal order; while the current
         q-subgroup H is too small, the smallest q-element of N(H) outside H
         extends H to a strictly larger q-subgroup (one is guaranteed to
-        exist, so the loop terminates at the full q-part).  As that element
-        x normalizes H, <H, x> = H<x>: one gather over H and the powers of
-        x.  The growth runs on membership masks.  The first call for q
-        stores P and N(P) in the group's memo; later calls return the same
-        P.  Returns the trivial subgroup when q does not divide the order.
+        exist, so the loop terminates at the full q-part).  <H, x> is grown
+        by `_closure_of` on membership masks.  The first call for q stores P
+        and N(P) in the group's memo; later calls return the same P.
+        Returns the trivial subgroup when q does not divide the order.
         """
         if not numtheory.is_prime(q):
             raise ValueError(f"{q} is not prime")
@@ -410,26 +407,24 @@ class FiniteGroup:
         q_elements = q_part % orders == 0  # orders divide n, so these are the q-powers
         seed = int(np.argmax(np.where(q_elements, orders, 0)))
 
-        p_subgroup = self.generated_subgroup([seed])
-        inside = _member_mask(n, p_subgroup.members)
-        size = len(p_subgroup)
+        inside = self.generated_subgroup([seed]).mask
+        gens = [seed]
+        size = int(np.count_nonzero(inside))
         normalizer_mask = self._normalizer_mask(inside)
         while size < q_part:
             outside = np.flatnonzero(normalizer_mask & q_elements & ~inside)
             if not outside.size:
                 raise AssertionError(f"Sylow growth stalled at order {size} < {q_part}")
-            powers = _powers(self._table, int(outside[0]))
-            k = int(np.argmax(inside[powers]))  # x^(k+1) is the first power in H
-            grown = inside.copy()
-            grown[self._table[np.flatnonzero(inside)[:, None], powers[:k]]] = True
-            grown_size = int(np.count_nonzero(grown))
+            x = int(outside[0])
+            inside = _closure_of(self._table, inside, gens, x)
+            gens.append(x)
+            grown_size = int(np.count_nonzero(inside))
             if not (grown_size > size and q_part % grown_size == 0):
                 raise AssertionError("Sylow growth produced a non-q-subgroup")
-            inside, size = grown, grown_size
+            size = grown_size
             normalizer_mask = self._normalizer_mask(inside)
-        if len(p_subgroup) < size:
-            p_subgroup = Subgroup(self, np.flatnonzero(inside).tolist())
-        pair = (p_subgroup, Subgroup(self, np.flatnonzero(normalizer_mask).tolist()))
+        pair = (Subgroup(self, np.flatnonzero(inside)),
+                Subgroup(self, np.flatnonzero(normalizer_mask)))
         self._sylow[q] = pair
         return pair
 
@@ -493,24 +488,28 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A validated subgroup: sorted member indices of a parent group."""
+    """A validated subgroup of a parent group: its read-only boolean `mask`
+    over the parent's elements, and `members`, the mask's indices ascending."""
 
-    __slots__ = ("parent", "members", "member_set")
+    __slots__ = ("parent", "members", "mask")
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int]):
+    def __init__(self, parent: FiniteGroup, members: Sequence[int]):
         self.parent = parent
-        self.members = tuple(sorted(set(members)))
-        self.member_set = frozenset(self.members)
-        if not self.members:
+        indices = np.asarray(members, dtype=np.intp)
+        if not indices.size:
             raise ValueError("a subgroup cannot be empty")
-        if parent.identity not in self.member_set:
-            raise ValueError("subgroup must contain the identity")
-        if self.members[0] < 0 or self.members[-1] >= parent.order:
+        if indices.min() < 0 or indices.max() >= parent.order:
             raise IndexError(f"subgroup members must lie in [0, {parent.order})")
+        self.mask = _member_mask(parent.order, indices)
+        self.mask.flags.writeable = False
+        if not self.mask[parent.identity]:
+            raise ValueError("subgroup must contain the identity")
+        indices = np.flatnonzero(self.mask)
+        self.members = tuple(indices.tolist())
         if len(self.members) == parent.order:
             return  # every element: the whole group, closed since validation
-        products = parent.table[np.ix_(self.members, self.members)]
-        escaped = ~_member_mask(parent.order, self.members)[products]
+        products = parent.table[np.ix_(indices, indices)]
+        escaped = ~self.mask[products]
         if escaped.any():
             i, j = np.argwhere(escaped)[0]  # first escape in row-major order
             x, y = self.members[i], self.members[j]
@@ -525,17 +524,17 @@ class Subgroup:
         return iter(self.members)
 
     def __contains__(self, g: int) -> bool:
-        return g in self.member_set
+        return 0 <= g < self.mask.size and bool(self.mask[g])
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Subgroup)
             and other.parent is self.parent
-            and other.member_set == self.member_set
+            and other.members == self.members
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.member_set))
+        return hash((id(self.parent), self.members))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={len(self)} of {self.parent.name!r})"
@@ -829,7 +828,7 @@ def abelian_invariant_factor_lists(n: int) -> list[list[int]]:
 
 
 def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
-    """Constructible groups of order n, deduplicated by name.
+    """Constructible groups of order n, each construction once.
 
     Covers every abelian group of order n, dihedral and dicyclic groups
     when the order permits, the symmetric and alternating groups on up to
@@ -862,10 +861,4 @@ def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
             continue
         for r in enumerate_semidirect_units(a, b):
             groups.append(semidirect_cyclic(SemidirectSpec(a, b, r), cap))
-    seen = set()
-    unique = []
-    for group in groups:
-        if group.name not in seen:
-            seen.add(group.name)
-            unique.append(group)
-    return unique
+    return groups

@@ -429,10 +429,10 @@ def lemma_n_geq_check(n: IntLike) -> tuple[bool, bool]:
         raise HypothesisViolation(f"n={fact.n}: need n >= 2")
     if fact.primes == (2,):
         raise HypothesisViolation(f"n={fact.n}: powers of two are excluded")
-    p, a = fact.factors[-1]
-    cofactor = Factorization(fact.n // p**a, fact.factors[:-1])
+    p = fact.largest_prime
     num, den = _q_terms(fact.primes)
-    lhs, rhs = fact.n * den, num * totient(cofactor) * p ** (a - 1)
+    # phi(n / p^a) * p^(a-1) = phi(n) / (p - 1), as phi(p^a) = p^(a-1) * (p - 1)
+    lhs, rhs = fact.n * den, num * (totient(fact) // (p - 1))
     return lhs >= rhs, lhs == rhs
 
 

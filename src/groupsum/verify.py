@@ -230,7 +230,7 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
         og = orders[g]
         k = key[g]
         if k not in contained:
-            contained[k] = sylow.member_set.issubset(powers[k])
+            contained[k] = int(np.count_nonzero(sylow.mask[list(powers[k])])) == len(sylow)
         outcomes.append(
             CriterionOutcome(
                 witness=g,

@@ -306,6 +306,19 @@ def test_normalizer_and_is_normal_match_naive_conjugation():
             assert group.is_normal(sub) == (len(expected) == group.order), (group.name, sub.members)
 
 
+def test_subgroup_mask_is_read_only_and_matches_members():
+    for group in small_groups():
+        n = group.order
+        subgroups = [group.generated_subgroup(gens) for gens in one_or_two_generators(group)]
+        subgroups += [group.normalizer(sub) for sub in subgroups]
+        subgroups += [group.sylow_subgroup(q) for q, _ in nt.factorize(n).factors]
+        for sub in subgroups:
+            assert not sub.mask.flags.writeable, (group.name, sub.members)
+            assert np.flatnonzero(sub.mask).tolist() == list(sub.members), (group.name, sub.members)
+            for g in range(-1, n + 1):
+                assert (g in sub) == (g in set(sub.members)), (group.name, sub.members, g)
+
+
 def test_foreign_subgroup_rejected():
     c6a, c6b = gs.cyclic(6), gs.cyclic(6)
     sub = gs.Subgroup(c6a, [0, 2, 4])
@@ -556,7 +569,7 @@ def test_catalog_order_twelve():
 
 
 def test_catalog_names_unique_and_orders_match():
-    for n in (8, 24, 30, 60):
+    for n in range(1, 101):
         groups = gs.catalog(n)
         names = [g.name for g in groups]
         assert len(names) == len(set(names))

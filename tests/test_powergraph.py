@@ -158,6 +158,7 @@ def test_build_and_witness_check_make_no_walk_after_element_orders(monkeypatch):
 
 def test_build_checks_keys_against_element_orders():
     group = gs.cyclic(6)
+    group.element_orders()
     group._orders = (1,) * 6  # corrupt the cached orders the check reads
     with pytest.raises(AssertionError, match="mutual generation"):
         pg.build(group)
@@ -165,6 +166,7 @@ def test_build_checks_keys_against_element_orders():
 
 def test_build_checks_each_element_against_its_key():
     group = gs.cyclic(6)
+    group.element_orders()
     # 5 shares the key 1 of <1> = <5>, but no longer the order of 1
     group._orders = (1, 6, 3, 2, 3, 3)
     with pytest.raises(AssertionError, match="mutual generation"):
