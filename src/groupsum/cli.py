@@ -8,6 +8,11 @@ optional leading minus sign.
 
 Exit status: 0 on success / all verdicts passing, 1 when any verdict
 fails (a counterexample is printed), 2 on usage errors.
+
+`run(argv)` may be called many times in one process. It builds the
+argument parser once, on the first call, and reuses it on every later call:
+argparse returns a fresh namespace from every parse and parsing leaves the
+parser unchanged.
 """
 
 from __future__ import annotations
@@ -381,10 +386,15 @@ _COMMANDS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first `run`
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -407,7 +407,8 @@ class FiniteGroup:
         q_elements = q_part % orders == 0  # orders divide n, so these are the q-powers
         seed = int(np.argmax(np.where(q_elements, orders, 0)))
 
-        inside = self.generated_subgroup([seed]).mask
+        seed_subgroup = self.generated_subgroup([seed])
+        inside = seed_subgroup.mask
         gens = [seed]
         size = int(np.count_nonzero(inside))
         normalizer_mask = self._normalizer_mask(inside)
@@ -423,8 +424,9 @@ class FiniteGroup:
                 raise AssertionError("Sylow growth produced a non-q-subgroup")
             size = grown_size
             normalizer_mask = self._normalizer_mask(inside)
-        pair = (Subgroup(self, np.flatnonzero(inside)),
-                Subgroup(self, np.flatnonzero(normalizer_mask)))
+        # with no growth step, <seed> is P and is validated already
+        p_subgroup = seed_subgroup if len(gens) == 1 else Subgroup(self, np.flatnonzero(inside))
+        pair = (p_subgroup, Subgroup(self, np.flatnonzero(normalizer_mask)))
         self._sylow[q] = pair
         return pair
 

@@ -1,6 +1,11 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -482,12 +487,17 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 PEAK_RSS = "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
 
 
+def _src_env(**extra):
+    """This process's environment, with this checkout's src/ on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def _peak_rss_kib(code):
     """Peak RSS in KiB of a fresh interpreter that runs `code`."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", f"{code}\n{PEAK_RSS}"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=_src_env(),
         timeout=120, check=True,
     )
     return int(result.stdout.split()[-1])
@@ -568,3 +578,210 @@ def test_package_exports_resolve_without_duplicates():
     assert len(gs.__all__) == len(set(gs.__all__))
     for name in gs.__all__:
         assert hasattr(gs, name), name
+
+
+# --- one parser per process ---
+
+
+MIXED_ARGVS = [
+    ["q", "--n", "12"],
+    ["q", "--n", "2310", "--format", "json"],
+    ["phi", "--n", "16"],
+    ["phi", "--group", "cyclic:4", "--n", "4"],
+    ["q"],
+    ["frobnicate"],
+    ["q", "--n", "5", "--format", "dot"],
+    ["--help"],
+    ["phi", "--help"],
+    ["graph", "--group", "cyclic:6"],
+    ["criterion", "--group", "alt:4"],
+    ["verify-main", "--n", "12"],
+    ["verify-main", "--range", "5..3"],
+    ["sweep", "--limit", "30"],
+    ["sweep", "--limit", "-1"],
+    ["phi", "--group", "cyclic:1_0"],
+    ["phi", "--group", "cyclic:50", "--cap", "10"],
+    ["tables", "--format", "json"],
+    ["q", "--n", "0"],
+    ["verify-main", "--n", "6", "--format", "csv"],
+]
+
+
+def test_run_builds_one_parser_tree_per_process(monkeypatch, capsys):
+    # One tree is the top-level parser and one parser per subcommand: 8.
+    # Building it on every call made 160 parsers for these 20 calls.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [cli.run(argv) for argv in MIXED_ARGVS]
+    capsys.readouterr()
+    assert set(codes) == {0, 2}
+    assert len(built) <= 8, built
+
+
+def test_import_builds_no_parser_and_later_calls_reuse_the_first():
+    code = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting_init(self, *args, **kwargs):",
+        "    built.append(1)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting_init",
+        "import groupsum, groupsum.cli",
+        "at_import = len(built)",
+        "groupsum.cli.run(['q', '--n', '12'])",
+        "first = len(built)",
+        "for argv in (['phi', '--n', '16'], ['q'], ['sweep', '--limit', '20']):",
+        "    groupsum.cli.run(argv)",
+        "print(at_import, first, len(built))",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    at_import, first, total = map(int, result.stdout.splitlines()[-1].split())
+    assert at_import == 0
+    assert first > 0 and total == first
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys):
+    def call(argv):
+        return run_cli(capsys, *argv)
+
+    first = {tuple(argv): call(argv) for argv in MIXED_ARGVS}
+    for argv in reversed(MIXED_ARGVS):
+        assert call(argv) == first[tuple(argv)], argv
+    # spot-check that the list covers success, usage errors and help
+    assert first[("phi", "--group", "cyclic:4", "--n", "4")][0] == 2
+    code, out, err = first[("q",)]
+    assert code == 2 and out == "" and err.startswith("usage: groupsum q")
+    assert first[("frobnicate",)][0] == 2
+    assert first[("q", "--n", "5", "--format", "dot")][0] == 2
+    assert first[("--help",)][0] == 0
+    assert first[("verify-main", "--n", "12")][0] == 0
+    assert first[("sweep", "--limit", "30")][0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify-main", "--help"]])
+def test_in_process_help_matches_a_fresh_process(monkeypatch, capsys, argv):
+    # The help formatter reads the terminal width when it formats, not when
+    # the parser is built, so a reused parser wraps like a fresh one.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    result = subprocess.run(
+        [sys.executable, "-m", "groupsum", *argv], capture_output=True, text=True,
+        env=_src_env(COLUMNS="80"), timeout=60,
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout == out
+
+
+# The fuzz draws each command's own flags, the selector it needs first, and
+# now and then a flag of another command. Orders stay within the small --cap
+# that every drawn command line starts with.
+FUZZ_CAP = 64
+ODD_INTEGERS = ["٣", "-٣", "1_0", "+5", "", " 4", "4.0", "0x10"]
+OWN_FLAGS = {
+    "phi": ["--group", "--n"],
+    "q": ["--n"],
+    "graph": ["--group"],
+    "verify-main": ["--n", "--range", "--jobs"],
+    "criterion": ["--group"],
+    "tables": [],
+    "sweep": ["--limit"],
+    "frobnicate": [],
+}
+FORMATS = {"graph": ["dot", "json"], "verify-main": ["text", "json", "csv"]}
+
+
+def _is_ascii_int(token):
+    return re.fullmatch("-?[0-9]+", token) is not None
+
+
+def test_fuzzed_argument_combinations_exit_cleanly(monkeypatch, tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the fuzz must start no process")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+
+    @st.composite
+    def integer(draw, lo, hi):
+        if draw(st.integers(0, 5)) == 0:
+            return draw(st.sampled_from(ODD_INTEGERS))
+        return str(draw(st.integers(lo, hi)))
+
+    @st.composite
+    def spec(draw, depth=0):
+        """A group spec and the integer tokens written in it."""
+        kinds = ["cyclic", "dihedral", "dicyclic", "sym", "alt", "abelian", "sdp"]
+        kind = draw(st.sampled_from(kinds + (["prod"] if depth == 0 else [])))
+        if kind == "prod":
+            (left, left_tokens), (right, right_tokens) = draw(spec(1)), draw(spec(1))
+            return f"prod:{left},{right}", left_tokens + right_tokens
+        count = {"abelian": draw(st.integers(1, 3)), "sdp": 3}.get(kind, 1)
+        tokens = [draw(integer(-2, 12)) for _ in range(count)]
+        return f"{kind}:{('x' if kind == 'abelian' else ':').join(tokens)}", tokens
+
+    @st.composite
+    def command_lines(draw):
+        """An argv, and whether an integer token in it that is parsed is not
+        ASCII digits with an optional leading minus."""
+        command = draw(st.sampled_from(sorted(OWN_FLAGS)))
+        values = {
+            # --jobs never above 1: verify-main then runs serially
+            "--n": integer(-3, 40 if command == "verify-main" else 10**6),
+            "--limit": integer(-3, 300),
+            "--cap": integer(-3, FUZZ_CAP),
+            "--jobs": integer(-3, 1),
+            "--range": st.tuples(integer(-2, 30), integer(-2, 30)).map(
+                lambda ends: (f"{ends[0]}..{ends[1]}", list(ends))),
+            "--group": spec(),
+            "--format": st.sampled_from(FORMATS.get(command, ["text", "json"]) + ["xml"]),
+            "--out": st.just(str(tmp_path / "out.txt")),
+        }
+        own = OWN_FLAGS[command]
+        flags = [draw(st.sampled_from(own))] if own else []
+        flags += draw(st.lists(st.sampled_from(own + ["--format", "--out", "--cap"]),
+                               max_size=4))
+        if draw(st.integers(0, 7)) == 0:
+            flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(sorted(values))))
+        argv = [command, "--cap", str(FUZZ_CAP)]
+        bad = False
+        last_tokens = {}  # --group and --range: only the last value is parsed
+        for flag in flags:
+            argv.append(flag)
+            if draw(st.integers(0, 11)) == 0:
+                continue  # a missing value
+            value = draw(values[flag])
+            if flag in ("--group", "--range"):
+                value, last_tokens[flag] = value
+            elif flag not in ("--format", "--out"):
+                bad = bad or not _is_ascii_int(value)
+            argv.append(value)
+        bad = bad or not all(_is_ascii_int(t) for ts in last_tokens.values() for t in ts)
+        return argv, bad
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(command_lines())
+    def check(drawn):
+        argv, bad = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        if bad:
+            assert code == 2, argv
+
+    check()
