@@ -84,8 +84,8 @@ def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             )
         if kind == "file":
             with open(rest, "r", encoding="utf-8") as handle:
-                return FiniteGroup.from_json(handle.read())
-    except (ValueError, OSError) as exc:
+                return FiniteGroup.from_json(handle.read(), cap)
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deep JSON nesting
         if isinstance(exc, (OrderCapError, SpecError)):
             raise
         raise SpecError(f"bad group spec {spec!r}: {exc}") from exc
@@ -221,6 +221,8 @@ def _cmd_graph(args) -> int:
 def _cmd_verify_main(args) -> int:
     if (args.n is None) == (args.range_ is None):
         raise SpecError("verify-main needs exactly one of --n or --range")
+    if args.jobs < 1:
+        raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
     if args.n is not None:
         ns = [args.n]
     else:

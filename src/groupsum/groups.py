@@ -17,6 +17,15 @@ one right coset H*r at a time (Dimino's algorithm), or, from the trivial
 group, one walk down a column.  A `Subgroup` is its read-only membership
 mask, built once when it is validated; its members are the mask's indices.
 
+`FiniteGroup.from_json` reads a document whose last key is "table" and whose
+table is a square matrix of integers in [0, n), in the layout `to_json`
+writes or any other JSON whitespace, with numpy: byte-level checks on the
+matrix's text, one `np.fromstring` pass over its numbers, and `json.loads`
+for the rest of the document.  Every other document, and any the numpy read
+cannot decide, goes through `json.loads` whole, the reference the tests
+compare the numpy read with.  Either way the row count is checked against
+the order cap before the n x n array is built.
+
 Groups are immutable after validation and safe to share across threads.
 A group fills a few private memos lazily, each on first use: its cyclic
 subgroups, each keyed by its smallest generator with its members ascending,
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 from typing import Iterable, Optional, Sequence, Union
@@ -195,6 +205,86 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
         closed = _closure_of(arr, closed, gens, g)
         gens.append(g)
     return arr
+
+
+# --- reading the JSON wire format ---
+
+
+_TABLE_KEY = re.compile(r'"table"[ \t\n\r]*:[ \t\n\r]*\[')
+_CELLS_TO_WORDS = bytes.maketrans(b"[],\t\n\r", b"      ")  # digits stay
+
+
+def _read_square_table(text: str, cap: int) -> Optional[dict]:
+    """The group document with its "table" read by numpy, or None for any
+    document this read cannot decide; `json.loads` then reads it whole.
+
+    It decides an ASCII document whose last key is "table", written without
+    escapes and first in the text, with a square JSON matrix of integers in
+    [0, n) written without leading zeros as its value: the layout `to_json`
+    writes, the compact one, and any other JSON whitespace between tokens.
+    The rest of the document goes through `json.loads` with the matrix
+    replaced by `NaN`, which must be the one constant read and come back as
+    the value of "table", in objects without a duplicate key.  The row count
+    is then checked against `cap`, as `from_json_dict` checks it, before the
+    numbers are read.
+    """
+    key = text.find('"table"')
+    found = _TABLE_KEY.match(text, key) if key >= 0 and text.isascii() else None
+    end = text.rfind("]") + 1
+    if found is None or text[end:].strip(" \t\n\r") != "}":
+        return None
+    start = found.end() - 1
+    matrix = text[start:end].encode("ascii")
+    dense = matrix.translate(None, b" \t\n\r")
+    # With digits deleted, n rows of n slots leave (n + 1)^2 bytes.
+    skeleton = dense.translate(None, b"0123456789")
+    n = math.isqrt(len(skeleton)) - 1
+    if n < 1 or skeleton != b"[" + b",".join([b"[" + b"," * (n - 1) + b"]"] * n) + b"]":
+        return None
+    # No digit outside a slot, and one run of digits in each slot.
+    if not (dense.startswith(b"[[") and dense.endswith(b"]]")
+            and dense.count(b"],[") == n - 1):
+        return None
+    is_digit = np.subtract(np.frombuffer(dense, dtype=np.uint8), 48, dtype=np.uint8) < 10
+    if np.count_nonzero(is_digit[1:] > is_digit[:-1]) != n * n:
+        return None
+    digits = len(dense) - len(skeleton)
+    del dense, skeleton, is_digit  # freed before the numbers are read
+
+    placeholder = object()
+    read = []  # each constant read, and None for each duplicate key
+
+    def constant(token):
+        read.append(token)
+        return placeholder
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        read.extend([None] * (len(pairs) - len(obj)))
+        return obj
+
+    try:
+        data = json.loads(text[:start] + "NaN" + text[end:], parse_constant=constant,
+                          object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError):
+        return None
+    if read != ["NaN"] or not isinstance(data, dict) or data.get("table") is not placeholder:
+        return None
+    _check_cap(n, cap)
+
+    # numpy reads each run of digits between whitespace as one number, so n * n
+    # numbers means no whitespace inside one.  Numbers in [0, n) whose digits
+    # add up to the digits written had no leading zero and were not too long
+    # for int32 (numpy would wrap those).
+    cells = np.fromstring(matrix.translate(_CELLS_TO_WORDS), dtype=np.int32, sep=" ")
+    if cells.size != n * n or cells.min() < 0 or cells.max() >= n:
+        return None
+    if digits != n * n + sum(
+        int(np.count_nonzero(cells >= 10**k)) for k in range(1, len(str(n - 1)))
+    ):
+        return None
+    data["table"] = cells.reshape(n, n)
+    return data
 
 
 # --- the group itself ---
@@ -462,11 +552,14 @@ class FiniteGroup:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "FiniteGroup":
+    def from_json_dict(cls, data: dict, cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
         if not isinstance(data, dict):
             raise GroupValidationError(
                 f"group JSON must be an object, got {type(data).__name__}"
             )
+        rows = data.get("table")
+        if isinstance(rows, (list, np.ndarray)):  # before the n x n array is built
+            _check_cap(len(rows), cap)
         try:
             table = data["table"]
             identity = data["identity"]
@@ -485,8 +578,11 @@ class FiniteGroup:
         return group
 
     @classmethod
-    def from_json(cls, text: str) -> "FiniteGroup":
-        return cls.from_json_dict(json.loads(text))
+    def from_json(cls, text: str, cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
+        data = _read_square_table(text, cap)
+        if data is None:
+            data = json.loads(text)
+        return cls.from_json_dict(data, cap)
 
 
 class Subgroup:

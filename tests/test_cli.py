@@ -152,6 +152,14 @@ def test_malformed_group_files(tmp_path, capsys):
             assert "error" in err
 
 
+def test_deeply_nested_group_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"identity": 0, "table": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, "phi", "--group", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad group spec 'file:{path}': maximum recursion depth")
+
+
 def test_graph_dot_escapes_group_name_from_file(tmp_path, capsys):
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"name": 'a"b', "order": 2, "identity": 0,
@@ -202,6 +210,21 @@ def test_cap_exceeded_is_usage_error(capsys):
     assert code == 2 and "cap" in err
 
 
+def test_cap_bounds_file_groups(tmp_path, capsys):
+    # "table" last takes the numpy read, "table" first the json.loads read
+    data = gs.dihedral(8).to_json_dict()
+    table_first = {"table": data.pop("table"), **data}
+    for i, text in enumerate([gs.dihedral(8).to_json(), json.dumps(table_first)]):
+        path = tmp_path / f"d8-{i}.json"
+        path.write_text(text)
+        for argv in (["phi"], ["graph"], ["criterion"]):
+            code, out, err = run_cli(capsys, *argv, "--group", f"file:{path}", "--cap", "10")
+            assert (code, out) == (2, ""), (text[:20], argv)
+            assert err == "error: order 16 exceeds cap 10\n"
+        code, out, _ = run_cli(capsys, "phi", "--group", f"file:{path}", "--cap", "16")
+        assert (code, out) == (0, f"{gs.dihedral(8).phi()}\n")
+
+
 # --- verify-main ---
 
 
@@ -231,6 +254,14 @@ def test_verify_main_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["reports"][0]["n"] == 6
+
+
+def test_verify_main_jobs_below_one_is_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        for selector in (["--n", "4"], ["--range", "1..3"]):
+            code, out, err = run_cli(capsys, "verify-main", *selector, "--jobs", jobs)
+            assert (code, out) == (2, ""), (jobs, selector)
+            assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
 def test_verify_main_jobs_matches_serial(capsys):
@@ -479,6 +510,121 @@ def test_graph_out_file_matches_stdout(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and out == ""
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_GRAPH[("dicyclic:79", "json")]
+
+
+def compact_json(fields, cells):
+    """A group document in the compact layout: the keys in the order given,
+    the table's cells (their JSON text) joined by bare commas."""
+    table = "[" + ",".join("[" + ",".join(row) + "]" for row in cells) + "]"
+    members = [f"{json.dumps(k)}: {v}" for k, v in fields.items()]
+    return "{" + ", ".join(members + [f'"table": {table}']) + "}"
+
+
+def test_file_groups_print_the_bytes_of_their_specs(tmp_path, capsys):
+    # the wire format carries no element labels: a file group's DOT labels
+    # its nodes by index, which is the one difference from the spec's bytes
+    def index_labels(out):
+        return re.sub(r'^  (\d+) \[label="[^"\n]*"\];$', r'  \1 [label="\1"];', out,
+                      flags=re.M)
+
+    for n in range(1, 41):
+        for group in gs.catalog(n):
+            spec = group.name
+            cells = [[str(x) for x in row] for row in group.table.tolist()]
+            fields = {"name": json.dumps(spec), "order": str(n), "identity": str(group.identity)}
+            path = tmp_path / "group.json"
+            for text in (group.to_json(), compact_json(fields, cells)):
+                path.write_text(text)
+                for argv in (["graph", "--format", "dot"], ["graph", "--format", "json"],
+                             ["phi"]):
+                    code, out, err = run_cli(capsys, *argv, "--group", spec)
+                    expected = (code, index_labels(out), err)
+                    assert code == 0
+                    assert run_cli(capsys, *argv, "--group", f"file:{path}") == expected, (
+                        spec, argv, text[:30])
+
+
+MUTATIONS = ["swap", "identity", "order-bool", "order-float", "order-string", "missing",
+             "nested-cell", "nested-table", "huge-order", "leading-zero", "space-in-number",
+             "negative", "trailing-comma"]
+
+
+def test_fuzzed_invalid_group_files_exit_like_the_json_loads_read(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    groups = [g for n in range(1, 31) for g in gs.catalog(n)]
+
+    @st.composite
+    def invalid_files(draw):
+        """A relabelled catalog group in the to_json or compact layout, with
+        one drawn fault."""
+        group = draw(st.sampled_from(groups))
+        n = group.order
+        sigma = draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[sigma[i]][sigma[j]] = sigma[int(group.table[i, j])]
+        identity = sigma[group.identity]
+        fields = {"identity": str(identity), "name": json.dumps(group.name), "order": str(n)}
+        if draw(st.booleans()):
+            fields = {k: fields[k] for k in ("name", "order", "identity")}
+        cells = [[str(x) for x in row] for row in table]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kinds = MUTATIONS if n > 1 else [m for m in MUTATIONS if m != "swap"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "swap":
+            k = draw(st.sampled_from([k for k in range(n) if k != j]))
+            cells[i][j], cells[i][k] = cells[i][k], cells[i][j]
+        elif kind == "identity":
+            fields["identity"] = str(draw(st.sampled_from(
+                [e for e in range(n + 1) if e != identity])))
+        elif kind.startswith("order-"):
+            fields["order"] = {"order-bool": draw(st.sampled_from(["true", "false"])),
+                               "order-float": f"{n}.0", "order-string": f'"{n}"'}[kind]
+        elif kind == "missing":
+            del fields["identity"]
+        elif kind == "huge-order":
+            fields["order"] = str(n + 10**draw(st.integers(1, 40)))
+        elif kind == "negative":
+            cells[i][j] = str(-draw(st.integers(1, n)))
+        else:
+            cells[i][j] = {"nested-cell": f"[{cells[i][j]}]", "nested-table": cells[i][j],
+                           "leading-zero": "0" + cells[i][j],
+                           "space-in-number": cells[i][j] + " " + str(draw(st.integers(0, 9))),
+                           "trailing-comma": cells[i][j] + ","}[kind]
+        if kind == "trailing-comma":
+            cells[i].append(cells[i].pop(j))  # the comma ends the row
+        if draw(st.booleans()):
+            text = compact_json(fields, cells)
+        else:
+            rows = "[" + ", ".join("[" + ", ".join(row) + "]" for row in cells) + "]"
+            text = "{" + ", ".join([f'"{k}": {v}' for k, v in fields.items()]
+                                   + [f'"table": {rows}']) + "}"
+        if kind == "nested-table":
+            text = text.replace('"table": [', '"table": [[', 1)[:-1] + "]}"
+        if kind == "missing" and draw(st.booleans()):
+            text = text[:text.index(', "table"')] + "}"  # no table either
+        return kind, text
+
+    path = tmp_path / "bad.json"
+    spec = f"file:{path}"
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(invalid_files())
+    def check(drawn):
+        kind, text = drawn
+        path.write_text(text)
+        with pytest.raises(ValueError) as reference:
+            gs.FiniteGroup.from_json_dict(json.loads(text))
+        expected = f"error: bad group spec {spec!r}: {reference.value}\n"
+        for argv in (["phi"], ["graph"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run([*argv, "--group", spec])
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", expected), (kind, text)
+
+    check()
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

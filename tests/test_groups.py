@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from collections import Counter
 
@@ -844,3 +845,123 @@ def test_validation_matches_reference_on_drawn_tables():
         assert got == reference_validation(table, identity)
 
     check()
+
+
+# --- the JSON reader against the json.loads path ---
+
+
+def reference_from_json(text):
+    """The json.loads path, which `from_json` takes for any document its
+    numpy read does not decide: the reference the read must agree with."""
+    return gs.FiniteGroup.from_json_dict(json.loads(text))
+
+
+def outcome(read, text):
+    try:
+        group = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return group.name, group.order, group.identity, group.table.dtype, group.table.tolist()
+
+
+def write_group(fields, rng=None, cell_sep=", ", duplicate=None):
+    """A group document from (key, value) pairs in order: the layout
+    `to_json` writes (cell_sep ", ") or the compact one (cell_sep ","), or,
+    given a random.Random, with JSON whitespace drawn between all tokens.
+    `duplicate` is one more (key, value) pair written first."""
+
+    def space():
+        return "".join(rng.choice(" \t\n\r") for _ in range(rng.randrange(3))) if rng else ""
+
+    def value(v):
+        if isinstance(v, list):
+            sep = (space() + "," + space()) if rng else cell_sep
+            return "[" + space() + sep.join(value(x) for x in v) + space() + "]"
+        return json.dumps(v)
+
+    pairs = ([duplicate] if duplicate else []) + list(fields)
+    members = [f'{space()}{json.dumps(k)}{space()}:{space() or " "}{value(v)}{space()}'
+               for k, v in pairs]
+    return "{" + ("," if rng else ", ").join(members) + "}" + space()
+
+
+def test_numpy_read_takes_both_wire_layouts():
+    for n in (1, 2, 12, 60):
+        for group in gs.catalog(n):
+            data = group.to_json_dict()
+            compact = write_group(
+                [(k, data[k]) for k in ("name", "order", "identity", "table")], cell_sep=",")
+            for text in (group.to_json(), compact):
+                assert gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP) is not None
+                assert outcome(gs.FiniteGroup.from_json, text) == outcome(
+                    reference_from_json, text)
+
+
+def test_numpy_read_agrees_with_json_loads_on_drawn_documents():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    groups = [g for n in range(1, 61) for g in gs.catalog(n)]
+
+    @st.composite
+    def documents(draw):
+        group = draw(st.sampled_from(groups))
+        n = group.order
+        sigma = draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[sigma[i]][sigma[j]] = sigma[int(group.table[i, j])]
+        fields = {"name": group.name, "order": n, "identity": sigma[group.identity],
+                  "table": table}
+        keys = draw(st.sampled_from([
+            ["identity", "name", "order", "table"], ["name", "order", "identity", "table"],
+        ]) | st.permutations(sorted(fields)))
+        rng = random.Random(draw(st.integers(0, 2**32))) if draw(st.booleans()) else None
+        duplicate = draw(st.sampled_from([
+            None, ("name", "other"), ("identity", 0), ("table", [[0]]), ("order", 1),
+        ]))
+        return write_group([(k, fields[k]) for k in keys], rng,
+                           draw(st.sampled_from([", ", ","])), duplicate)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(documents())
+    def check(text):
+        assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text)
+
+    check()
+
+
+def test_numpy_read_leaves_undecided_documents_to_json_loads():
+    c11 = gs.cyclic(11)
+    good = c11.to_json()
+    row = ", ".join(map(str, c11.table[10].tolist()))  # "10, 0, 1, ..., 9"
+    assert good.count(row) == 1 and good.endswith(row + "]]}")
+    edits = {
+        "space in a number": ("[10, 0,", "[1 0, 0,"),
+        "leading zero": ("[10, 0,", "[010, 0,"),
+        "minus zero": ("[10, 0,", "[10, -0,"),
+        "minus one": ("[10, 0,", "[10, -1,"),
+        "fraction": ("[10, 0,", "[10, 0.0,"),
+        "exponent": ("[10, 0,", "[10, 0e0,"),
+        "bool": ("[10, 0, 1,", "[10, 0, true,"),
+        "empty slot": ("[10, 0,", "[10, , 0,"),
+        "trailing comma in a row": ("9]]}", "9,]]}"),
+        "trailing comma in the table": ("9]]}", "9],]}"),
+        "ragged rows": ("8, 9]]}", "8]]}"),
+        "nineteen digits": ("[10, 0,", "[1000000000000000010, 0,"),
+        "too long for int32": ("[10, 0,", "[4294967306, 0,"),
+        "non-ASCII name": ('"name": "cyclic:11"', '"name": "cyclic:١١"'),
+        "escaped key": ('"table"', '"t\\u0061ble"'),
+        "duplicate key": ('"table"', '"table": [[0]], "table"'),
+        "nested table": ("]]}", "]]]}"),
+        "two objects": ("]]}", "]]}}"),
+        "nan identity": ('"identity": 0', '"identity": NaN'),
+        "bad head": ('"identity": 0', '"identity": 0,'),
+    }
+    texts = {what: good.replace(old, new, 1) for what, (old, new) in edits.items()}
+    texts["table not last"] = good.replace('"identity": 0, ', "").replace(
+        "]]}", ']], "identity": 0}')
+    for what, text in texts.items():
+        assert text != good, what
+        assert gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP) is None, what
+        assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text), what
