@@ -26,6 +26,11 @@ cannot decide, goes through `json.loads` whole, the reference the tests
 compare the numpy read with.  Either way the row count is checked against
 the order cap before the n x n array is built.
 
+The constructions build int32 tables by index arithmetic: one rule,
+`_extension_table`, builds the cyclic, abelian, dihedral, dicyclic and
+cyclic-by-cyclic semidirect families, and the symmetric and alternating
+groups compose their sorted permutations with numpy.
+
 Groups are immutable after validation and safe to share across threads.
 A group fills a few private memos lazily, each on first use: its cyclic
 subgroups, each keyed by its smallest generator with its members ascending,
@@ -42,6 +47,7 @@ so sharing a group across threads stays safe.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -671,35 +677,62 @@ def is_cyclic(group: FiniteGroup) -> bool:
 # --- constructions ---
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; numpy integers pass, bools and non-integers raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _extension_table(a: int, b: int, r: int, c: int = 0, t_major: bool = True) -> np.ndarray:
+    """The int32 table of the n = a*b pairs (u, t) under
+    (u1, t1)(u2, t2) = (u1 + r^t1 u2 + c [t1 + t2 >= b] mod a, t1 + t2 mod b),
+    with (u, t) at index u + a*t when `t_major` and u*b + t otherwise.
+
+    The u-part is computed on the int32 axes (t1, u1, ., u2), or (u1, t1, u2, .),
+    and the t-part on (t1, t2), so only the final sum is n^2, unless a carry
+    c makes the u-part depend on t2.  No entry reaches a^2 + 2a, inside int32
+    for any a < 46000 (such a table would take 8 GiB).
+    """
+    u = np.arange(a, dtype=np.int32)
+    t = np.arange(b, dtype=np.int32)
+    r_pow = np.array([pow(r, k, a) for k in range(b)], dtype=np.int32)
+    if t_major:
+        t1, u1, t2, u2 = np.ix_(t, u, t, u)
+    else:
+        u1, t1, u2, t2 = np.ix_(u, t, u, t)
+    new_u = u1 + r_pow[t1] * u2
+    if c:
+        new_u = new_u + c * ((t1 + t2) // b)  # t1 + t2 < 2b: the carry is 0 or 1
+    new_u %= a
+    new_t = (t1 + t2) % b
+    table = new_u + a * new_t if t_major else new_u * b + new_t
+    return table.reshape(a * b, a * b)
+
+
 def cyclic(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """The cyclic group of order n, written additively on 0..n-1."""
+    n = _integer(n, "order")
     if n < 1:
         raise ValueError("order must be positive")
     _check_cap(n, cap)
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, 0, name=f"cyclic:{n}")
+    return FiniteGroup(_extension_table(n, 1, 1), 0, name=f"cyclic:{n}")
 
 
 def _combine_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Componentwise product table on pairs, indexed i1 * n2 + i2."""
-    n2 = t2.shape[0]
-    return (
-        t1[:, None, :, None].astype(np.int64) * n2 + t2[None, :, None, :]
-    ).reshape(t1.shape[0] * n2, t1.shape[0] * n2)
+    n = t1.shape[0] * t2.shape[0]
+    return (t1[:, None, :, None] * t2.shape[0] + t2[None, :, None, :]).reshape(n, n)
 
 
 def abelian(factors: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Direct product of cyclic groups C_d1 x C_d2 x ... """
-    factors = [int(d) for d in factors]
+    factors = [_integer(d, "factor") for d in factors]
     if not factors or any(d < 1 for d in factors):
         raise ValueError("need positive cyclic factors")
     n = math.prod(factors)
     _check_cap(n, cap)
-    table = np.zeros((1, 1), dtype=np.int64)
-    for d in factors:
-        idx = np.arange(d)
-        table = _combine_tables(table, (idx[:, None] + idx[None, :]) % d)
+    table = functools.reduce(_combine_tables, [_extension_table(d, 1, 1) for d in factors])
     name = "abelian:" + "x".join(str(d) for d in factors)
     labels = _pair_labels(factors)
     return FiniteGroup(table, 0, name=name, labels=labels)
@@ -720,72 +753,62 @@ def dihedral(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     Element r + m*s is rotation^r * flip^s; flips conjugate rotations to
     their inverses.
     """
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError("need m >= 1")
     _check_cap(2 * m, cap)
-    n = 2 * m
-    s1, r1, s2, r2 = np.ix_(np.arange(2), np.arange(m), np.arange(2), np.arange(m))
-    new_r = (r1 + (1 - 2 * s1) * r2) % m
-    table = (new_r + m * ((s1 + s2) % 2)).reshape(n, n)
     labels = [f"r{r}" for r in range(m)] + [f"sr{r}" for r in range(m)]
-    return FiniteGroup(table, 0, name=f"dihedral:{m}", labels=labels)
+    return FiniteGroup(_extension_table(m, 2, -1), 0, name=f"dihedral:{m}", labels=labels)
 
 
 def dicyclic(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """The dicyclic group of order 4m; dicyclic(2) is the quaternion group.
 
     Presentation a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1; element
-    r + 2m*s is a^r * b^s.
+    r + 2m*s is a^r * b^s.  Two b's meeting carry m into the exponent of a.
     """
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError("need m >= 1")
     _check_cap(4 * m, cap)
-    two_m = 2 * m
-    n = 4 * m
-    s1, r1, s2, r2 = np.ix_(np.arange(2), np.arange(two_m), np.arange(2), np.arange(two_m))
-    # b^2 = a^m: two b's meeting add m to the exponent of a
-    new_r = (r1 + (1 - 2 * s1) * r2 + m * s1 * s2) % two_m
-    table = (new_r + two_m * ((s1 + s2) % 2)).reshape(n, n)
-    labels = [f"a{r}" for r in range(two_m)] + [f"ba{r}" for r in range(two_m)]
-    return FiniteGroup(table, 0, name=f"dicyclic:{m}", labels=labels)
+    labels = [f"a{r}" for r in range(2 * m)] + [f"ba{r}" for r in range(2 * m)]
+    return FiniteGroup(_extension_table(2 * m, 2, -1, c=m), 0, name=f"dicyclic:{m}",
+                       labels=labels)
 
 
-def _perm_parity(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return inversions % 2
+def _perm_group(perms: np.ndarray, name: str, cap: int) -> FiniteGroup:
+    """The group of the rows of `perms`, permutations sorted lexicographically
+    with the identity first, under p*q = x -> p[q[x]].  Each product is coded
+    in base k, first column most significant, and found among the rows' codes."""
+    n, k = perms.shape
+    _check_cap(n, cap)
+    codes = np.zeros((n, n), dtype=np.int32)
+    for x in range(k):
+        codes *= k
+        codes += perms[:, perms[:, x]]  # [i, j] = p_i[p_j[x]]
+    keys = codes[:, 0]  # p_i * identity = p_i
+    labels = ["".join(map(str, p)) for p in perms.tolist()]
+    return FiniteGroup(np.searchsorted(keys, codes), 0, name=name, labels=labels)
 
 
-def _perm_group(perms: list[tuple[int, ...]], name: str, cap: int) -> FiniteGroup:
-    _check_cap(len(perms), cap)
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = [
-        [index[tuple(p[q[x]] for x in range(len(p)))] for q in perms]
-        for p in perms
-    ]
-    labels = ["".join(map(str, p)) for p in perms]
-    return FiniteGroup(table, index[tuple(range(len(perms[0])))], name=name, labels=labels)
+def _all_permutations(k: int) -> np.ndarray:
+    """The permutations of k points (1 <= k <= 6) as int8 rows, sorted."""
+    k = _integer(k, "k")
+    if not 1 <= k <= 6:
+        raise ValueError("supported for 1 <= k <= 6")
+    return np.array(list(_permutations(range(k))), dtype=np.int8)
 
 
 def symmetric(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """All permutations of k points (k <= 6)."""
-    if not 1 <= k <= 6:
-        raise ValueError("supported for 1 <= k <= 6")
-    perms = sorted(_permutations(range(k)))
-    return _perm_group(perms, f"sym:{k}", cap)
+    return _perm_group(_all_permutations(k), f"sym:{k}", cap)
 
 
 def alternating(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Even permutations of k points (k <= 6)."""
-    if not 1 <= k <= 6:
-        raise ValueError("supported for 1 <= k <= 6")
-    perms = sorted(p for p in _permutations(range(k)) if _perm_parity(p) == 0)
-    return _perm_group(perms, f"alt:{k}", cap)
+    perms = _all_permutations(k)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    return _perm_group(perms[inversions % 2 == 0], f"alt:{k}", cap)
 
 
 def direct_product(
@@ -804,16 +827,11 @@ def direct_product(
     product = FiniteGroup(
         table, identity, name=f"prod:{g1.name},{g2.name}", labels=labels
     )
-    orders1 = g1.element_orders()
-    orders2 = g2.element_orders()
-    orders = product.element_orders()
-    for i1 in range(g1.order):
-        for i2 in range(g2.order):
-            o1, o2 = orders1[i1], orders2[i2]
-            if orders[i1 * g2.order + i2] != o1 * o2 // math.gcd(o1, o2):
-                raise AssertionError(
-                    f"order law fails at ({i1},{i2}) in {product.name}"
-                )
+    expected = np.lcm.outer(g1.element_orders(), g2.element_orders())
+    failing = np.argwhere(np.reshape(product.element_orders(), expected.shape) != expected)
+    if failing.size:
+        i1, i2 = failing[0].tolist()  # the first in row-major order
+        raise AssertionError(f"order law fails at ({i1},{i2}) in {product.name}")
     return product
 
 
@@ -831,6 +849,8 @@ class SemidirectSpec:
     r: int
 
     def __post_init__(self):
+        for what in ("a", "b", "r"):  # numpy integers are held as ints
+            object.__setattr__(self, what, _integer(getattr(self, what), what))
         if self.a < 1 or self.b < 1:
             raise ValueError("need a, b >= 1")
         r = self.r % self.a if self.a > 1 else 1
@@ -855,19 +875,10 @@ def semidirect_cyclic(spec: SemidirectSpec, cap: int = DEFAULT_ORDER_CAP) -> Fin
     (u1, t1) * (u2, t2) = (u1 + r^t1 * u2 mod a, t1 + t2 mod b).
     """
     a, b = spec.a, spec.b
-    n = a * b
-    _check_cap(n, cap)
-    r_pow = np.ones(b, dtype=np.int64)
-    for t in range(1, b):
-        r_pow[t] = (r_pow[t - 1] * spec.r) % a if a > 1 else 0
-    u = np.arange(a, dtype=np.int64)
-    t = np.arange(b, dtype=np.int64)
-    u1, t1, u2, t2 = np.ix_(u, t, u, t)
-    new_u = (u1 + r_pow[t1] * u2) % a
-    new_t = (t1 + t2) % b
-    table = (new_u * b + new_t).reshape(n, n)
-    labels = [f"({uu},{tt})" for uu in range(a) for tt in range(b)]
-    return FiniteGroup(table, 0, name=f"sdp:{a}:{b}:{spec.r}", labels=labels)
+    _check_cap(a * b, cap)
+    labels = [f"({u},{t})" for u in range(a) for t in range(b)]
+    return FiniteGroup(_extension_table(a, b, spec.r, t_major=False), 0,
+                       name=f"sdp:{a}:{b}:{spec.r}", labels=labels)
 
 
 def enumerate_semidirect_units(a: int, b: int) -> list[int]:
@@ -875,6 +886,7 @@ def enumerate_semidirect_units(a: int, b: int) -> list[int]:
 
     Always contains r = 1; for a == 1 that is the only (trivial) action.
     """
+    a, b = _integer(a, "a"), _integer(b, "b")
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
     if a == 1:
@@ -935,6 +947,7 @@ def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
     This is catalog coverage, not a classification of all groups of
     order n.
     """
+    n = _integer(n, "order")
     if n < 1:
         raise ValueError("order must be positive")
     _check_cap(n, cap)

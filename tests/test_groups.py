@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -450,6 +452,138 @@ def test_dihedral_and_dicyclic_match_presentations():
                     s = s1 + s2
                 assert int(g.table[i, j]) == r + 2 * m * s, (m, i, j)
         assert g.labels == tuple([f"a{r}" for r in range(2 * m)] + [f"ba{r}" for r in range(2 * m)])
+
+
+def test_semidirect_products_match_presentation():
+    # every valid (a, b, r) with a*b <= 120, coprime or not; (u, t) sits at u*b + t
+    checked = 0
+    for a in range(1, 121):
+        for b in range(1, 120 // a + 1):
+            u, t = np.divmod(np.arange(a * b), b)
+            for r in gs.enumerate_semidirect_units(a, b):
+                g = gs.semidirect_cyclic(gs.SemidirectSpec(a, b, r))
+                r_pow = np.array([pow(r, k, a) for k in range(b)])
+                expected = ((u[:, None] + r_pow[t][:, None] * u[None, :]) % a) * b + (
+                    t[:, None] + t[None, :]) % b
+                assert np.array_equal(g.table, expected), g.name
+                assert g.identity == 0 and g.name == f"sdp:{a}:{b}:{r}"
+                assert g.labels == tuple(f"({x},{y})" for x in range(a) for y in range(b))
+                checked += 1
+    assert checked > 1000
+    assert not gs.semidirect_cyclic(gs.SemidirectSpec(8, 2, 3)).is_cyclic()  # non-coprime
+    # an r past int64 acts as r mod a
+    huge = gs.semidirect_cyclic(gs.SemidirectSpec(7, 3, 10**20 + 2))
+    assert np.array_equal(huge.table, gs.semidirect_cyclic(gs.SemidirectSpec(7, 3, 4)).table)
+
+
+def test_abelian_groups_match_componentwise_addition():
+    # digits of an index, first factor most significant, add componentwise
+    for n in range(1, 65):
+        for factors in gs.groups.abelian_invariant_factor_lists(n):
+            g = gs.abelian(factors)
+
+            def digits(i):
+                out = []
+                for d in reversed(factors):
+                    i, x = divmod(i, d)
+                    out.append(x)
+                return out[::-1]
+
+            def index(xs):
+                i = 0
+                for d, x in zip(factors, xs):
+                    i = i * d + x
+                return i
+
+            for i in range(n):
+                for j in range(n):
+                    total = [(x + y) % d for d, x, y in zip(factors, digits(i), digits(j))]
+                    assert int(g.table[i, j]) == index(total), (factors, i, j)
+            assert g.identity == 0 and g.name == "abelian:" + "x".join(map(str, factors))
+
+
+def test_permutation_groups_compose_tuples():
+    # table[i][j] is the index of p_i o p_j, x -> p_i[p_j[x]], among the
+    # lexicographically sorted permutations; the identity sorts first
+    for k in range(1, 6):
+        every = sorted(itertools.permutations(range(k)))
+        even = [p for p in every
+                if sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 0]
+        for g, perms in [(gs.symmetric(k), every), (gs.alternating(k), even)]:
+            index = {p: i for i, p in enumerate(perms)}
+            for i, p in enumerate(perms):
+                for j, q in enumerate(perms):
+                    assert int(g.table[i, j]) == index[tuple(p[q[x]] for x in range(k))]
+            assert g.identity == 0 and perms[0] == tuple(range(k))
+            assert g.labels == tuple("".join(map(str, p)) for p in perms)
+
+
+def test_direct_product_indexes_pairs_first_factor_major():
+    for g1, g2 in [(gs.symmetric(3), gs.cyclic(4)), (gs.dicyclic(2), gs.alternating(4)),
+                   (gs.cyclic(1), gs.dihedral(5)), (gs.abelian([2, 2]), gs.cyclic(1))]:
+        n2 = g2.order
+        prod = gs.direct_product(g1, g2)
+        for i in range(prod.order):
+            for j in range(prod.order):
+                (i1, i2), (j1, j2) = divmod(i, n2), divmod(j, n2)
+                expected = int(g1.table[i1, j1]) * n2 + int(g2.table[i2, j2])
+                assert int(prod.table[i, j]) == expected, (prod.name, i, j)
+        assert prod.identity == g1.identity * n2 + g2.identity
+        assert prod.labels == tuple(f"({x},{y})" for x in g1.labels for y in g2.labels)
+
+
+def test_direct_product_order_law_names_the_first_failure(monkeypatch):
+    element_orders = gs.FiniteGroup.element_orders
+
+    def corrupted(group):
+        orders = list(element_orders(group))
+        if group.name.startswith("prod:"):
+            orders[9] += 1  # (2, 1) with |C4| = 4
+            orders[5] += 1  # (1, 1), first in row-major order
+        return tuple(orders)
+
+    monkeypatch.setattr(gs.FiniteGroup, "element_orders", corrupted)
+    with pytest.raises(AssertionError, match=r"order law fails at \(1,1\) in prod:sym:3,cyclic:4"):
+        gs.direct_product(gs.symmetric(3), gs.cyclic(4))
+
+
+def test_integer_arguments_are_checked_at_the_boundary():
+    # ints and numpy integers are accepted; bools, floats and strings are not
+    bad = [2.5, 3.0, True, False, "3", None, np.float64(3.0), np.bool_(True)]
+    constructors = [
+        gs.cyclic, gs.dihedral, gs.dicyclic, gs.symmetric, gs.alternating, gs.catalog,
+        lambda x: gs.abelian([x, 2]), lambda x: gs.abelian([2, x]),
+        lambda x: gs.SemidirectSpec(x, 2, 1), lambda x: gs.SemidirectSpec(3, x, 1),
+        lambda x: gs.SemidirectSpec(7, 3, x),
+        lambda x: gs.enumerate_semidirect_units(x, 2),
+        lambda x: gs.enumerate_semidirect_units(3, x),
+    ]
+    for make in constructors:
+        for value in bad:
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(value)
+    assert gs.cyclic(np.int64(5)).name == "cyclic:5"
+    assert gs.abelian([np.int32(2), 2]).name == "abelian:2x2"
+    assert gs.dihedral(np.int16(3)).order == 6
+    assert gs.symmetric(np.uint8(3)).order == 6
+    assert gs.semidirect_cyclic(gs.SemidirectSpec(np.int64(7), 3, np.int8(2))).name == "sdp:7:3:2"
+    assert [g.name for g in gs.catalog(np.int64(4))] == ["cyclic:4", "abelian:2x2"]
+
+
+# sha256 over every catalog group of order 1..200 and sym/alt 1..6, in that
+# order: name, identity, labels and the table's int32 bytes
+PINNED_TABLES = "0dae6014e82c7113478e13d0a190bc49b5e2fb483c1f57be82f7407719eb0e3c"
+
+
+def test_constructed_tables_are_pinned():
+    groups = [g for n in range(1, 201) for g in gs.catalog(n)]
+    groups += [make(k) for k in range(1, 7) for make in (gs.symmetric, gs.alternating)]
+    digest = hashlib.sha256()
+    for g in groups:
+        digest.update(f"{g.name}\n{g.identity}\n{' '.join(g.labels)}\n".encode())
+        digest.update(g.table.astype("<i4").tobytes())
+    assert len(groups) == 1339
+    assert digest.hexdigest() == PINNED_TABLES
 
 
 def test_dicyclic_is_quaternion_at_two():
