@@ -128,8 +128,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -223,11 +226,11 @@ def _cmd_verify_main(args) -> int:
         raise SpecError("verify-main needs exactly one of --n or --range")
     if args.jobs < 1:
         raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.n is not None:
-        ns = [args.n]
-    else:
-        lo, hi = _parse_range(args.range_)
-        ns = list(range(lo, hi + 1))
+    lo, hi = (args.n, args.n) if args.n is not None else _parse_range(args.range_)
+    ns = range(lo, hi + 1)
+    # checked before any order is verified; an order below 1 fails first, in verify_main
+    if lo >= 1 and hi > args.cap:
+        raise OrderCapError(max(lo, args.cap + 1), args.cap)
     worker = partial(verify.verify_main, cap=args.cap)
     jobs = min(args.jobs, os.cpu_count() or 1, len(ns))
     if jobs > 1:

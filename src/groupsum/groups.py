@@ -32,17 +32,19 @@ cyclic-by-cyclic semidirect families, and the symmetric and alternating
 groups compose their sorted permutations with numpy.
 
 Groups are immutable after validation and safe to share across threads.
-A group fills a few private memos lazily, each on first use: its cyclic
-subgroups, each keyed by its smallest generator with its members ascending,
-and with them the element orders; the inverses; the totient of each element
-order; and, per prime q dividing the order, one Sylow q-subgroup P with its
-normalizer N(P).  The cyclic subgroups are found in one pass that walks each
-of them once, from its smallest generator, and the element orders, the power
-graph and the witness check all read that pass.  Later queries (`phi`,
-`sylow_subgroup`, `count_sylow`, `normalizer` and `is_normal` on that P)
-read the memo instead of recomputing.  Filling a memo is idempotent: two
-threads that race on one compute equal values, and either write may stand,
-so sharing a group across threads stays safe.
+The inverses are not a memo: the inverse check finds each element's inverse
+as the column of the identity in its row, and the group keeps that read-only
+array from construction on.  A group fills a few private memos lazily, each
+on first use: its cyclic subgroups, each keyed by its smallest generator
+with its members ascending, and with them the element orders; the totient
+of each element order; and, per prime q dividing the order, one Sylow
+q-subgroup P with its normalizer N(P).  The cyclic subgroups are found in
+one pass that walks each of them once, from its smallest generator, and the
+element orders, the power graph and the witness check all read that pass.
+Later queries (`phi`, `sylow_subgroup`, `count_sylow`, `normalizer` and
+`is_normal` on that P) read the memo instead of recomputing.  Filling a memo
+is idempotent: two threads that race on one compute equal values, and either
+write may stand, so sharing a group across threads stays safe.
 """
 
 from __future__ import annotations
@@ -161,8 +163,9 @@ def _member_mask(order: int, members: Sequence[int]) -> np.ndarray:
     return inside
 
 
-def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
-    """Check the group axioms and return the table narrowed to int32.
+def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check the group axioms and return the table narrowed to int32, with
+    the inverse table that the inverse check finds.
     Entries are range-checked before narrowing, so none can wrap into range."""
     if raw.ndim != 2 or raw.shape[0] == 0 or raw.shape[0] != raw.shape[1]:
         raise GroupValidationError(f"table must be a nonempty square, got shape {raw.shape}")
@@ -187,7 +190,9 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
         raise NoIdentityError(identity, witness)
 
     is_identity = arr == identity
-    missing = np.flatnonzero(~(is_identity.any(axis=1) & is_identity.any(axis=0)))
+    inverses = np.argmax(is_identity, axis=1)  # x * inverses[x] = identity, if any y has it
+    missing = np.flatnonzero(~(is_identity[idx, inverses] & is_identity.any(axis=0)))
+    del is_identity  # freed before the translation test
     if missing.size:
         raise NoInverseError(int(missing[0]))
 
@@ -210,7 +215,7 @@ def _validate_table(raw: np.ndarray, identity: int) -> np.ndarray:
             raise NotAssociativeError(x, g, y)
         closed = _closure_of(arr, closed, gens, g)
         gens.append(g)
-    return arr
+    return arr, inverses
 
 
 # --- reading the JSON wire format ---
@@ -317,7 +322,7 @@ class FiniteGroup:
             raise GroupValidationError(
                 "table must be a nonempty square, got rows of unequal length"
             ) from exc
-        arr = _validate_table(raw, identity)
+        arr, inverses = _validate_table(raw, identity)
         if not isinstance(table, np.ndarray):
             # numpy reads a list that mixes ints and bools as integers, so a
             # bool can only have become a cell holding 0 or 1: 2n cells of a group
@@ -327,7 +332,9 @@ class FiniteGroup:
                         f"table entries must be integers, got a bool at [{i}][{j}]"
                     )
         arr.flags.writeable = False
+        inverses.flags.writeable = False
         self._table = arr
+        self._inverses = inverses
         self.identity = identity
         self.name = name
         n = arr.shape[0]
@@ -340,7 +347,6 @@ class FiniteGroup:
         # _cyclic_classes fills both; see there for (key, powers)
         self._orders: Optional[tuple[int, ...]] = None
         self._classes: Optional[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = None
-        self._inverses: Optional[np.ndarray] = None
         self._totients: Optional[dict[int, int]] = None
         self._sylow: dict[int, tuple[Subgroup, Subgroup]] = {}  # q -> (P, N(P))
 
@@ -363,14 +369,9 @@ class FiniteGroup:
         if not (0 <= g < self.order):
             raise IndexError(f"element index {g} out of range for order {self.order}")
 
-    def _inverse_array(self) -> np.ndarray:
-        if self._inverses is None:
-            self._inverses = np.argmax(self._table == self.identity, axis=1)
-        return self._inverses
-
     def inverse(self, g: int) -> int:
         self._check_index(g)
-        return int(self._inverse_array()[g])
+        return int(self._inverses[g])
 
     def element_order(self, g: int) -> int:
         """Smallest m >= 1 with g^m = identity; divides the group order."""
@@ -458,7 +459,7 @@ class FiniteGroup:
         """Membership mask of N(H), for H given by its membership mask."""
         t = self._table
         members = np.flatnonzero(inside)
-        conjugates = t[t[:, members], self._inverse_array()[:, None]]  # [g, k] = g h_k g^-1
+        conjugates = t[t[:, members], self._inverses[:, None]]  # [g, k] = g h_k g^-1
         return inside[conjugates].all(axis=1)
 
     def is_normal(self, sub: "Subgroup") -> bool:
@@ -493,12 +494,7 @@ class FiniteGroup:
         pair = self._sylow.get(q)
         if pair is not None:
             return pair
-        n = self.order
-        q_part = 1
-        m = n
-        while m % q == 0:
-            q_part *= q
-            m //= q
+        q_part = q ** dict(numtheory.factorize(self.order).factors)[q]
         orders = np.asarray(self.element_orders())
         q_elements = q_part % orders == 0  # orders divide n, so these are the q-powers
         seed = int(np.argmax(np.where(q_elements, orders, 0)))

@@ -279,11 +279,7 @@ def factorization_from_spf(n: int, spf: list[int]) -> Factorization:
 
 def divisors(n: IntLike) -> list[int]:
     """All positive divisors of n, ascending."""
-    fact = _coerce(n)
-    divs = [1]
-    for p, a in fact.factors:
-        divs = [d * p**j for d in divs for j in range(a + 1)]
-    return sorted(divs)
+    return sorted(d for d, _ in _divisor_totients(_coerce(n)))
 
 
 # --- totients ---

@@ -21,7 +21,6 @@ from bisect import bisect_left
 from collections import Counter
 from typing import FrozenSet, Iterator, Sequence, Tuple
 
-from . import numtheory
 from .groups import FiniteGroup
 
 Edge = Tuple[int, int]
@@ -112,7 +111,7 @@ def undirected_degree(graph: PowerGraph, g: int) -> int:
     if not 0 <= g < graph.group.order:
         raise IndexError(f"element index {g} out of range")
     degree = graph.key.count(graph.key[g]) - 1
-    expected = numtheory.totient(graph.group.element_order(g)) - 1
+    expected = graph.group.order_totients()[graph.group.element_order(g)] - 1
     if degree != expected:
         raise AssertionError(
             f"{graph.group.name}: degree of {g} is {degree}, expected {expected}"

@@ -294,7 +294,7 @@ def verify_contrapositive(group: FiniteGroup) -> Verdict:
     )
 
 
-def criterion_sweep(max_order: int, cap: int = DEFAULT_ORDER_CAP) -> dict[str, Verdict]:
+def criterion_sweep(max_order: int) -> dict[str, Verdict]:
     """Run the criterion and its contrapositive over every catalog group of
     order up to max_order; aggregate first failures."""
     checked = 0
@@ -302,7 +302,7 @@ def criterion_sweep(max_order: int, cap: int = DEFAULT_ORDER_CAP) -> dict[str, V
     first_bad: Optional[dict] = None
     first_bad_contra: Optional[dict] = None
     for n in range(1, max_order + 1):
-        for group in catalog(n, cap):
+        for group in catalog(n):
             checked += 1
             verdict, outcomes = verify_criterion(group)
             witnesses_seen += len(outcomes)
@@ -330,14 +330,12 @@ def criterion_sweep(max_order: int, cap: int = DEFAULT_ORDER_CAP) -> dict[str, V
 # --- product lemmas ---
 
 
-def verify_product_lemmas(
-    u: FiniteGroup, t: FiniteGroup, cap: int = DEFAULT_ORDER_CAP
-) -> Verdict:
+def verify_product_lemmas(u: FiniteGroup, t: FiniteGroup) -> Verdict:
     """Totient sum of a direct product is at most the product of totient
     sums, with equality under any of: coprime orders, first factor an
     elementary abelian 2-group, or gcd of orders 2 with the first factor's
     order twice an odd number."""
-    product = direct_product(u, t, cap)
+    product = direct_product(u, t)
     phi_u, phi_t, phi_g = u.phi(), t.phi(), product.phi()
     bound = phi_u * phi_t
     gcd_orders = math.gcd(u.order, t.order)
@@ -360,27 +358,26 @@ def verify_product_lemmas(
     )
 
 
-def verify_semidirect_lemmas(
-    spec: SemidirectSpec, cap: int = DEFAULT_ORDER_CAP
-) -> dict[str, Verdict]:
+def verify_semidirect_lemmas(spec: SemidirectSpec) -> dict[str, Verdict]:
     """For coprime a, b: element orders in the twisted product divide the
     orders of the same pairs in the direct product; totient sums satisfy
     phi(twisted) <= phi(direct); equality exactly when the action is
     trivial."""
     if not spec.coprime:
         raise ValueError(f"need coprime a, b; got a={spec.a}, b={spec.b}")
-    twisted = semidirect_cyclic(spec, cap)
-    straight = direct_product(cyclic(spec.a, cap), cyclic(spec.b, cap), cap)
+    twisted = semidirect_cyclic(spec)
+    straight = direct_product(cyclic(spec.a), cyclic(spec.b))
     orders_g = twisted.element_orders()
     orders_h = straight.element_orders()
-    tot = numtheory.totient_table(orders_g + orders_h)
+    tot_g = twisted.order_totients()
+    tot_h = straight.order_totients()
 
     divide_bad = next(
         (
             i
             for i in range(twisted.order)
             if orders_h[i] % orders_g[i] != 0
-            or tot[orders_h[i]] % tot[orders_g[i]] != 0
+            or tot_h[orders_h[i]] % tot_g[orders_g[i]] != 0
         ),
         None,
     )
@@ -392,8 +389,8 @@ def verify_semidirect_lemmas(
             None if divide_bad is None else {"group": twisted.name, "pair": divide_bad},
         )
     }
-    phi_g = sum(tot[o] for o in orders_g)
-    phi_h = sum(tot[o] for o in orders_h)
+    phi_g = twisted.phi()
+    phi_h = straight.phi()
     verdicts["cor-3.3"] = Verdict(
         "cor-3.3",
         phi_g <= phi_h,
@@ -411,9 +408,7 @@ def verify_semidirect_lemmas(
     return verdicts
 
 
-def semidirect_sweep(
-    max_product: int, cap: int = DEFAULT_ORDER_CAP
-) -> dict[str, Verdict]:
+def semidirect_sweep(max_product: int) -> dict[str, Verdict]:
     """All coprime a, b >= 2 with a*b <= max_product, every valid action."""
     merged: dict[str, Verdict] = {}
     checked = 0
@@ -423,9 +418,7 @@ def semidirect_sweep(
                 continue
             for r in enumerate_semidirect_units(a, b):
                 checked += 1
-                for key, verdict in verify_semidirect_lemmas(
-                    SemidirectSpec(a, b, r), cap
-                ).items():
+                for key, verdict in verify_semidirect_lemmas(SemidirectSpec(a, b, r)).items():
                     if key not in merged:
                         merged[key] = Verdict(key, True, "")
                     if not verdict.passed and merged[key].passed:
@@ -528,14 +521,6 @@ class Table2Verdict:
         }
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def table2_spot_check() -> dict[str, Table2Verdict]:
     """Instantiate every exceptional case at its minimal exponents and
     compare n / phi(order(g)) against Q exactly.
@@ -549,26 +534,22 @@ def table2_spot_check() -> dict[str, Table2Verdict]:
     for case in TABLE2_CASES:
         primes = numtheory.first_primes(case.k)
         overrides = dict(case.overrides)
-        exponents = []
-        for i, p in enumerate(primes, start=1):
-            exponents.append(max(1, _valuation(case.quotient, p), overrides.get(i, 1)))
+        in_quotient = dict(numtheory.factorize(case.quotient).factors)
+        exponents = [
+            max(1, in_quotient.get(p, 0), overrides.get(i, 1))
+            for i, p in enumerate(primes, start=1)
+        ]
         n = math.prod(p**a for p, a in zip(primes, exponents))
         if n % case.quotient != 0:
             raise AssertionError(f"{case.row_id}: quotient does not divide n")
         witness_order = n // case.quotient
-        order_factors = tuple(
-            (p, a - _valuation(case.quotient, p))
-            for p, a in zip(primes, exponents)
-            if a - _valuation(case.quotient, p) > 0
-        )
-        order_fact = numtheory.Factorization(witness_order, order_factors)
         if witness_order % 2 == 0:
             raise AssertionError(f"{case.row_id}: witness order must be odd")
         if witness_order % primes[-1] ** exponents[-1] != 0:
             raise AssertionError(
                 f"{case.row_id}: witness order must absorb the largest prime power"
             )
-        phi_order = numtheory.totient(order_fact)
+        phi_order = numtheory.totient(witness_order)
         ratio = Fraction(n, phi_order)
         q = numtheory.q_of_primes(primes)
         if case.relation == "=":

@@ -90,6 +90,15 @@ def test_graph_to_file(tmp_path, capsys):
     assert "digraph" in path.read_text()
 
 
+def test_out_to_a_path_that_cannot_be_written_is_usage_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "x.txt"):
+        for argv in (["q", "--n", "5"], ["graph", "--group", "cyclic:3"]):
+            code, out, err = run_cli(capsys, *argv, "--out", str(path))
+            assert (code, out) == (2, ""), (argv, path)
+            assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- group specs ---
 
 
@@ -671,6 +680,36 @@ def test_empty_range_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify-main", "--range", "5..3")
     assert code == 2 and out == ""
     assert "error" in err
+
+
+def test_verify_main_rejects_orders_above_cap_before_any_work(monkeypatch, capsys):
+    calls = []
+
+    def no_work(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before the cap check")
+        return record
+
+    monkeypatch.setattr(gs.verify, "catalog", no_work("catalog"))
+    monkeypatch.setattr(gs.numtheory, "factorize", no_work("factorize"))
+    for argv, order, cap in [
+        (["--n", "1000000000000000000000007"], 1000000000000000000000007, 2000),
+        (["--range", "1999..2001"], 2001, 2000),
+        (["--range", "5..9", "--cap", "6"], 7, 6),
+        (["--n", "1", "--cap", "0"], 1, 0),
+        (["--range", "1..1000000000000", "--jobs", "2"], 2001, 2000),
+    ]:
+        code, out, err = run_cli(capsys, "verify-main", *argv)
+        assert (code, out, err) == (2, "", f"error: order {order} exceeds cap {cap}\n"), argv
+    assert calls == []
+
+
+def test_verify_main_orders_below_one_keep_their_error(capsys):
+    for argv, order in [(["--n", "0"], 0), (["--range=-2..5000"], -2),
+                        (["--range", "0..3", "--cap", "0"], 0)]:
+        code, out, err = run_cli(capsys, "verify-main", *argv)
+        assert (code, out, err) == (2, "", f"error: cannot factor {order}: need n >= 1\n"), argv
 
 
 def test_python_dash_m_groupsum():

@@ -174,6 +174,36 @@ def test_table_is_read_only():
     assert g.table.dtype == np.int32 and g.table.tolist()[1] == [1, 2, 3, 0]
 
 
+def relabel(base, sigma):
+    # the table of `base` with element i renamed sigma[i]
+    s = np.asarray(sigma)
+    table = np.empty_like(base.table)
+    table[np.ix_(s, s)] = s[base.table]
+    return gs.from_cayley(table, int(s[base.identity]))
+
+
+def test_inverse_is_a_two_sided_inverse_stored_read_only():
+    rng = random.Random(4242)
+    groups = small_groups()
+    for base in small_groups():
+        sigma = list(range(base.order))
+        while sigma[base.identity] == 0:  # the identity away from index 0
+            rng.shuffle(sigma)
+        groups.append(relabel(base, sigma))
+    for group in groups:
+        t, e, n = group.table, group.identity, group.order
+        for g in range(n):
+            h = group.inverse(g)
+            assert t[g, h] == t[h, g] == e, (group.name, e, g)
+        assert sorted(group.inverse(g) for g in range(n)) == list(range(n))
+        assert not group._inverses.flags.writeable
+        with pytest.raises(ValueError):
+            group._inverses[0] = 1
+        for bad in (-1, n):
+            with pytest.raises(IndexError):
+                group.inverse(bad)
+
+
 def test_caller_table_is_not_aliased():
     idx = np.arange(5)
     raw = ((idx[:, None] + idx[None, :]) % 5).astype(np.int32)
