@@ -16,6 +16,9 @@ grown by `_closure_of`, as is every subgroup, Sylow subgroups included:
 one right coset H*r at a time (Dimino's algorithm), or, from the trivial
 group, one walk down a column.  A `Subgroup` is its read-only membership
 mask, built once when it is validated; its members are the mask's indices.
+The normalizer N(H) is found by conjugating a generating set of H by every
+element, one gather of n x |gens| cells: the Sylow search passes the
+generators it grew H from, and `normalizer` passes H's members.
 
 `FiniteGroup.from_json` reads a document whose last key is "table" and whose
 table is a square matrix of integers in [0, n), in the layout `to_json`
@@ -447,19 +450,22 @@ class FiniteGroup:
         return Subgroup(self, (self.identity,))
 
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
-        """Elements g with g * sub * g^-1 == sub.  For a Sylow subgroup that
-        `sylow_subgroup` returned, this is its stored normalizer."""
+        """Elements g with g * sub * g^-1 == sub, found by conjugating sub's
+        members, the one generating set known here.  For a Sylow subgroup
+        that `sylow_subgroup` returned, this is its stored normalizer."""
         self._own(sub)
         for p_subgroup, normalizer in self._sylow.values():
             if sub == p_subgroup:
                 return normalizer
-        return Subgroup(self, np.flatnonzero(self._normalizer_mask(sub.mask)))
+        return Subgroup(self, np.flatnonzero(self._normalizer_mask(sub.mask, sub.members)))
 
-    def _normalizer_mask(self, inside: np.ndarray) -> np.ndarray:
-        """Membership mask of N(H), for H given by its membership mask."""
+    def _normalizer_mask(self, inside: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+        """Membership mask of N(H), for H given by its membership mask and
+        elements `gens` that generate it.  Conjugation by g is an
+        automorphism, so g * gens * g^-1 inside H gives g * H * g^-1 inside
+        H, and equal orders make them equal: n * len(gens) cells, not n * |H|."""
         t = self._table
-        members = np.flatnonzero(inside)
-        conjugates = t[t[:, members], self._inverses[:, None]]  # [g, k] = g h_k g^-1
+        conjugates = t[t[:, gens], self._inverses[:, None]]  # [g, k] = g h_k g^-1
         return inside[conjugates].all(axis=1)
 
     def is_normal(self, sub: "Subgroup") -> bool:
@@ -490,7 +496,11 @@ class FiniteGroup:
         return self._sylow_pair(q)[0]
 
     def _sylow_pair(self, q: int) -> tuple["Subgroup", "Subgroup"]:
-        """(P, N(P)) for the Sylow q-subgroup P; q is a prime dividing the order."""
+        """(P, N(P)) for the Sylow q-subgroup P; q is a prime dividing the order.
+
+        `gens` holds the seed and each growth element, so it generates the
+        current q-subgroup, and each N(H) is found by conjugating those few
+        generators rather than every member of H."""
         pair = self._sylow.get(q)
         if pair is not None:
             return pair
@@ -503,7 +513,7 @@ class FiniteGroup:
         inside = seed_subgroup.mask
         gens = [seed]
         size = int(np.count_nonzero(inside))
-        normalizer_mask = self._normalizer_mask(inside)
+        normalizer_mask = self._normalizer_mask(inside, gens)
         while size < q_part:
             outside = np.flatnonzero(normalizer_mask & q_elements & ~inside)
             if not outside.size:
@@ -515,7 +525,7 @@ class FiniteGroup:
             if not (grown_size > size and q_part % grown_size == 0):
                 raise AssertionError("Sylow growth produced a non-q-subgroup")
             size = grown_size
-            normalizer_mask = self._normalizer_mask(inside)
+            normalizer_mask = self._normalizer_mask(inside, gens)
         # with no growth step, <seed> is P and is validated already
         p_subgroup = seed_subgroup if len(gens) == 1 else Subgroup(self, np.flatnonzero(inside))
         pair = (p_subgroup, Subgroup(self, np.flatnonzero(normalizer_mask)))

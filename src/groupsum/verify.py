@@ -22,6 +22,7 @@ from . import numtheory, powergraph
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
+    OrderCapError,
     SemidirectSpec,
     catalog,
     cyclic,
@@ -104,6 +105,8 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     """Check, over the whole catalog of order n, that the cyclic group
     maximizes the totient sum (equality exactly on cyclic entries) and
     therefore the undirected edge count of the directed power graph."""
+    if n > cap and n >= 1:  # before factoring n; an order below 1 fails there
+        raise OrderCapError(n, cap)
     phi_cn = numtheory.phi_cyclic_sum(n)
     q = numtheory.q_of(n)
     rows = []

@@ -356,6 +356,13 @@ PINNED_CRITERION_JSON = {
     "prod:cyclic:3,sym:3": "b57621c1b02be75484260bff10487ba2f91a27c3f0917a163ec5bf49c633ed59",
     "sdp:7:3:2": "600f5bcc9feca02a57a76a144bde833c6bf0a7f3141a25bf0043a9421f5251d0",
     "cyclic:64": "d6fcd87a3028a595e473fa8c115ae70c54c5bc104965d9010bfb8155d1fdd005",
+    # large prime-power Sylow cases, recorded before normalizers were found
+    # by conjugating a subgroup's generators instead of all its members
+    "dihedral:256": "e0c296310ed6edacdb63c55590f1e8246ddf2f5f41f0f73e40d0a648f865c109",
+    "dicyclic:128": "b4b56f5894ad0373288a18248ef1f78918bd8cbbab7f141f0a47c5d330cff0d9",
+    "abelian:2x2x2x2x2x2x2x2x2": "b5346422038797cd8d014ab2975b8970a1b562464349f7cc207aeacc56375ab6",
+    "sdp:243:2:242": "989b98365837f9bea69bafccee5a732cb3d913be10aa4661728fb02bd0858c2c",
+    "cyclic:512": "c63f36013cdd9a8dc8d3eb8f2f89a2d2645112e3cfbe07b4ab9f2e5eea9425a1",
 }
 # sha256 of `criterion` text stdout for the same specs, recorded before each
 # group kept its Sylow subgroup and normalizer in a memo.
@@ -368,6 +375,12 @@ PINNED_CRITERION_TEXT = {
     "prod:cyclic:3,sym:3": "29a27302578625af3fffcda87d7574cf9ef1983cd0817c10411a7c1f5530d590",
     "sdp:7:3:2": "1b21d1413ee424626fe464a164aa50b20c17563220bdf961650eef81e9e4f8e7",
     "cyclic:64": "0e9c247ebf1df2e0a6c0d5612e0a7165507b510d91bb8e05f7e1f7e7a8f394e1",
+    # recorded with the large JSON cases above
+    "dihedral:256": "14e3089a713198f3c54f361fc4de428b7df4f29c3d7700b6dd247b5c32e9bbf9",
+    "dicyclic:128": "949be5010cfcf3670afd4a1003829363a75a76d6d428a08f6652dc009c4683f7",
+    "abelian:2x2x2x2x2x2x2x2x2": "6f3570ba1558d75c69e9da6c21703211a1b1d106e1ce1ccea7ed665f11f2cecc",
+    "sdp:243:2:242": "b5fd40e1ee10e1e45fa97e2fcf284a307c15944c8fe44c94a2073ea838707979",
+    "cyclic:512": "16211d69533f22afe336fc282e64e56ca8d5bbd596a95fa2fc3293fafcfd16cd",
 }
 PINNED_VERIFY_MAIN_CSV_1_100 = "8cbdb236f25ea8daa5527e64855e4d21c0a58ed4f1ca451b5b2ad1bf520f59cb"
 # recorded before table validation grew its closures incrementally

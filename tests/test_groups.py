@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import groupsum as gs
+from groupsum import cli
 from groupsum import numtheory as nt
 from groupsum import verify
 
@@ -337,6 +338,79 @@ def test_normalizer_and_is_normal_match_naive_conjugation():
             expected = naive_normalizer(group, sub.members)
             assert set(group.normalizer(sub)) == expected, (group.name, sub.members)
             assert group.is_normal(sub) == (len(expected) == group.order), (group.name, sub.members)
+
+
+def members_normalizer_mask(group, inside):
+    # the all-members conjugation: every element against every member of H
+    t = group.table
+    members = np.flatnonzero(inside)
+    inverse = np.nonzero(t == group.identity)[1]  # one identity per row
+    return inside[t[t[:, members], inverse[:, None]]].all(axis=1)
+
+
+def recorded_normalizer_masks(monkeypatch):
+    # every (group, H's mask, gens, N(H)'s mask) the Sylow search computes
+    calls = []
+    real = gs.FiniteGroup._normalizer_mask
+
+    def record(self, inside, gens):
+        mask = real(self, inside, gens)
+        calls.append((self, inside.copy(), list(gens), mask))
+        return mask
+
+    monkeypatch.setattr(gs.FiniteGroup, "_normalizer_mask", record)
+    return calls
+
+
+def test_generator_normalizer_matches_all_members_on_every_sylow_step(monkeypatch):
+    calls = recorded_normalizer_masks(monkeypatch)
+    pairs = 0
+    for n in range(2, 61):
+        for group in gs.catalog(n):
+            for q, _ in nt.factorize(n).factors:
+                sylow, normalizer = group._sylow_pair(q)
+                assert set(normalizer) == naive_normalizer(group, sylow.members), (group.name, q)
+                pairs += 1
+    assert pairs and len(calls) >= pairs
+    for group, inside, gens, mask in calls:
+        assert naive_closure(group, gens) == set(np.flatnonzero(inside).tolist()), group.name
+        assert np.array_equal(mask, members_normalizer_mask(group, inside)), (group.name, gens)
+
+
+@pytest.mark.parametrize(
+    "spec", ["dihedral:256", "dicyclic:128", "abelian:2x2x2x2x2x2x2x2x2", "cyclic:512"]
+)
+def test_generator_normalizer_matches_all_members_on_large_prime_powers(monkeypatch, spec):
+    group = cli.parse_group_spec(spec)
+    calls = recorded_normalizer_masks(monkeypatch)
+    group._sylow_pair(2)
+    assert calls
+    for _, inside, gens, mask in calls:
+        assert np.array_equal(group.generated_subgroup(gens).mask, inside), (spec, gens)
+        assert np.array_equal(mask, members_normalizer_mask(group, inside)), (spec, gens)
+
+
+def test_generator_normalizer_matches_all_members_on_drawn_generators():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    groups = small_groups()
+
+    @st.composite
+    def generated(draw):
+        group = draw(st.sampled_from(groups))
+        gens = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3))
+        return group, gens
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(generated())
+    def check(drawn):
+        group, gens = drawn
+        sub = group.generated_subgroup(gens)
+        mask = group._normalizer_mask(sub.mask, gens)
+        assert np.array_equal(mask, members_normalizer_mask(group, sub.mask))
+        assert set(np.flatnonzero(mask).tolist()) == naive_normalizer(group, sub.members)
+
+    check()
 
 
 def test_subgroup_mask_is_read_only_and_matches_members():

@@ -114,6 +114,21 @@ def test_contrapositive_vacuous_cases():
     assert verify.verify_contrapositive(gs.cyclic(1)).passed
 
 
+def test_verify_main_checks_the_cap_before_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) ran before the cap check")
+
+    monkeypatch.setattr(gs.numtheory, "factorize", no_factoring)
+    for n, cap in [(3000000000130000000000507, gs.DEFAULT_ORDER_CAP), (7, 6), (1, 0)]:
+        with pytest.raises(gs.OrderCapError, match=f"order {n} exceeds cap {cap}"):
+            verify.verify_main(n, cap)
+    monkeypatch.undo()
+    for n in (0, -5):  # an order below 1 keeps the factorization's error, whatever the cap
+        for cap in (gs.DEFAULT_ORDER_CAP, -10):
+            with pytest.raises(ValueError, match=f"cannot factor {n}: need n >= 1"):
+                verify.verify_main(n, cap)
+
+
 def test_criterion_builds_each_sylow_subgroup_once(monkeypatch):
     # P and N(P) are built by the first run and read back from the group
     for spec in ("cyclic:64", "dihedral:21", "sdp:7:3:2"):
