@@ -12,7 +12,8 @@ fails (a counterexample is printed), 2 on usage errors.
 `run(argv)` may be called many times in one process. It builds the
 argument parser once, on the first call, and reuses it on every later call:
 argparse returns a fresh namespace from every parse and parsing leaves the
-parser unchanged.
+parser unchanged. Each command returns its text and exit status, and `run`
+writes the text once, to stdout or to `--out`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import re
 import sys
 from functools import partial
+from itertools import islice
 
 from . import numtheory, powergraph, verify
 from .groups import (
@@ -83,8 +85,17 @@ def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                 parse_group_spec(left, cap), parse_group_spec(right, cap), cap
             )
         if kind == "file":
+            # a to_json cell (digits below cap, then ", ") is under 16 characters;
+            # the MiB is room for the name and the other keys
+            limit = min(16 * max(cap, 1) ** 2 + 2**20, sys.maxsize - 1)
             with open(rest, "r", encoding="utf-8") as handle:
-                return FiniteGroup.from_json(handle.read(), cap)
+                # read(limit + 1) would allocate the whole limit for every file;
+                # whole pieces of 1 MiB reach past the limit just as surely
+                pieces = iter(partial(handle.read, 2**20), "")
+                text = "".join(islice(pieces, limit // 2**20 + 1))
+            if len(text) > limit:
+                raise ValueError(f"longer than {limit} characters")
+            return FiniteGroup.from_json(text, cap)
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deep JSON nesting
         if isinstance(exc, (OrderCapError, SpecError)):
             raise
@@ -137,6 +148,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupsum",
@@ -183,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> tuple[str, int]:
     if (args.group is None) == (args.n is None):
         raise SpecError("phi needs exactly one of --group or --n")
     if args.group is not None:
@@ -193,35 +208,25 @@ def _cmd_phi(args) -> int:
         value = numtheory.phi_cyclic_sum(args.n)
         label = f"cyclic:{args.n}"
     if args.format == "json":
-        _emit(json.dumps({"group": label, "phi": value}, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(f"{value}\n", args.out)
-    return 0
+        return _json({"group": label, "phi": value}), 0
+    return f"{value}\n", 0
 
 
-def _cmd_q(args) -> int:
-    value = numtheory.q_of(args.n)
+def _cmd_q(args) -> tuple[str, int]:
+    value = numtheory.format_rational(numtheory.q_of(args.n))
     if args.format == "json":
-        _emit(
-            json.dumps({"n": args.n, "Q": numtheory.format_rational(value)}, sort_keys=True)
-            + "\n",
-            args.out,
-        )
-    else:
-        _emit(numtheory.format_rational(value) + "\n", args.out)
-    return 0
+        return _json({"n": args.n, "Q": value}), 0
+    return value + "\n", 0
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args) -> tuple[str, int]:
     graph = powergraph.build(parse_group_spec(args.group, args.cap))
     if args.format == "json":
-        _emit(powergraph.export_json(graph) + "\n", args.out)
-    else:
-        _emit(powergraph.export_dot(graph), args.out)
-    return 0
+        return powergraph.export_json(graph) + "\n", 0
+    return powergraph.export_dot(graph), 0
 
 
-def _cmd_verify_main(args) -> int:
+def _cmd_verify_main(args) -> tuple[str, int]:
     if (args.n is None) == (args.range_ is None):
         raise SpecError("verify-main needs exactly one of --n or --range")
     if args.jobs < 1:
@@ -238,32 +243,30 @@ def _cmd_verify_main(args) -> int:
             reports = pool.map(worker, ns)
     else:
         reports = [worker(n) for n in ns]
+    status = 0 if all(r.passed for r in reports) else 1
 
     if args.format == "csv":
-        _emit(verify.reports_to_csv(reports), args.out)
-    elif args.format == "json":
-        _emit(verify.reports_to_json(reports) + "\n", args.out)
-    else:
-        lines = []
-        for report in reports:
-            status = "pass" if report.passed else "FAIL"
-            lines.append(
-                f"n={report.n}: phi(C_n)={report.phi_cyclic}, "
-                f"{len(report.rows)} groups, {status}"
-            )
-            for key, verdict in report.verdicts.items():
-                if not verdict.passed:
-                    lines.append(f"  {key}: {verdict.detail} {verdict.counterexample}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all(r.passed for r in reports) else 1
+        return verify.reports_to_csv(reports), status
+    if args.format == "json":
+        return verify.reports_to_json(reports) + "\n", status
+    lines = []
+    for report in reports:
+        lines.append(
+            f"n={report.n}: phi(C_n)={report.phi_cyclic}, "
+            f"{len(report.rows)} groups, {'pass' if report.passed else 'FAIL'}"
+        )
+        for key, verdict in report.verdicts.items():
+            if not verdict.passed:
+                lines.append(f"  {key}: {verdict.detail} {verdict.counterexample}")
+    return "\n".join(lines) + "\n", status
 
 
-def _cmd_criterion(args) -> int:
+def _cmd_criterion(args) -> tuple[str, int]:
     group = parse_group_spec(args.group, args.cap)
     verdict, outcomes = verify.verify_criterion(group)
     contra = verify.verify_contrapositive(group)
     n = group.order
-    passed = verdict.passed and contra.passed
+    status = 0 if verdict.passed and contra.passed else 1
 
     if args.format == "json":
         payload = {
@@ -288,44 +291,38 @@ def _cmd_criterion(args) -> int:
                 "cor-contrapositive": contra.to_json_dict(),
             },
         }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-        return 0 if passed else 1
+        return _json(payload), status
 
-    lines = []
     if n == 1:
-        lines.append("no witness; trivial group")
-    else:
+        return "no witness; trivial group\n", status
+    lines = []
+    for o in outcomes:
+        tag = "ok" if o.satisfied else "VIOLATED"
+        extra = " (identity exception)" if o.identity_exception else ""
+        lines.append(
+            f"witness {o.witness} (order {o.witness_order}): "
+            f"Sylow-{o.sylow_prime} of order {o.sylow_order} "
+            f"unique={o.unique} normal={o.normal} cyclic={o.cyclic} "
+            f"in <g>={o.contained_in_gen} [{tag}]{extra}"
+        )
+    if not outcomes:
         fact = numtheory.factorize(n)
-        q = numtheory.q_of(fact)
         p = fact.largest_prime
-        best = q * max(group.order_totients().values())
-        count = group.count_sylow(p)
-        if outcomes:
-            for o in outcomes:
-                tag = "ok" if o.satisfied else "VIOLATED"
-                extra = " (identity exception)" if o.identity_exception else ""
-                lines.append(
-                    f"witness {o.witness} (order {o.witness_order}): "
-                    f"Sylow-{o.sylow_prime} of order {o.sylow_order} "
-                    f"unique={o.unique} normal={o.normal} cyclic={o.cyclic} "
-                    f"in <g>={o.contained_in_gen} [{tag}]{extra}"
-                )
+        best = numtheory.q_of(fact) * max(group.order_totients().values())
+        best_str = numtheory.format_rational(best)
+        if best == n:
+            comparison = f"n = Q*phi(o(g)) = {best_str}"
         else:
-            best_str = numtheory.format_rational(best)
-            if best == n:
-                comparison = f"n = Q*phi(o(g)) = {best_str}"
-            else:
-                comparison = f"max Q*phi(o(g)) = {best_str} < n = {n}"
-            lines.append(f"no witness; {comparison}; Sylow-{p} count = {count}")
-        lines.append(f"contrapositive: {contra.detail} [{'ok' if contra.passed else 'VIOLATED'}]")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if passed else 1
+            comparison = f"max Q*phi(o(g)) = {best_str} < n = {n}"
+        lines.append(f"no witness; {comparison}; Sylow-{p} count = {group.count_sylow(p)}")
+    lines.append(f"contrapositive: {contra.detail} [{'ok' if contra.passed else 'VIOLATED'}]")
+    return "\n".join(lines) + "\n", status
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> tuple[str, int]:
     rows = numtheory.table1()
     spot = verify.table2_spot_check()
-    all_ok = all(v.passed for v in spot.values())
+    status = 0 if all(v.passed for v in spot.values()) else 1
 
     if args.format == "json":
         payload = {
@@ -340,8 +337,7 @@ def _cmd_tables(args) -> int:
             ],
             "table2": {key: v.to_json_dict() for key, v in sorted(spot.items())},
         }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-        return 0 if all_ok else 1
+        return _json(payload), status
 
     lines = ["special values of Q:", "  ell  prime  Q(first)  Q(skip)"]
     for r in rows:
@@ -352,32 +348,29 @@ def _cmd_tables(args) -> int:
     lines.append("")
     lines.append("exceptional-case spot checks (minimal exponents):")
     for key, v in spot.items():
-        status = "reproduced" if v.passed else "NOT REPRODUCED"
         lines.append(
             f"  {key}: n={v.n} o(g)={v.witness_order} "
             f"n/phi(o(g))={numtheory.format_rational(v.ratio)} "
             f"{v.case.relation} Q={numtheory.format_rational(v.q)} -- "
-            f"{v.case.printed} {v.case.relation} Q {status}"
+            f"{v.case.printed} {v.case.relation} Q "
+            f"{'reproduced' if v.passed else 'NOT REPRODUCED'}"
         )
         for note in v.notes:
             lines.append(f"      note: {note}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+    return "\n".join(lines) + "\n", status
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[str, int]:
     verdicts = verify.verify_numtheory_sweep(args.limit)
+    status = 0 if all(v.passed for v in verdicts.values()) else 1
     if args.format == "json":
-        _emit(verify.verdicts_to_json(verdicts) + "\n", args.out)
-    else:
-        lines = []
-        for key in sorted(verdicts):
-            v = verdicts[key]
-            status = "pass" if v.passed else "FAIL"
-            suffix = "" if v.counterexample is None else f" counterexample: {v.counterexample}"
-            lines.append(f"{key}: {status} ({v.detail}){suffix}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all(v.passed for v in verdicts.values()) else 1
+        return verify.verdicts_to_json(verdicts) + "\n", status
+    lines = []
+    for key in sorted(verdicts):
+        v = verdicts[key]
+        suffix = "" if v.counterexample is None else f" counterexample: {v.counterexample}"
+        lines.append(f"{key}: {'pass' if v.passed else 'FAIL'} ({v.detail}){suffix}")
+    return "\n".join(lines) + "\n", status
 
 
 _COMMANDS = {
@@ -403,10 +396,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        text, status = _COMMANDS[args.command](args)
+        _emit(text, args.out)
     except (SpecError, OrderCapError, GroupValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 def main() -> None:

@@ -34,7 +34,6 @@ from .groups import (
 
 @dataclass
 class Verdict:
-    statement: str
     passed: bool
     detail: str = ""
     counterexample: Optional[dict] = None
@@ -131,7 +130,6 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     bad = next((r for r in rows if not r.ok), None)
     verdicts = {
         "thm-main": Verdict(
-            "thm-main",
             bad is None,
             f"checked {len(rows)} groups of order {n}",
             None if bad is None else {"group": bad.name, "phi_G": bad.phi_g},
@@ -142,7 +140,6 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     edge_ok = cyclic_row.undirected_edges == max_edges == expected_edges
     worst = max(rows, key=lambda r: r.undirected_edges)
     verdicts["thm-edge-max"] = Verdict(
-        "thm-edge-max",
         edge_ok,
         f"cyclic entry has {cyclic_row.undirected_edges} undirected edges, "
         f"max is {max_edges}, expected {expected_edges}",
@@ -167,7 +164,6 @@ class CriterionOutcome:
 
     witness: int
     witness_order: int
-    phi_witness_order: int
     sylow_prime: int
     sylow_order: int
     unique: bool
@@ -221,7 +217,6 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     if not witnesses:
         return []
     orders = group.element_orders()
-    tot = group.order_totients()
     sylow = group.sylow_subgroup(p)
     unique = group.count_sylow(p) == 1
     normal = group.is_normal(sylow)
@@ -238,7 +233,6 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
             CriterionOutcome(
                 witness=g,
                 witness_order=og,
-                phi_witness_order=tot[og],
                 sylow_prime=p,
                 sylow_order=len(sylow),
                 unique=unique,
@@ -259,7 +253,6 @@ def verify_criterion(group: FiniteGroup) -> tuple[Verdict, list[CriterionOutcome
     outcomes = check_witnesses(group)
     bad = next((o for o in outcomes if not o.satisfied), None)
     verdict = Verdict(
-        "thm-overall",
         bad is None,
         f"{group.name}: {len(outcomes)} witness(es)",
         None
@@ -274,27 +267,20 @@ def verify_contrapositive(group: FiniteGroup) -> Verdict:
     satisfy the witness inequality (vacuous when it is unique)."""
     n = group.order
     if n == 1:
-        return Verdict("cor-contrapositive", True, f"{group.name}: trivial group")
+        return Verdict(True, f"{group.name}: trivial group")
     fact = numtheory.factorize(n)
     p = fact.largest_prime
     count = group.count_sylow(p)
     if count == 1:
-        return Verdict(
-            "cor-contrapositive", True, f"{group.name}: unique Sylow-{p}, vacuous"
-        )
+        return Verdict(True, f"{group.name}: unique Sylow-{p}, vacuous")
     witnesses = _witnesses(group, numtheory.q_of(fact))
     if witnesses:
         return Verdict(
-            "cor-contrapositive",
             False,
             f"{group.name}: {count} Sylow-{p} subgroups but a witness exists",
             {"group": group.name, "witness": witnesses[0]},
         )
-    return Verdict(
-        "cor-contrapositive",
-        True,
-        f"{group.name}: {count} Sylow-{p} subgroups, no witness",
-    )
+    return Verdict(True, f"{group.name}: {count} Sylow-{p} subgroups, no witness")
 
 
 def criterion_sweep(max_order: int) -> dict[str, Verdict]:
@@ -316,13 +302,11 @@ def criterion_sweep(max_order: int) -> dict[str, Verdict]:
                 first_bad_contra = contra.counterexample
     return {
         "thm-overall": Verdict(
-            "thm-overall",
             first_bad is None,
             f"{checked} groups, {witnesses_seen} witnesses",
             first_bad,
         ),
         "cor-contrapositive": Verdict(
-            "cor-contrapositive",
             first_bad_contra is None,
             f"{checked} groups",
             first_bad_contra,
@@ -351,7 +335,6 @@ def verify_product_lemmas(u: FiniteGroup, t: FiniteGroup) -> Verdict:
         hypotheses.append("gcd 2 with twice-odd factor")
     passed = phi_g <= bound and (not hypotheses or phi_g == bound)
     return Verdict(
-        "lem-3.1",
         passed,
         f"phi({product.name}) = {phi_g} vs {phi_u}*{phi_t} = {bound}"
         + (f"; equality expected ({', '.join(hypotheses)})" if hypotheses else ""),
@@ -386,7 +369,6 @@ def verify_semidirect_lemmas(spec: SemidirectSpec) -> dict[str, Verdict]:
     )
     verdicts = {
         "lem-3.2": Verdict(
-            "lem-3.2",
             divide_bad is None,
             f"{twisted.name}: orders divide the direct-product orders",
             None if divide_bad is None else {"group": twisted.name, "pair": divide_bad},
@@ -395,14 +377,12 @@ def verify_semidirect_lemmas(spec: SemidirectSpec) -> dict[str, Verdict]:
     phi_g = twisted.phi()
     phi_h = straight.phi()
     verdicts["cor-3.3"] = Verdict(
-        "cor-3.3",
         phi_g <= phi_h,
         f"phi({twisted.name}) = {phi_g} <= phi({straight.name}) = {phi_h}",
         None if phi_g <= phi_h else {"group": twisted.name},
     )
     equality_ok = (phi_g == phi_h) == spec.is_direct
     verdicts["lem-3.5"] = Verdict(
-        "lem-3.5",
         equality_ok,
         f"{twisted.name}: equality {'expected' if spec.is_direct else 'excluded'}"
         f" (phi {phi_g} vs {phi_h})",
@@ -423,7 +403,7 @@ def semidirect_sweep(max_product: int) -> dict[str, Verdict]:
                 checked += 1
                 for key, verdict in verify_semidirect_lemmas(SemidirectSpec(a, b, r)).items():
                     if key not in merged:
-                        merged[key] = Verdict(key, True, "")
+                        merged[key] = Verdict(True)
                     if not verdict.passed and merged[key].passed:
                         merged[key] = verdict
     for key in merged:
@@ -621,7 +601,7 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
     verdicts: dict[str, Verdict] = {}
 
     def record(key: str, passed: bool, detail: str, counterexample=None):
-        verdicts[key] = Verdict(key, passed, detail, counterexample)
+        verdicts[key] = Verdict(passed, detail, counterexample)
 
     table_ok = True
     table_bad = None

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -134,6 +135,33 @@ def test_file_spec_round_trip(tmp_path, capsys):
     path.write_text(gs.dicyclic(2).to_json())
     code, out, _ = run_cli(capsys, "phi", "--group", f"file:{path}")
     assert code == 0 and out == f"{gs.dicyclic(2).phi()}\n"
+
+
+def test_file_spec_reads_a_bounded_prefix(tmp_path, capsys):
+    # at --cap 4 a file: spec holds at most 16 * 4**2 + 2**20 characters
+    limit = 16 * 4**2 + 2**20
+    document = gs.cyclic(2).to_json()
+    path = tmp_path / "padded.json"
+    spec = f"file:{path}"
+    for padding, code in [(limit - len(document), 0), (limit - len(document) + 1, 2),
+                          (8 * 2**20, 2)]:
+        path.write_text(document + " " * padding)
+        expected = (code, f"{gs.cyclic(2).phi()}\n", "") if code == 0 else (
+            code, "", f"error: bad group spec {spec!r}: longer than {limit} characters\n")
+        assert run_cli(capsys, "phi", "--group", spec, "--cap", "4") == expected, padding
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_group_file_is_usage_error():
+    # in a child whose address space is capped, so an unbounded read fails fast
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))"
+    result = subprocess.run(
+        [sys.executable, "-c", f"{limit}\nfrom groupsum import cli\nraise SystemExit("
+         "cli.run(['phi', '--group', 'file:/dev/zero', '--cap', '4']))"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: bad group spec 'file:/dev/zero': longer than ")
 
 
 def test_malformed_group_files(tmp_path, capsys):
@@ -363,6 +391,10 @@ PINNED_CRITERION_JSON = {
     "abelian:2x2x2x2x2x2x2x2x2": "b5346422038797cd8d014ab2975b8970a1b562464349f7cc207aeacc56375ab6",
     "sdp:243:2:242": "989b98365837f9bea69bafccee5a732cb3d913be10aa4661728fb02bd0858c2c",
     "cyclic:512": "c63f36013cdd9a8dc8d3eb8f2f89a2d2645112e3cfbe07b4ab9f2e5eea9425a1",
+    # the trivial group and the order-2 identity exception, recorded before
+    # every command returned its text for `cli.run` to write once
+    "cyclic:1": "cdf7ad8b343f40897e352ab56873eec7fec1828a89aa27ff83c32aec22e2d312",
+    "cyclic:2": "818c8f9854673e49ca6e2dd66cda1c5fc65ae80a9ef781939fb171f62f24d7c0",
 }
 # sha256 of `criterion` text stdout for the same specs, recorded before each
 # group kept its Sylow subgroup and normalizer in a memo.
@@ -381,6 +413,9 @@ PINNED_CRITERION_TEXT = {
     "abelian:2x2x2x2x2x2x2x2x2": "6f3570ba1558d75c69e9da6c21703211a1b1d106e1ce1ccea7ed665f11f2cecc",
     "sdp:243:2:242": "b5fd40e1ee10e1e45fa97e2fcf284a307c15944c8fe44c94a2073ea838707979",
     "cyclic:512": "16211d69533f22afe336fc282e64e56ca8d5bbd596a95fa2fc3293fafcfd16cd",
+    # recorded with the two JSON cases above
+    "cyclic:1": "eab16f6a1d2320d16ba0f8bcdffb619eb628f1c4bd8fed4ebbf6d28ef21e5809",
+    "cyclic:2": "4b83a3a15adf76b452484d3e1b982fc46bb9cfc49d979fb253795473202f9ee1",
 }
 PINNED_VERIFY_MAIN_CSV_1_100 = "8cbdb236f25ea8daa5527e64855e4d21c0a58ed4f1ca451b5b2ad1bf520f59cb"
 # recorded before table validation grew its closures incrementally
@@ -422,6 +457,29 @@ PINNED_SWEEP = {
     (2000, "text"): "603e63d4a2f120b111c6eb97fffac845eef5bc352c54682442f08904ef99e0df",
 }
 PINNED_TABLES_JSON = "35b6a105d3335a6ae376733ad3134ce6e757614f944e25c0743ebdfe5d0bffae"
+
+# sha256 of stdout for the command lines no digest above covers, recorded
+# before every command returned its text for `cli.run` to write once.
+PINNED_OUTPUTS = {
+    ("verify-main", "--range", "1..60"):
+        "2a5fd2dbe8c197a25fea306a429d7ebc59748a10c7d151a436fb7b2d26578f5a",
+    ("verify-main", "--range", "1..60", "--format", "json"):
+        "509d401fe9582175bf01c3fa5d155d1e14b1b992710e9a0ba752f5741250f0f5",
+    ("tables",): "219a456163af6eba016ce1c9d897073470d37c2ecf7560d270be7b70a1118dc2",
+    ("phi", "--group", "alt:4"):
+        "5378796307535df3ec8d8b15a2e2dc5641419c3d3060cfe32238c0fa973f7aa3",
+    ("phi", "--group", "alt:4", "--format", "json"):
+        "199ffba55794174160222a516e12e4fbc5a7346fb7b37b5709bccf92dd2ed1e8",
+    ("phi", "--n", "2310"): "071d609300f68fe1e53e8156d3e605e4a7642d57886cedc84d4cb3ba6e57b174",
+    ("phi", "--n", "2310", "--format", "json"):
+        "5e362a41db3187ecc3b8993e680a27c93567ce4050c074fd97a2143efaeeeb47",
+    ("q", "--n", "2310"): "9b5fcd37eb34648970071ca690643f14f3fbdf03663934c7313dfca125a2c6f5",
+    ("q", "--n", "2310", "--format", "json"):
+        "f2dfaeeeaf8dd747797c6659d1fe1af62019748dd602b9303f3506f4e9b0dce3",
+    ("q", "--n", "1"): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("q", "--n", "1", "--format", "json"):
+        "86698009168c265a0b1fc137f0547f8cee8aa271ddaa12b00afce8173db80d22",
+}
 
 
 def sha256(text):
@@ -524,6 +582,115 @@ def test_graph_bytes_pinned(capsys):
     for (spec, fmt), digest in PINNED_GRAPH.items():
         code, out, _ = run_cli(capsys, "graph", "--group", spec, "--format", fmt)
         assert code == 0 and sha256(out) == digest, (spec, fmt)
+
+
+def test_unpinned_outputs_bytes_pinned(capsys):
+    for argv, digest in PINNED_OUTPUTS.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, sha256(out)) == (0, "", digest), argv
+
+
+# one command line per command and format
+EVERY_FORMAT = [
+    ["phi", "--group", "alt:4"],
+    ["phi", "--group", "alt:4", "--format", "json"],
+    ["q", "--n", "2310"],
+    ["q", "--n", "2310", "--format", "json"],
+    ["graph", "--group", "dicyclic:6"],
+    ["graph", "--group", "dicyclic:6", "--format", "json"],
+    ["verify-main", "--range", "1..8"],
+    ["verify-main", "--range", "1..8", "--format", "json"],
+    ["verify-main", "--range", "1..8", "--format", "csv"],
+    ["criterion", "--group", "sym:4"],
+    ["criterion", "--group", "sym:4", "--format", "json"],
+    ["tables"],
+    ["tables", "--format", "json"],
+    ["sweep", "--limit", "30"],
+    ["sweep", "--limit", "30", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_FORMAT, ids=" ".join)
+def test_out_file_holds_exactly_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert path.read_bytes() == out.encode()
+
+
+def inject_failures(monkeypatch):
+    """Make each verdict source of the CLI report one failing verdict:
+    order 4 in `verify_main`, the contrapositive of every group, one
+    table-2 row and one sweep statement."""
+    verify = gs.verify
+    main, contra = verify.verify_main, verify.verify_contrapositive
+    spot, sweep = verify.table2_spot_check, verify.verify_numtheory_sweep
+
+    def failing_main(n, cap=gs.DEFAULT_ORDER_CAP):
+        report = main(n, cap)
+        if n == 4:
+            bad = report.rows[-1] = dataclasses.replace(report.rows[-1], ok=False)
+            report.verdicts["thm-main"] = dataclasses.replace(
+                report.verdicts["thm-main"], passed=False,
+                counterexample={"group": bad.name, "phi_G": bad.phi_g})
+        return report
+
+    def failing_contra(group):
+        return dataclasses.replace(contra(group), passed=False,
+                                   counterexample={"group": group.name, "witness": 0})
+
+    def failing_spot():
+        verdicts = spot()
+        verdicts["table-2-k3-q8"] = dataclasses.replace(
+            verdicts["table-2-k3-q8"], relation_holds=False)
+        return verdicts
+
+    def failing_sweep(limit):
+        verdicts = sweep(limit)
+        verdicts["lem-2.6"] = dataclasses.replace(
+            verdicts["lem-2.6"], passed=False, counterexample={"n": 6, "info": "injected"})
+        return verdicts
+
+    monkeypatch.setattr(verify, "verify_main", failing_main)
+    monkeypatch.setattr(verify, "verify_contrapositive", failing_contra)
+    monkeypatch.setattr(verify, "table2_spot_check", failing_spot)
+    monkeypatch.setattr(verify, "verify_numtheory_sweep", failing_sweep)
+
+
+# The text that marks the failure, and the sha256 of stdout, recorded before
+# every command returned its text for `cli.run` to write once.
+PINNED_FAILURES = {
+    ("verify-main", "--range", "1..6"):
+        ("FAIL", "941aee9dfed7bedd0f1853edfd4c8cb989b18c3a2fac1e5a3bb7be805d0c9098"),
+    ("verify-main", "--range", "1..6", "--format", "json"):
+        ('"passed": false', "ebc1a4b9ab2936e095aa7cfcc3121b8fe828bbb0183ea0e0d362e70b2657ed85"),
+    ("verify-main", "--range", "1..6", "--format", "csv"):
+        (",fail,", "b3006244ecfa7d8239b4d44de29e9f7e2177414c16444f3a9159479427ee5659"),
+    ("criterion", "--group", "sym:4"):
+        ("[VIOLATED]", "ea8344602413f8f192cecb9da7319bf1c0fc7a95f61036e62c0b99b676db5b3d"),
+    ("criterion", "--group", "sym:4", "--format", "json"):
+        ('"passed": false', "ea61c34befc903a5c198f076a5d806f76255a3bf947f0829b73ca9f1c9855827"),
+    ("tables",):
+        ("NOT REPRODUCED", "8b875e12a67e596c35a82d64d1a31f6c258843873de2db0c663bdfac8e2414f5"),
+    ("tables", "--format", "json"):
+        ('"passed": false', "4492cda3ece09d9426faf5fb120e3be7d22c5b70d5d4be8d62f1db3bfbeb9a83"),
+    ("sweep", "--limit", "30"):
+        ("lem-2.6: FAIL", "eb0db5ca2decc5751460ece488ba8e9161db9b6b4be958761b2519c32be13854"),
+    ("sweep", "--limit", "30", "--format", "json"):
+        ('"passed": false', "cef62c1ef09fb6e8970dced704a15cfa9d39c0c5eaa9b874d56f48cb50bc413f"),
+}
+
+
+def test_failing_verdicts_exit_1_on_stdout_and_through_out(monkeypatch, tmp_path, capsys):
+    inject_failures(monkeypatch)
+    path = tmp_path / "out"
+    for argv, (marker, digest) in PINNED_FAILURES.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, sha256(out)) == (1, "", digest), argv
+        assert marker in out, argv
+        assert run_cli(capsys, *argv, "--out", str(path)) == (1, "", ""), argv
+        assert path.read_bytes() == out.encode(), argv
 
 
 def test_graph_out_file_matches_stdout(tmp_path, capsys):
