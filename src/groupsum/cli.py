@@ -7,7 +7,8 @@ the command line, in a spec, a range or a flag, is ASCII digits with an
 optional leading minus sign.
 
 Exit status: 0 on success / all verdicts passing, 1 when any verdict
-fails (a counterexample is printed), 2 on usage errors.
+fails (a counterexample is printed: on stderr for `verify-main --format
+csv`, whose rows carry no verdicts), 2 on usage errors.
 
 `run(argv)` may be called many times in one process. It builds the
 argument parser once, on the first call, and reuses it on every later call:
@@ -246,6 +247,13 @@ def _cmd_verify_main(args) -> tuple[str, int]:
     status = 0 if all(r.passed for r in reports) else 1
 
     if args.format == "csv":
+        # the CSV has no verdict column, so a failing verdict (a report-level
+        # one may fail while every row passes) is named on stderr
+        for report in reports:
+            for key, verdict in report.verdicts.items():
+                if not verdict.passed:
+                    print(f"n={report.n}  {key}: {verdict.detail} {verdict.counterexample}",
+                          file=sys.stderr)
         return verify.reports_to_csv(reports), status
     if args.format == "json":
         return verify.reports_to_json(reports) + "\n", status

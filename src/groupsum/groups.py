@@ -11,10 +11,15 @@ the smallest element outside the closure of those before it, check
 (x*g)*y == x*(g*y) for all x, y, and only then close.  Elements that pass
 the test are closed under the product and the table is associative on them
 (Light's test), and the inverse check gives each of them a bijective row
-and column, so the closure of the generators that passed is a group.  It is
-grown by `_closure_of`, as is every subgroup, Sylow subgroups included:
-one right coset H*r at a time (Dimino's algorithm), or, from the trivial
-group, one walk down a column.  A `Subgroup` is its read-only membership
+and column, so the closure of the generators that passed is a group.  The
+inverse check and the translation test run over blocks of whole rows of at
+most `_BLOCK_CELLS` cells, into scratch arrays made once per validation,
+so the int32 copy is the only n x n array validation allocates.  The
+closure is grown by `_closure_of`, as is every subgroup, Sylow subgroups
+included: <H, g> starts as H*<g>, the cosets H*g^i up to the first power
+of g inside H, found by one walk down column g and added in one gather,
+and then grows by right cosets H*r (Dimino's algorithm) until the
+generators map it into itself.  A `Subgroup` is its read-only membership
 mask, built once when it is validated; its members are the mask's indices.
 The normalizer N(H) is found by conjugating a generating set of H by every
 element, one gather of n x |gens| cells: the Sylow search passes the
@@ -114,6 +119,11 @@ def _check_cap(order: int, cap: int) -> None:
 # --- table validation ---
 
 
+# Cells per block of rows in the inverse check and the translation test:
+# 256 KiB of int32 per scratch array, so each block stays in cache.
+_BLOCK_CELLS = 1 << 16
+
+
 def _powers(arr: np.ndarray, g: int) -> list[int]:
     """g, g^2, ..., identity: the walk down column g (x -> x*g) from g back to g."""
     out = [g]
@@ -132,30 +142,37 @@ def _closure_of(
 
     The table must be associative on H and g, and right multiplication by
     g must be a bijection: a validated group, or validation once g has
-    passed the translation test.  From the trivial group, <g> is the walk
-    down column g.  Otherwise <H, g> is grown as a union of right cosets
-    H*r (Dimino's algorithm): each new representative r is multiplied by
-    the generators, and each product outside the members so far adds its
-    coset, one gather table[H, r].
+    passed the translation test.  <H, g> is grown as a union of right
+    cosets H*r (Dimino's algorithm), seeded with H*<g>: the walk down
+    column g from g meets H first at g^k, the least power of g inside H,
+    so H*g, ..., H*g^(k-1) are distinct cosets outside H, added in one
+    gather table[H, reps].  Then each new representative r is multiplied
+    by the generators, and each product outside the members so far adds
+    its coset, one gather table[H, r].  From the trivial group the seed is
+    <g> and no product falls outside it.
     """
     members = inside.copy()
     if members[g]:
         return members
-    if not gens:
-        members[_powers(arr, g)] = True
-        return members
+    walk = [g]
+    x = arr.item(g, g)
+    while not inside[x]:  # the cycle of x -> x*g through g passes the identity
+        walk.append(x)
+        x = arr.item(x, g)
+    reps = np.array(walk, dtype=np.intp)
     subgroup = np.flatnonzero(inside)
+    members[arr[subgroup[:, None], reps]] = True
+    if not gens:
+        return members
     mult = [*gens, g]
-    members[arr[subgroup, g]] = True
-    reps = np.array([g], dtype=np.intp)  # H*e = H needs only e*g = g
-    while reps.size:
-        products = arr[reps[:, None], mult].ravel()
+    products = arr[reps[:, None], gens].ravel()  # each g^i * g is in H*<g>
+    while products.size:
         fresh = []
         for r in products[~members[products]].tolist():
             if not members[r]:  # an earlier r of this round may have covered it
                 members[arr[subgroup, r]] = True
                 fresh.append(r)
-        reps = np.array(fresh, dtype=np.intp)
+        products = arr[np.array(fresh, dtype=np.intp)[:, None], mult].ravel()
     return members
 
 
@@ -184,7 +201,7 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
         i, j = map(int, np.argwhere((raw < 0) | (raw >= n))[0])
         raise NotClosedError(i, j, int(raw[i, j]), n)
 
-    arr = raw.astype(np.int32)
+    arr = raw.astype(np.int32)  # the one n x n array kept
     idx = np.arange(n)
     if not (np.array_equal(arr[identity], idx) and np.array_equal(arr[:, identity], idx)):
         row_bad = np.nonzero(arr[identity] != idx)[0]
@@ -192,10 +209,33 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
         witness = int(row_bad[0]) if row_bad.size else int(col_bad[0])
         raise NoIdentityError(identity, witness)
 
-    is_identity = arr == identity
-    inverses = np.argmax(is_identity, axis=1)  # x * inverses[x] = identity, if any y has it
-    missing = np.flatnonzero(~(is_identity[idx, inverses] & is_identity.any(axis=0)))
-    del is_identity  # freed before the translation test
+    # The inverse check and the translation test run over blocks of rows of
+    # at most _BLOCK_CELLS cells, writing into scratch arrays made once, so
+    # the int32 copy is the only n x n array that validation allocates.
+    rows = min(n, max(1, _BLOCK_CELLS // n))
+    left = np.empty((rows, n), dtype=np.int32)
+    right = np.empty((rows, n), dtype=np.int32)
+    same = np.empty((rows, n), dtype=bool)
+    blocks = []  # (first row, its rows of arr, the scratch arrays cut to fit)
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        blocks.append((start, arr[start:start + k], left[:k], right[:k], same[:k]))
+
+    # Both masks cover every block before any x is named, so a missing
+    # inverse is the smallest x whose row or column lacks the identity.
+    inverses = np.zeros(n, dtype=np.intp)
+    row_has = np.zeros(n, dtype=bool)
+    col_has = np.zeros(n, dtype=bool)
+    for start, block, _, _, is_identity in blocks:
+        np.equal(block, identity, out=is_identity)
+        x, y = np.divmod(is_identity.ravel().nonzero()[0], n)
+        x += start
+        row_has[x] = True
+        col_has[y] = True
+        # x * inverses[x] = identity; a row holding the identity twice
+        # cannot belong to a group, so which one lands here does not matter
+        inverses[x] = y
+    missing = (~(row_has & col_has)).nonzero()[0]
     if missing.size:
         raise NoInverseError(int(missing[0]))
 
@@ -206,18 +246,25 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
     # makes each one's row and column bijective, so the closure of passing
     # generators is a group and `_closure_of` may grow it by cosets.  It is
     # the magma closure, so a failure names the same (x, g, y) as testing
-    # all generators after closing on the raw table.
+    # all generators after closing on the raw table.  Blocks run in row
+    # order, so the first block that fails holds the first failing (x, y).
+    # mode="clip" (the indices are in range) lets `take` write into its out
+    # array directly; the default mode buffers it.
     gens: list[int] = []
     closed = _member_mask(n, [identity])
-    while not closed.all():
-        g = int(np.argmin(closed))
-        left = arr[arr[:, g], :]              # (x*g)*y
-        right = np.take(arr, arr[g], axis=1)  # x*(g*y)
-        if not np.array_equal(left, right):
-            x, y = map(int, np.argwhere(left != right)[0])
-            raise NotAssociativeError(x, g, y)
+    g = int(closed.argmin())
+    while not closed[g]:
+        column = arr[:, g].astype(np.intp)  # x*g
+        row = arr[g].astype(np.intp)        # g*y
+        for start, block, lhs, rhs, equal in blocks:
+            arr.take(column[start:start + len(block)], axis=0, out=lhs, mode="clip")  # (x*g)*y
+            block.take(row, axis=1, out=rhs, mode="clip")                           # x*(g*y)
+            if not np.equal(lhs, rhs, out=equal).all():
+                x, y = divmod(int(equal.argmin()), n)
+                raise NotAssociativeError(start + x, g, y)
         closed = _closure_of(arr, closed, gens, g)
         gens.append(g)
+        g = int(closed.argmin())
     return arr, inverses
 
 

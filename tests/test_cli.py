@@ -682,15 +682,49 @@ PINNED_FAILURES = {
 }
 
 
+# The CSV has no verdict column, so CSV mode names each failing verdict on
+# stderr; every other format prints its counterexample on stdout alone.
+FAILURE_STDERR = {
+    ("verify-main", "--range", "1..6", "--format", "csv"):
+        "n=4  thm-main: checked 2 groups of order 4 {'group': 'abelian:2x2', 'phi_G': 4}\n",
+}
+
+
 def test_failing_verdicts_exit_1_on_stdout_and_through_out(monkeypatch, tmp_path, capsys):
     inject_failures(monkeypatch)
     path = tmp_path / "out"
     for argv, (marker, digest) in PINNED_FAILURES.items():
+        stderr = FAILURE_STDERR.get(argv, "")
         code, out, err = run_cli(capsys, *argv)
-        assert (code, err, sha256(out)) == (1, "", digest), argv
+        assert (code, err, sha256(out)) == (1, stderr, digest), argv
         assert marker in out, argv
-        assert run_cli(capsys, *argv, "--out", str(path)) == (1, "", ""), argv
+        assert run_cli(capsys, *argv, "--out", str(path)) == (1, "", stderr), argv
         assert path.read_bytes() == out.encode(), argv
+
+
+def test_csv_names_a_failing_report_verdict_whose_rows_all_pass(monkeypatch, tmp_path, capsys):
+    # thm-edge-max fails on order 4 with every row untouched: the CSV alone
+    # would show only passing rows, so the verdict goes to stderr
+    argv = ["verify-main", "--range", "3..5", "--format", "csv"]
+    clean_code, clean_out, clean_err = run_cli(capsys, *argv)
+    assert (clean_code, clean_err) == (0, "") and ",fail," not in clean_out
+    main = gs.verify.verify_main
+
+    def failing_edges(n, cap=gs.DEFAULT_ORDER_CAP):
+        report = main(n, cap)
+        if n == 4:
+            report.verdicts["thm-edge-max"] = dataclasses.replace(
+                report.verdicts["thm-edge-max"], passed=False,
+                counterexample={"group": "injected", "edges": 0})
+        return report
+
+    monkeypatch.setattr(gs.verify, "verify_main", failing_edges)
+    detail = main(4).verdicts["thm-edge-max"].detail
+    stderr = f"n=4  thm-edge-max: {detail} {{'group': 'injected', 'edges': 0}}\n"
+    assert run_cli(capsys, *argv) == (1, clean_out, stderr)
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (1, "", stderr)
+    assert path.read_text() == clean_out
 
 
 def test_graph_out_file_matches_stdout(tmp_path, capsys):

@@ -964,7 +964,17 @@ def intercalate_swaps(base, rng, count):
 SWAP_BASES = [gs.dihedral(4), gs.dicyclic(2), gs.abelian([2, 4]), gs.symmetric(4)]
 
 
-def test_intercalate_swaps_name_the_reference_witness():
+def in_row_blocks(monkeypatch, rows):
+    """A `from_cayley` whose validation runs over blocks of `rows` rows, so
+    that tables smaller than one block of cells still span several."""
+    def build(table, identity):
+        monkeypatch.setattr(gs.groups, "_BLOCK_CELLS", rows * len(table))
+        return gs.from_cayley(table, identity)
+
+    return build
+
+
+def check_intercalate_swaps(build):
     # the associativity failure must be named as the reference loop names it
     import random
 
@@ -974,8 +984,17 @@ def test_intercalate_swaps_name_the_reference_witness():
             witness = reference_associativity_witness(table, base.identity)
             assert witness is not None, base.name
             with pytest.raises(gs.NotAssociativeError) as caught:
-                gs.from_cayley(table, base.identity)
+                build(table, base.identity)
             assert caught.value.witness == witness, base.name
+
+
+def test_intercalate_swaps_name_the_reference_witness():
+    check_intercalate_swaps(gs.from_cayley)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_intercalate_swaps_name_the_reference_witness_in_row_blocks(monkeypatch, rows):
+    check_intercalate_swaps(in_row_blocks(monkeypatch, rows))
 
 
 def test_closure_matches_reference_on_group_tables():
@@ -996,6 +1015,16 @@ def test_closure_matches_reference_on_group_tables():
 
 
 def test_swap_failing_at_a_later_generator_names_the_reference_witness():
+    check_swaps_at_a_later_generator(gs.from_cayley)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_swap_failing_at_a_later_generator_names_the_reference_witness_in_row_blocks(
+        monkeypatch, rows):
+    check_swaps_at_a_later_generator(in_row_blocks(monkeypatch, rows))
+
+
+def check_swaps_at_a_later_generator(build):
     # C_k x L for an intercalate-swapped L, indexed l*k + c: element 1 is
     # (e, 1), central, so it passes the translation test and validation
     # closes <1> before it tests the next generator
@@ -1012,7 +1041,7 @@ def test_swap_failing_at_a_later_generator_names_the_reference_witness():
                 witness = reference_associativity_witness(table, identity)
                 assert witness is not None and witness[1] != 1, base.name
                 with pytest.raises(gs.NotAssociativeError) as caught:
-                    gs.from_cayley(table, identity)
+                    build(table, identity)
                 assert caught.value.witness == witness, (base.name, k)
 
 
@@ -1044,10 +1073,7 @@ FUZZ_BASES = [gs.cyclic(k) for k in range(1, 9)] + [
 ]
 
 
-def test_validation_matches_reference_on_drawn_tables():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
+def drawn_tables(st):
     @st.composite
     def tables(draw):
         base = draw(st.sampled_from(FUZZ_BASES))
@@ -1071,18 +1097,75 @@ def test_validation_matches_reference_on_drawn_tables():
             return gs.groups._combine_tables(np.array(table), np.array([[0, 1], [1, 0]])).tolist(), 0
         return table, sigma[base.identity]
 
+    return tables()
+
+
+def validation_outcome(build, table, identity):
+    try:
+        build(table, identity)
+        return (None, None)
+    except gs.GroupValidationError as exc:
+        return (type(exc), exc.witness)
+
+
+def test_validation_matches_reference_on_drawn_tables():
+    hypothesis = pytest.importorskip("hypothesis")
+
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(tables())
+    @hypothesis.given(drawn_tables(hypothesis.strategies))
     def check(drawn):
         table, identity = drawn
-        try:
-            gs.from_cayley(table, identity)
-            got = (None, None)
-        except gs.GroupValidationError as exc:
-            got = (type(exc), exc.witness)
+        got = validation_outcome(gs.from_cayley, table, identity)
         assert got == reference_validation(table, identity)
 
     check()
+
+
+def test_validation_matches_reference_on_drawn_tables_in_row_blocks(monkeypatch):
+    # every witness, a missing inverse's included, is named as the whole-table
+    # reference names it when the blocks hold 1 to 3 rows
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(drawn_tables(st), st.integers(1, 3))
+    def check(drawn, rows):
+        table, identity = drawn
+        got = validation_outcome(in_row_blocks(monkeypatch, rows), table, identity)
+        assert got == reference_validation(table, identity)
+
+    check()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_missing_inverse_is_the_smallest_after_every_block(monkeypatch, rows):
+    # in C_5 with 3*2 rewritten to 4, row 3 lacks the identity and so does
+    # column 2; the column is known lacking only once every block is checked,
+    # and the error must name 2, as the reference does, not row 3's 3
+    table = gs.cyclic(5).table.tolist()
+    table[3][2] = 4
+    assert reference_validation(table, 0) == (gs.NoInverseError, 2)
+    with pytest.raises(gs.NoInverseError) as caught:
+        in_row_blocks(monkeypatch, rows)(table, 0)
+    assert caught.value.witness == 2
+
+
+@pytest.mark.parametrize("spec", ["dihedral:960", "cyclic:1920"])
+def test_validation_allocates_no_table_beyond_the_kept_copy(spec):
+    # the int32 copy is 4n^2 bytes; the row blocks' scratch fits in the
+    # 2 MiB beside it, where whole-table temporaries took 3.25-4 x 4n^2
+    import tracemalloc
+
+    group = cli.parse_group_spec(spec)
+    n = group.order
+    tracemalloc.start()
+    try:
+        arr, _ = gs.groups._validate_table(group.table, group.identity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(arr, group.table)
+    assert peak <= 4 * n * n + 2 * 2**20, (spec, peak)
 
 
 # --- the JSON reader against the json.loads path ---
