@@ -82,7 +82,7 @@ def build(group: FiniteGroup) -> PowerGraph:
     order of k has key k."""
     graph = PowerGraph(group)
     orders, key = group.element_orders(), graph.key
-    if any(orders[g] != orders[k] for g, k in enumerate(key)) or any(
+    if tuple(map(orders.__getitem__, key)) != orders or any(
         key[h] != k
         for k, powers in graph.powers.items()
         for h in powers

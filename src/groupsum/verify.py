@@ -94,9 +94,11 @@ class VerificationReport:
 
 def _witnesses(group: FiniteGroup, q: Fraction) -> list[int]:
     """The elements g with |G| < Q * phi(order(g)), ascending; q is Q(|G|).
-    The inequality is decided once per distinct element order."""
-    n = group.order
-    hits = {m for m, phi_m in group.order_totients().items() if q * phi_m > n}
+    The inequality is decided once per distinct element order, in integers."""
+    n, num, den = group.order, q.numerator, q.denominator
+    hits = {m for m, phi_m in group.order_totients().items() if num * phi_m > n * den}
+    if not hits:
+        return []
     return [g for g, m in enumerate(group.element_orders()) if m in hits]
 
 

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -203,6 +205,40 @@ def test_inverse_is_a_two_sided_inverse_stored_read_only():
         for bad in (-1, n):
             with pytest.raises(IndexError):
                 group.inverse(bad)
+
+
+def test_pickle_and_deepcopy_rebuild_validated_read_only_groups(tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(gs.dicyclic(3).to_json())
+    groups = [g for n in range(1, 31) for g in gs.catalog(n)]
+    groups += [gs.symmetric(4), gs.alternating(4),
+               gs.direct_product(gs.dihedral(3), gs.abelian([2, 2])),
+               cli.parse_group_spec(f"file:{path}"),
+               gs.from_cayley([[0, 1], [1, 0]], name="labelled", labels=["e", 7])]
+    for group in groups:
+        sub = group.sylow_subgroup(max(nt.factorize(group.order).primes, default=2))
+        for twin, twin_sub in (pickle.loads(pickle.dumps((group, sub))), copy.deepcopy((group, sub))):
+            assert twin is not group and twin_sub.parent is twin
+            assert (twin.name, twin.identity, twin.labels) == (group.name, group.identity, group.labels)
+            assert np.array_equal(twin.table, group.table) and twin.table.dtype == np.int32
+            assert twin_sub.members == sub.members
+            for array in (twin.table, twin._inverses, twin_sub.mask):
+                assert not array.flags.writeable, group.name
+            with pytest.raises(ValueError):
+                twin.table[0, 0] = 0
+            assert twin.phi() == group.phi()
+
+
+def test_unpickling_validates_the_table_and_the_members():
+    group = gs.dihedral(5)
+    rebuild, args = group.__reduce__()
+    broken = args[0].copy()
+    broken[0, 0] = 3
+    with pytest.raises(gs.GroupValidationError):
+        rebuild(broken, *args[1:])
+    rebuild, (parent, members) = group.sylow_subgroup(5).__reduce__()
+    with pytest.raises(ValueError, match="not closed"):
+        rebuild(parent, members + (5,))
 
 
 def test_caller_table_is_not_aliased():
@@ -677,6 +713,58 @@ def test_integer_arguments_are_checked_at_the_boundary():
 # sha256 over every catalog group of order 1..200 and sym/alt 1..6, in that
 # order: name, identity, labels and the table's int32 bytes
 PINNED_TABLES = "0dae6014e82c7113478e13d0a190bc49b5e2fb483c1f57be82f7407719eb0e3c"
+
+
+def test_labels_are_built_when_read():
+    for group in [gs.cyclic(6), gs.abelian([2, 3]), gs.dihedral(4), gs.dicyclic(2),
+                  gs.symmetric(3), gs.semidirect_cyclic(gs.SemidirectSpec(7, 3, 2)),
+                  gs.direct_product(gs.symmetric(3), gs.dihedral(2))]:
+        assert group.labels == group.labels and group.labels is not group.labels
+        assert len(group.labels) == group.order
+    assert "labels" not in gs.FiniteGroup.__slots__
+
+
+def test_wrong_length_labels_rejected_at_construction():
+    for labels in (["e"], ["e", "x", "y"], []):
+        with pytest.raises(ValueError, match="one label per element"):
+            gs.from_cayley([[0, 1], [1, 0]], labels=labels)
+    assert gs.from_cayley([[0, 1], [1, 0]], labels=("e", 1)).labels == ("e", "1")
+
+
+def reference_extension_rows(a, b, r, c, t_major, rows):
+    """Rows of the extension table in int64 with %, cell by cell formula."""
+    n = a * b
+    x = np.asarray(rows, dtype=np.int64)[:, None]
+    y = np.arange(n, dtype=np.int64)[None, :]
+    (u1, t1), (u2, t2) = [(v % a, v // a) if t_major else (v // b, v % b) for v in (x, y)]
+    r_pow = np.array([r**k % a for k in range(b)], dtype=np.int64)
+    new_u = (u1 + r_pow[t1] * u2 + c * (t1 + t2 >= b)) % a
+    new_t = (t1 + t2) % b
+    return new_u + a * new_t if t_major else new_u * b + new_t
+
+
+def test_extension_table_matches_int64_reference():
+    rng = random.Random(2213)
+    drawn = [(a, 2, -1, a // 2, True) for a in (2, 4, 6, 10)]  # dicyclic carries
+    for _ in range(300):
+        a, b = rng.randint(1, 30), rng.randint(1, 8)
+        r = rng.choice([-1, 0, 1, a, a + 1, 2 * a + 3, rng.randint(-3 * a, 3 * a)])
+        c = rng.choice([0, 0, rng.randint(0, 2 * a)])
+        drawn.append((a, b, r, c, rng.random() < 0.5))
+    for a, b, r, c, t_major in drawn:
+        table = gs.groups._extension_table(a, b, r, c=c, t_major=t_major)
+        expected = reference_extension_rows(a, b, r, c, t_major, range(a * b))
+        assert table.dtype == np.int32 and np.array_equal(table, expected), (a, b, r, c, t_major)
+
+
+@pytest.mark.parametrize("args", [(2000, 1, 1, 0, True), (1000, 2, -1, 500, True)])
+def test_extension_table_matches_int64_reference_at_order_2000(args):
+    # cyclic:2000 and dicyclic:500, compared 250 rows at a time
+    table = gs.groups._extension_table(*args)
+    assert table.dtype == np.int32 and table.shape == (2000, 2000)
+    for start in range(0, 2000, 250):
+        rows = range(start, start + 250)
+        assert np.array_equal(table[start:start + 250], reference_extension_rows(*args, rows))
 
 
 def test_constructed_tables_are_pinned():

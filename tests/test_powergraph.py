@@ -1,6 +1,8 @@
 import json
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import groupsum as gs
@@ -104,13 +106,29 @@ def test_edges_match_networkx_oracle():
 # --- the group's memo of its cyclic subgroups ---
 
 
+def relabelled(base, rng):
+    """`base` with its elements renamed by a shuffle that moves the identity off 0."""
+    sigma = list(range(base.order))
+    while sigma[base.identity] == 0:
+        rng.shuffle(sigma)
+    s = np.asarray(sigma)
+    table = np.empty_like(base.table)
+    table[np.ix_(s, s)] = s[base.table]
+    return gs.from_cayley(table, int(s[base.identity]), name=f"relabelled {base.name}")
+
+
 def test_cyclic_memo_matches_naive_oracle():
     groups = [group for n in range(1, 61) for group in gs.catalog(n)]
     groups += [
         gs.semidirect_cyclic(gs.SemidirectSpec(8, 2, 3)),
         gs.direct_product(gs.dihedral(3), gs.cyclic(4)),
         gs.symmetric(4),
+        # many cyclic subgroups of one length
+        gs.abelian([2, 2, 2, 2, 2, 2]),
+        gs.abelian([3, 3, 3, 3]),
     ]
+    rng = random.Random(61)
+    groups += [relabelled(group, rng) for group in groups if group.order > 1]
     for group in groups:
         subgroups = [naive_power_set(group, g) for g in range(group.order)]
         smallest = {}  # <g> -> its smallest generator
@@ -144,6 +162,17 @@ def test_verify_main_walks_each_cyclic_subgroup_once(monkeypatch):
     assert verify.verify_main(48).passed
     assert set(walks) == distinct
     assert set(walks.values()) == {1}
+
+
+def test_verify_main_reads_no_labels(monkeypatch):
+    def unread(group):
+        raise AssertionError(f"labels of {group.name} read")
+
+    monkeypatch.setattr(gs.FiniteGroup, "labels", property(unread))
+    with pytest.raises(AssertionError, match="labels of"):
+        gs.cyclic(2).labels
+    for n in (48, 210):
+        assert verify.verify_main(n).passed
 
 
 def test_build_and_witness_check_make_no_walk_after_element_orders(monkeypatch):
