@@ -26,10 +26,7 @@ from .groups import (
     dicyclic,
     dihedral,
     direct_product,
-    element_order,
     enumerate_semidirect_units,
-    from_cayley,
-    is_cyclic,
     phi_of_group,
     semidirect_cyclic,
     symmetric,
@@ -46,7 +43,6 @@ from .numtheory import (
     nth_prime,
     phi_cyclic_product,
     phi_cyclic_sum,
-    q_lower_bound_check,
     q_of,
     q_of_primes,
     skip_primes,
@@ -86,15 +82,12 @@ __all__ = [
     "dicyclic",
     "dihedral",
     "direct_product",
-    "element_order",
     "enumerate_semidirect_units",
     "export_dot",
     "export_json",
     "factorize",
     "first_primes",
     "format_rational",
-    "from_cayley",
-    "is_cyclic",
     "is_prime",
     "lemma_Q_bounds",
     "lemma_n_geq_check",
@@ -102,7 +95,6 @@ __all__ = [
     "phi_cyclic_product",
     "phi_cyclic_sum",
     "phi_of_group",
-    "q_lower_bound_check",
     "q_of",
     "q_of_primes",
     "semidirect_cyclic",

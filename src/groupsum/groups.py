@@ -200,7 +200,7 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
         raise GroupValidationError(f"table must be a nonempty square, got shape {raw.shape}")
     if not np.issubdtype(raw.dtype, np.integer):
         raise GroupValidationError(f"table entries must be integers, got {raw.dtype}")
-    if isinstance(identity, bool) or not isinstance(identity, int):
+    if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):  # as `_integer`
         raise GroupValidationError(f"identity must be an integer index, got {identity!r}")
     n = raw.shape[0]
     if not (0 <= identity < n):
@@ -394,7 +394,7 @@ class FiniteGroup:
         inverses.flags.writeable = False
         self._table = arr
         self._inverses = inverses
-        self.identity = identity
+        self.identity = int(identity)
         self.name = name
         n = arr.shape[0]
         # (rule, args): `labels` is rule(*args), built when read
@@ -429,9 +429,6 @@ class FiniteGroup:
     def table(self) -> np.ndarray:
         """The validated Cayley table: a read-only n x n int32 array."""
         return self._table
-
-    def __len__(self) -> int:
-        return self._table.shape[0]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -518,9 +515,6 @@ class FiniteGroup:
             inside = _closure_of(self._table, inside, gens[:i], g)
         return Subgroup(self, np.flatnonzero(inside))
 
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (self.identity,))
-
     def normalizer(self, sub: "Subgroup") -> "Subgroup":
         """Elements g with g * sub * g^-1 == sub, found by conjugating sub's
         members, the one generating set known here.  For a Sylow subgroup
@@ -564,7 +558,7 @@ class FiniteGroup:
         if not numtheory.is_prime(q):
             raise ValueError(f"{q} is not prime")
         if self.order % q != 0:
-            return self.trivial_subgroup()
+            return Subgroup(self, (self.identity,))
         return self._sylow_pair(q)[0]
 
     def _sylow_pair(self, q: int) -> tuple["Subgroup", "Subgroup"]:
@@ -730,30 +724,12 @@ class Subgroup:
         return any(orders[g] == len(self) for g in self.members)
 
 
-# --- module-level operation aliases ---
-
-
-def from_cayley(
-    table,
-    identity: int = 0,
-    name: str = "G",
-    labels: Optional[Sequence[str]] = None,
-) -> FiniteGroup:
-    """Validate a raw Cayley table into a FiniteGroup."""
-    return FiniteGroup(table, identity, name=name, labels=labels)
-
-
-def element_order(group: FiniteGroup, g: int) -> int:
-    return group.element_order(g)
+# --- phi(G) as a function ---
 
 
 def phi_of_group(group: FiniteGroup) -> int:
     """Sum of phi(order(g)) over the group's elements."""
     return group.phi()
-
-
-def is_cyclic(group: FiniteGroup) -> bool:
-    return group.is_cyclic()
 
 
 # --- constructions ---

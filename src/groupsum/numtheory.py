@@ -370,19 +370,6 @@ def q_of(n: IntLike) -> Fraction:
     return _coerce(n).q
 
 
-def q_lower_bound_check(n: IntLike) -> tuple[bool, Fraction]:
-    """Check phi(C_n) > n^2 / Q exactly; return (holds, gap).
-
-    The strict bound holds for every n >= 2.  At n == 1 both sides are 1,
-    so the result is (False, 0): a degenerate boundary case, not a
-    counterexample.
-    """
-    fact = _coerce(n)
-    phi_cn = phi_cyclic_sum(fact)
-    gap = phi_cn - Fraction(fact.n * fact.n) / q_of(fact)
-    return gap > 0, gap
-
-
 @dataclass(frozen=True)
 class QBounds:
     """Outcome of the two Q upper bounds; None means hypothesis not met."""

@@ -973,10 +973,30 @@ def test_q_and_phi_on_large_n_finish():
         assert result.stdout == f"{expected}\n"
 
 
+PUBLIC_NAMES = [
+    "DEFAULT_ORDER_CAP", "Factorization", "FiniteGroup", "GroupValidationError",
+    "HypothesisViolation", "NoIdentityError", "NoInverseError", "NotAssociativeError",
+    "NotClosedError", "OrderCapError", "PowerGraph", "SemidirectSpec", "Subgroup",
+    "abelian", "alternating", "build", "catalog", "cyclic", "dicyclic", "dihedral",
+    "direct_product", "enumerate_semidirect_units", "export_dot", "export_json",
+    "factorize", "first_primes", "format_rational", "is_prime", "lemma_Q_bounds",
+    "lemma_n_geq_check", "nth_prime", "phi_cyclic_product", "phi_cyclic_sum",
+    "phi_of_group", "q_of", "q_of_primes", "semidirect_cyclic", "skip_primes",
+    "symmetric", "table1", "totient", "undirected_degree", "undirected_edge_count",
+]
+
+
 def test_package_exports_resolve_without_duplicates():
     assert len(gs.__all__) == len(set(gs.__all__))
     for name in gs.__all__:
         assert hasattr(gs, name), name
+    assert sorted(gs.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 43
+    # one spelling per operation: the methods and the constructor, no aliases
+    for module in (gs, gs.groups, gs.numtheory):
+        for name in ("from_cayley", "element_order", "is_cyclic", "q_lower_bound_check"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(gs.FiniteGroup, "trivial_subgroup")
+    assert not hasattr(gs.FiniteGroup, "__len__")
 
 
 # --- one parser per process ---

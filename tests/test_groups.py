@@ -121,26 +121,26 @@ def one_or_two_generators(group):
 
 
 def test_trivial_and_c2_tables():
-    assert gs.from_cayley([[0]], 0).order == 1
-    g = gs.from_cayley([[0, 1], [1, 0]], 0)
+    assert gs.FiniteGroup([[0]], 0).order == 1
+    g = gs.FiniteGroup([[0, 1], [1, 0]], 0)
     assert g.order == 2 and g.element_order(1) == 2
 
 
 def test_missing_inverse_rejected():
     with pytest.raises(gs.NoInverseError):
-        gs.from_cayley([[0, 1], [1, 1]], 0)
+        gs.FiniteGroup([[0, 1], [1, 1]], 0)
 
 
 def test_not_closed_rejected():
     with pytest.raises(gs.NotClosedError):
-        gs.from_cayley([[0, 1], [1, 7]], 0)
+        gs.FiniteGroup([[0, 1], [1, 7]], 0)
 
 
 def test_bad_identity_rejected():
     with pytest.raises(gs.NoIdentityError):
-        gs.from_cayley([[0, 1], [1, 0]], 1)
+        gs.FiniteGroup([[0, 1], [1, 0]], 1)
     with pytest.raises(gs.NoIdentityError):
-        gs.from_cayley([[0, 1], [1, 0]], 5)
+        gs.FiniteGroup([[0, 1], [1, 0]], 5)
 
 
 def test_nonassociative_loop_rejected():
@@ -154,20 +154,20 @@ def test_nonassociative_loop_rejected():
         [4, 2, 0, 1, 3],
     ]
     with pytest.raises(gs.NotAssociativeError):
-        gs.from_cayley(loop, 0)
+        gs.FiniteGroup(loop, 0)
 
 
 def test_nonsquare_rejected():
     for table in ([[0, 1]], [[0, 1], [1]], [[0], [1, 0]]):  # the last two are ragged
         with pytest.raises(gs.GroupValidationError, match="table must be a nonempty square"):
-            gs.from_cayley(table, 0)
+            gs.FiniteGroup(table, 0)
 
 
 def test_out_of_range_entries_rejected_before_narrowing():
     # 2**32 + 1 wraps to 1 in 32 bits, which would make this table C2
     for big in (2**32 + 1, -(2**32) + 1):
         with pytest.raises(gs.NotClosedError):
-            gs.from_cayley([[0, big], [big, 0]], 0)
+            gs.FiniteGroup([[0, big], [big, 0]], 0)
 
 
 def test_table_is_read_only():
@@ -182,7 +182,7 @@ def relabel(base, sigma):
     s = np.asarray(sigma)
     table = np.empty_like(base.table)
     table[np.ix_(s, s)] = s[base.table]
-    return gs.from_cayley(table, int(s[base.identity]))
+    return gs.FiniteGroup(table, s[base.identity])
 
 
 def test_inverse_is_a_two_sided_inverse_stored_read_only():
@@ -214,7 +214,7 @@ def test_pickle_and_deepcopy_rebuild_validated_read_only_groups(tmp_path):
     groups += [gs.symmetric(4), gs.alternating(4),
                gs.direct_product(gs.dihedral(3), gs.abelian([2, 2])),
                cli.parse_group_spec(f"file:{path}"),
-               gs.from_cayley([[0, 1], [1, 0]], name="labelled", labels=["e", 7])]
+               gs.FiniteGroup([[0, 1], [1, 0]], name="labelled", labels=["e", 7])]
     for group in groups:
         sub = group.sylow_subgroup(max(nt.factorize(group.order).primes, default=2))
         for twin, twin_sub in (pickle.loads(pickle.dumps((group, sub))), copy.deepcopy((group, sub))):
@@ -245,16 +245,22 @@ def test_caller_table_is_not_aliased():
     idx = np.arange(5)
     raw = ((idx[:, None] + idx[None, :]) % 5).astype(np.int32)
     expected = raw.copy()
-    group = gs.from_cayley(raw, 0)
+    group = gs.FiniteGroup(raw, 0)
     raw[:] = 0
     assert np.array_equal(group.table, expected)
     assert group.element_orders() == (1, 5, 5, 5, 5)
 
 
 def test_non_integer_identity_rejected():
-    for identity in ("0", 0.0, None, True):
+    for identity in ("0", 0.0, None, True, np.True_, np.float64(0.0)):
         with pytest.raises(gs.GroupValidationError):
-            gs.from_cayley([[0, 1], [1, 0]], identity)
+            gs.FiniteGroup([[0, 1], [1, 0]], identity)
+    # numpy integers pass, as for every other integer argument, and are kept as int
+    for identity in (np.int64(1), np.int32(1), np.uint8(1)):
+        group = gs.FiniteGroup([[1, 0], [0, 1]], identity)
+        assert type(group.identity) is int and group.identity == 1
+        restored = gs.FiniteGroup.from_json(group.to_json())
+        assert restored.identity == 1 and np.array_equal(restored.table, group.table)
 
 
 # --- element orders ---
@@ -332,10 +338,10 @@ def test_subgroup_validation():
 
 
 def test_is_cyclic():
-    assert gs.is_cyclic(gs.cyclic(12))
-    assert not gs.is_cyclic(gs.abelian([2, 2]))
-    assert not gs.is_cyclic(gs.alternating(4))
-    assert gs.is_cyclic(gs.direct_product(gs.cyclic(2), gs.cyclic(3)))
+    assert gs.cyclic(12).is_cyclic()
+    assert not gs.abelian([2, 2]).is_cyclic()
+    assert not gs.alternating(4).is_cyclic()
+    assert gs.direct_product(gs.cyclic(2), gs.cyclic(3)).is_cyclic()
 
 
 def test_phi_of_group_paper_examples():
@@ -727,8 +733,8 @@ def test_labels_are_built_when_read():
 def test_wrong_length_labels_rejected_at_construction():
     for labels in (["e"], ["e", "x", "y"], []):
         with pytest.raises(ValueError, match="one label per element"):
-            gs.from_cayley([[0, 1], [1, 0]], labels=labels)
-    assert gs.from_cayley([[0, 1], [1, 0]], labels=("e", 1)).labels == ("e", "1")
+            gs.FiniteGroup([[0, 1], [1, 0]], labels=labels)
+    assert gs.FiniteGroup([[0, 1], [1, 0]], labels=("e", 1)).labels == ("e", "1")
 
 
 def reference_extension_rows(a, b, r, c, t_major, rows):
@@ -805,7 +811,7 @@ def test_direct_product_with_trivial_group():
 
 
 def test_direct_product_coprime_is_cyclic():
-    assert gs.is_cyclic(gs.direct_product(gs.cyclic(2), gs.cyclic(3)))
+    assert gs.direct_product(gs.cyclic(2), gs.cyclic(3)).is_cyclic()
 
 
 def test_direct_product_order_law():
@@ -953,7 +959,7 @@ def test_json_import_validates():
 
 def test_non_integer_table_rejected():
     with pytest.raises(gs.GroupValidationError):
-        gs.from_cayley([[0.5, 1.0], [1.0, 0.0]], 0)
+        gs.FiniteGroup([[0.5, 1.0], [1.0, 0.0]], 0)
 
 
 def test_boolean_table_entries_rejected():
@@ -964,13 +970,13 @@ def test_boolean_table_entries_rejected():
             table = [list(row) for row in c3]
             table[i][j] = flag(table[i][j])
             with pytest.raises(gs.GroupValidationError, match="bool"):
-                gs.from_cayley(table, 0)
+                gs.FiniteGroup(table, 0)
             with pytest.raises(gs.GroupValidationError, match="bool"):
-                gs.from_cayley(tuple(map(tuple, table)), 0)
+                gs.FiniteGroup(tuple(map(tuple, table)), 0)
     with pytest.raises(gs.GroupValidationError, match="bool"):
-        gs.from_cayley([[0, True], [True, 0]], 0)
+        gs.FiniteGroup([[0, True], [True, 0]], 0)
     with pytest.raises(gs.GroupValidationError):
-        gs.from_cayley([[True]], 0)  # all bools: numpy's bool dtype, not an integer one
+        gs.FiniteGroup([[True]], 0)  # all bools: numpy's bool dtype, not an integer one
 
 
 def test_generated_subgroup_matches_naive_closure():
@@ -1009,7 +1015,7 @@ def test_relabelled_tables_still_validate():
             for i in range(n):
                 for j in range(n):
                     table[sigma[i]][sigma[j]] = sigma[int(base.table[i, j])]
-            relabelled = gs.from_cayley(table, sigma[base.identity])
+            relabelled = gs.FiniteGroup(table, sigma[base.identity])
             assert sorted(relabelled.element_orders()) == sorted(base.element_orders())
 
 
@@ -1027,7 +1033,7 @@ def test_single_cell_corruption_always_rejected():
             old = table[i][j]
             table[i][j] = rng.choice([v for v in range(n) if v != old])
             with pytest.raises(gs.GroupValidationError):
-                gs.from_cayley(table, base.identity)
+                gs.FiniteGroup(table, base.identity)
 
 
 def intercalate_swaps(base, rng, count):
@@ -1053,11 +1059,12 @@ SWAP_BASES = [gs.dihedral(4), gs.dicyclic(2), gs.abelian([2, 4]), gs.symmetric(4
 
 
 def in_row_blocks(monkeypatch, rows):
-    """A `from_cayley` whose validation runs over blocks of `rows` rows, so
-    that tables smaller than one block of cells still span several."""
+    """A `FiniteGroup` constructor whose validation runs over blocks of
+    `rows` rows, so that tables smaller than one block of cells still span
+    several."""
     def build(table, identity):
         monkeypatch.setattr(gs.groups, "_BLOCK_CELLS", rows * len(table))
-        return gs.from_cayley(table, identity)
+        return gs.FiniteGroup(table, identity)
 
     return build
 
@@ -1077,7 +1084,7 @@ def check_intercalate_swaps(build):
 
 
 def test_intercalate_swaps_name_the_reference_witness():
-    check_intercalate_swaps(gs.from_cayley)
+    check_intercalate_swaps(gs.FiniteGroup)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -1103,7 +1110,7 @@ def test_closure_matches_reference_on_group_tables():
 
 
 def test_swap_failing_at_a_later_generator_names_the_reference_witness():
-    check_swaps_at_a_later_generator(gs.from_cayley)
+    check_swaps_at_a_later_generator(gs.FiniteGroup)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -1203,7 +1210,7 @@ def test_validation_matches_reference_on_drawn_tables():
     @hypothesis.given(drawn_tables(hypothesis.strategies))
     def check(drawn):
         table, identity = drawn
-        got = validation_outcome(gs.from_cayley, table, identity)
+        got = validation_outcome(gs.FiniteGroup, table, identity)
         assert got == reference_validation(table, identity)
 
     check()

@@ -272,21 +272,6 @@ def test_q_of_primes():
     assert nt.q_of_primes([]) == Fraction(1)
 
 
-def test_q_lower_bound_check():
-    holds, gap = nt.q_lower_bound_check(6)
-    assert holds and gap == Fraction(4)  # 10 - 36/6
-    holds, gap = nt.q_lower_bound_check(1)
-    assert not holds and gap == 0  # boundary case, not a counterexample
-    holds, gap = nt.q_lower_bound_check(12)
-    assert holds and gap == Fraction(6)  # 30 - 144/6
-
-
-def test_q_lower_bound_strict_for_small_range():
-    for n in range(2, 3000):
-        holds, gap = nt.q_lower_bound_check(n)
-        assert holds and gap > 0
-
-
 # --- conditional Q bounds ---
 
 

@@ -114,7 +114,7 @@ def relabelled(base, rng):
     s = np.asarray(sigma)
     table = np.empty_like(base.table)
     table[np.ix_(s, s)] = s[base.table]
-    return gs.from_cayley(table, int(s[base.identity]), name=f"relabelled {base.name}")
+    return gs.FiniteGroup(table, s[base.identity], name=f"relabelled {base.name}")
 
 
 def test_cyclic_memo_matches_naive_oracle():
@@ -248,7 +248,7 @@ def test_dot_export_trivial():
 
 
 def test_dot_export_escapes_quotes_and_backslashes():
-    group = gs.from_cayley([[0, 1], [1, 0]], name='a"b\\c', labels=['e"', "x\\"])
+    group = gs.FiniteGroup([[0, 1], [1, 0]], name='a"b\\c', labels=['e"', "x\\"])
     text = pg.export_dot(pg.build(group))
     assert text == (
         'digraph "a\\"b\\\\c" {\n'
@@ -279,7 +279,7 @@ def test_json_round_trip():
 
 def test_json_export_escapes_name():
     for name in ['a"b', "back\\slash", "new\nline", "tab\there", "café", "ctrl\x01"]:
-        graph = pg.build(gs.from_cayley(gs.cyclic(6).table.tolist(), name=name))
+        graph = pg.build(gs.FiniteGroup(gs.cyclic(6).table.tolist(), name=name))
         expected = json.dumps(
             {
                 "group": name,

@@ -368,6 +368,21 @@ def test_multiplicativity_reports_a_wrong_totient_as_the_old_loop_did(monkeypatc
                         {"n": 97, "info": "sieve disagrees with totient()"})
 
 
+def test_eq6_lower_bound_reports_the_first_n_it_fails_at(monkeypatch):
+    real = gs.numtheory.phi_cyclic_sum
+
+    def short_at_97(n):
+        # phi(C_97) = 9217 is the least integer above 97^2 / Q(97) = 9216.9...
+        value = real(n)
+        return value - 1 if getattr(n, "n", n) == 97 else value
+
+    monkeypatch.setattr(gs.numtheory, "phi_cyclic_sum", short_at_97)
+    verdict = verify.verify_numtheory_sweep(300)["eq6-lower-bound"]
+    assert not verdict.passed
+    assert verdict.detail == "299 values checked up to 300"
+    assert verdict.counterexample == {"n": 97, "info": "phi(C_n)*Q = 9408 <= n^2"}
+
+
 @pytest.mark.parametrize("index, counterexample", [
     (1, {"n": 1, "info": "sieve disagrees with totient()"}),
     (250, {"n": 250, "info": "sieve disagrees with totient()"}),
