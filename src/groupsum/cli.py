@@ -8,7 +8,8 @@ optional leading minus sign.
 
 Exit status: 0 on success / all verdicts passing, 1 when any verdict
 fails (a counterexample is printed: on stderr for `verify-main --format
-csv`, whose rows carry no verdicts), 2 on usage errors.
+csv`, whose rows carry no verdicts), 2 on usage errors and on a group too
+large to build in memory.
 
 `run(argv)` may be called many times in one process. It builds the
 argument parser once, on the first call, and reuses it on every later call:
@@ -32,7 +33,6 @@ from . import numtheory, powergraph, verify
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
-    GroupValidationError,
     OrderCapError,
     SemidirectSpec,
     abelian,
@@ -406,8 +406,9 @@ def run(argv=None) -> int:
     try:
         text, status = _COMMANDS[args.command](args)
         _emit(text, args.out)
-    except (SpecError, OrderCapError, GroupValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # every usage error is a ValueError
+        message = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     return status
 

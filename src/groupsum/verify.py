@@ -2,8 +2,12 @@
 
 Each check produces a Verdict keyed by a stable statement id ("thm-main",
 "lem-3.5", "table-2-k3-q6-a2eq1", ...) so a report can say exactly which
-claim broke and on which group.  Failures are verdicts with counterexample
-payloads, never exceptions.
+claim broke and on which group.  A failing statement is a verdict with a
+counterexample payload, not an exception.  An internal inconsistency, where
+the checker disagrees with itself rather than with the paper, raises
+AssertionError: `verify_main`'s cyclic-entry check, `table2_spot_check`'s
+checks on each instantiated case, `FiniteGroup.count_sylow`'s counting laws
+and `powergraph.undirected_edge_count`'s identity 2*edges + |G| = phi(G).
 """
 
 from __future__ import annotations
@@ -162,6 +166,7 @@ class CriterionOutcome:
     contained in the cyclic subgroup generated by g.  The lone documented
     exception: in the group of order 2 the identity also satisfies the
     witness inequality but generates nothing (identity_exception).
+    `satisfied` is the verdict for g, decided by `check_witnesses`.
     """
 
     witness: int
@@ -173,39 +178,22 @@ class CriterionOutcome:
     cyclic: bool
     contained_in_gen: bool
     identity_exception: bool
-    non_identity_ok: bool
-    p_alpha_divides: Optional[bool]
-    generates_group: Optional[bool]
-    quotient_lt_p: Optional[bool]
-
-    @property
-    def satisfied(self) -> bool:
-        consequences = (
-            self.p_alpha_divides,
-            self.generates_group,
-            self.quotient_lt_p,
-        )
-        return (
-            self.unique
-            and self.normal
-            and self.cyclic
-            and self.non_identity_ok
-            and (self.contained_in_gen or self.identity_exception)
-            and all(c in (None, True) for c in consequences)
-        )
+    satisfied: bool
 
 
 def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
-    """Find every witness element and evaluate the criterion's conclusions.
+    """Find every witness element and decide, in one rule, whether the
+    criterion holds for it (stored as `CriterionOutcome.satisfied`).
 
-    Also evaluates the side consequences: a witness is never the identity
-    (except in order 2); in a prime-power group of order > 2 a witness
-    generates; the full largest-prime power divides the witness order when
-    the order exceeds 2; and an even-order witness g has |G|/order(g)
-    below the largest prime.  Whether the Sylow subgroup lies in <g> is
-    decided once per key, the smallest generator of <g>, from the group's
-    memo of its cyclic subgroups: the answer holds for every generator of
-    <g>, and those are witnesses together with g.
+    Besides the promised conclusions, the rule checks the side consequences,
+    each as "hypothesis false, or conclusion true": a witness is never the
+    identity (except in order 2); in a prime-power group of order > 2 a
+    witness generates; the full largest-prime power divides the witness
+    order when the order exceeds 2; and an even-order witness g has
+    |G|/order(g) below the largest prime.  Whether the Sylow subgroup lies
+    in <g> is decided once per key, the smallest generator of <g>, from the
+    group's memo of its cyclic subgroups: the answer holds for every
+    generator of <g>, and those are witnesses together with g.
     """
     n = group.order
     if n == 1:
@@ -231,23 +219,18 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
         k = key[g]
         if k not in contained:
             contained[k] = int(np.count_nonzero(sylow.mask[list(powers[k])])) == len(sylow)
-        outcomes.append(
-            CriterionOutcome(
-                witness=g,
-                witness_order=og,
-                sylow_prime=p,
-                sylow_order=len(sylow),
-                unique=unique,
-                normal=normal,
-                cyclic=cyc,
-                contained_in_gen=contained[k],
-                identity_exception=(g == group.identity and n == 2),
-                non_identity_ok=(g != group.identity or n == 2),
-                p_alpha_divides=(og % p_alpha == 0) if n > 2 else None,
-                generates_group=(og == n) if prime_power and n > 2 else None,
-                quotient_lt_p=(n // og < p) if og % 2 == 0 else None,
-            )
+        exception = g == group.identity and n == 2
+        satisfied = (
+            unique and normal and cyc
+            and (g != group.identity or n == 2)
+            and (contained[k] or exception)
+            and (n <= 2 or og % p_alpha == 0)
+            and (not prime_power or n <= 2 or og == n)
+            and (og % 2 == 1 or n // og < p)
         )
+        outcomes.append(CriterionOutcome(
+            g, og, p, len(sylow), unique, normal, cyc, contained[k], exception, satisfied
+        ))
     return outcomes
 
 
@@ -436,7 +419,8 @@ class Table2Case:
 
     `quotient` is the tabulated value of n / order(g); `overrides` raises
     selected exponents (1-based prime position) above the minimum of 1 to
-    match the case label; `printed` and `relation` record the published
+    match the case named by the `row_id` suffix (`a2gt1`: alpha2 > 1, and
+    so on); `printed` and `relation` record the published
     comparison of n / phi(order(g)) against Q.
     """
 
@@ -444,7 +428,6 @@ class Table2Case:
     k: int
     quotient: int
     overrides: tuple[tuple[int, int], ...]
-    case_label: str
     printed: str
     relation: str
     note: str = ""
@@ -452,26 +435,26 @@ class Table2Case:
 
 TABLE2_CASES = [
     Table2Case(
-        "table-2-k2-q4", 2, 4, (), "all", "6", "=",
+        "table-2-k2-q4", 2, 4, (), "6", "=",
         "order read as a power of 3 (the printed subscript follows the 2-part case column)",
     ),
-    Table2Case("table-2-k3-q6-a2eq1", 3, 6, (), "alpha2=1", "7.4", "<"),
-    Table2Case("table-2-k3-q6-a2gt1", 3, 6, ((2, 2),), "alpha2>1", "11", ">"),
-    Table2Case("table-2-k3-q8", 3, 8, (), "all", "15", ">"),
-    Table2Case("table-2-k4-q8", 4, 8, (), "all", "17", ">"),
-    Table2Case("table-2-k4-q10-a3eq1", 4, 10, (), "alpha3=1", "14", ">"),
-    Table2Case("table-2-k4-q10-a3gt1", 4, 10, ((3, 2),), "alpha3>1", "21", ">"),
-    Table2Case("table-2-k5-q12-a2eq1", 5, 12, (), "alpha2=1", "19", ">"),
-    Table2Case("table-2-k5-q12-a2gt1", 5, 12, ((2, 2),), "alpha2>1", "28", ">"),
-    Table2Case("table-2-k5-q14-a4eq1", 5, 14, (), "alpha4=1", "28", ">"),
-    Table2Case("table-2-k5-q14-a4gt1", 5, 14, ((4, 2),), "alpha4>1", "33", ">"),
-    Table2Case("table-2-k6-q14-a4eq1", 6, 14, (), "alpha4=1", "62", ">"),
-    Table2Case("table-2-k6-q14-a4gt1", 6, 14, ((4, 2),), "alpha4>1", "36", ">"),
-    Table2Case("table-2-k6-q16", 6, 16, (), "all", "41", ">"),
-    Table2Case("table-2-k7-q18-a2eq2", 7, 18, (), "alpha2=2", "33", ">"),
-    Table2Case("table-2-k7-q18-a2gt2", 7, 18, ((2, 3),), "alpha2>2", "49", ">"),
-    Table2Case("table-2-k8-q20-a3eq1", 8, 20, (), "alpha3=1", "46", ">"),
-    Table2Case("table-2-k8-q20-a3gt1", 8, 20, ((3, 2),), "alpha3>1", "58", ">"),
+    Table2Case("table-2-k3-q6-a2eq1", 3, 6, (), "7.4", "<"),
+    Table2Case("table-2-k3-q6-a2gt1", 3, 6, ((2, 2),), "11", ">"),
+    Table2Case("table-2-k3-q8", 3, 8, (), "15", ">"),
+    Table2Case("table-2-k4-q8", 4, 8, (), "17", ">"),
+    Table2Case("table-2-k4-q10-a3eq1", 4, 10, (), "14", ">"),
+    Table2Case("table-2-k4-q10-a3gt1", 4, 10, ((3, 2),), "21", ">"),
+    Table2Case("table-2-k5-q12-a2eq1", 5, 12, (), "19", ">"),
+    Table2Case("table-2-k5-q12-a2gt1", 5, 12, ((2, 2),), "28", ">"),
+    Table2Case("table-2-k5-q14-a4eq1", 5, 14, (), "28", ">"),
+    Table2Case("table-2-k5-q14-a4gt1", 5, 14, ((4, 2),), "33", ">"),
+    Table2Case("table-2-k6-q14-a4eq1", 6, 14, (), "62", ">"),
+    Table2Case("table-2-k6-q14-a4gt1", 6, 14, ((4, 2),), "36", ">"),
+    Table2Case("table-2-k6-q16", 6, 16, (), "41", ">"),
+    Table2Case("table-2-k7-q18-a2eq2", 7, 18, (), "33", ">"),
+    Table2Case("table-2-k7-q18-a2gt2", 7, 18, ((2, 3),), "49", ">"),
+    Table2Case("table-2-k8-q20-a3eq1", 8, 20, (), "46", ">"),
+    Table2Case("table-2-k8-q20-a3gt1", 8, 20, ((3, 2),), "58", ">"),
 ]
 
 
@@ -483,13 +466,9 @@ class Table2Verdict:
     phi_witness_order: int
     ratio: Fraction
     q: Fraction
-    relation_holds: bool
+    passed: bool
     printed_matches: bool
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.relation_holds
 
     def to_json_dict(self) -> dict:
         return {
@@ -537,12 +516,7 @@ def table2_spot_check() -> dict[str, Table2Verdict]:
         phi_order = numtheory.totient(witness_order)
         ratio = Fraction(n, phi_order)
         q = numtheory.q_of_primes(primes)
-        if case.relation == "=":
-            relation_holds = ratio == q
-        elif case.relation == ">":
-            relation_holds = ratio > q
-        else:
-            relation_holds = ratio < q
+        passed = {"=": ratio == q, ">": ratio > q, "<": ratio < q}[case.relation]
         if "." in case.printed:
             printed_matches = Fraction(case.printed) == ratio
         else:
@@ -556,8 +530,7 @@ def table2_spot_check() -> dict[str, Table2Verdict]:
                 f"{numtheory.format_rational(ratio)}"
             )
         results[case.row_id] = Table2Verdict(
-            case, n, witness_order, phi_order, ratio, q, relation_holds,
-            printed_matches, notes,
+            case, n, witness_order, phi_order, ratio, q, passed, printed_matches, notes
         )
     return results
 

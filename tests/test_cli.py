@@ -13,6 +13,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # the module is POSIX-only
+    resource = None
+
 import groupsum as gs
 from groupsum import cli
 
@@ -643,7 +648,7 @@ def inject_failures(monkeypatch):
     def failing_spot():
         verdicts = spot()
         verdicts["table-2-k3-q8"] = dataclasses.replace(
-            verdicts["table-2-k3-q8"], relation_holds=False)
+            verdicts["table-2-k3-q8"], passed=False)
         return verdicts
 
     def failing_sweep(limit):
@@ -700,6 +705,30 @@ def test_failing_verdicts_exit_1_on_stdout_and_through_out(monkeypatch, tmp_path
         assert marker in out, argv
         assert run_cli(capsys, *argv, "--out", str(path)) == (1, "", stderr), argv
         assert path.read_bytes() == out.encode(), argv
+
+
+# sha256 of `criterion --group cyclic:12` stdout with every subgroup reported
+# not normal, recorded while `satisfied` was still a property over four
+# stored ingredients, before `check_witnesses` decided it in one rule.
+PINNED_VIOLATED_WITNESSES = {
+    "text": "69f7160581513febeaa1535124303fdcd5eaff13c33bfcd35b8353424fd501d1",
+    "json": "b8de0316ab52a179b87feeabe376e6d78eb37629615bbe2df8eb425eaf6b9a8e",
+}
+
+
+def test_failing_witnesses_are_violated_in_both_formats(monkeypatch, capsys):
+    monkeypatch.setattr(gs.FiniteGroup, "is_normal", lambda self, sub: False)
+    argv = ["criterion", "--group", "cyclic:12", "--format"]
+    code, out, err = run_cli(capsys, *argv, "text")
+    assert (code, err, sha256(out)) == (1, "", PINNED_VIOLATED_WITNESSES["text"])
+    assert [line.endswith("[VIOLATED]") for line in out.splitlines()] == [True] * 4 + [False]
+    code, out, err = run_cli(capsys, *argv, "json")
+    assert (code, err, sha256(out)) == (1, "", PINNED_VIOLATED_WITNESSES["json"])
+    data = json.loads(out)
+    assert [w["satisfied"] for w in data["witnesses"]] == [False] * 4
+    overall = data["verdicts"]["thm-overall"]
+    assert not overall["passed"]
+    assert overall["counterexample"] == {"group": "cyclic:12", "witness": 1}
 
 
 def test_csv_names_a_failing_report_verdict_whose_rows_all_pass(monkeypatch, tmp_path, capsys):
@@ -888,6 +917,38 @@ def test_graph_export_memory_is_bounded_by_output_size(tmp_path):
             f"cli.run(['graph', '--group', 'cyclic:2000', '--format', '{fmt}', '--out', {str(path)!r}])"
         )
         assert (exported - built) * 1024 < 3 * path.stat().st_size, fmt
+
+
+def test_group_too_large_for_memory_is_usage_error(monkeypatch, tmp_path, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.64 TiB")
+
+    monkeypatch.setattr(gs.groups, "_extension_table", no_memory)
+    path = tmp_path / "out"
+    argv = ["phi", "--group", "cyclic:1000000", "--cap", "1000000", "--out", str(path)]
+    assert run_cli(capsys, *argv) == (2, "", "error: out of memory: Unable to allocate 3.64 TiB\n")
+    assert not path.exists()
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_real_group_too_large_for_memory_exits_2(tmp_path):
+    # the 4 GiB address-space limit makes numpy's allocation of the
+    # 10^12-cell table fail at once, whatever the machine's memory
+    path = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "groupsum", "phi", "--group", "cyclic:1000000",
+         "--cap", "1000000", "--out", str(path)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: out of memory: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not path.exists()
 
 
 def test_empty_range_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -65,7 +66,7 @@ def test_c12_witnesses():
         assert o.sylow_prime == 3 and o.sylow_order == 3
         assert o.unique and o.normal and o.cyclic and o.contained_in_gen
         assert o.satisfied and not o.identity_exception
-        assert o.p_alpha_divides is True
+        assert o.witness_order % 3 == 0
 
 
 def test_a4_has_no_witness():
@@ -100,6 +101,23 @@ def test_verify_criterion_verdict():
     verdict, outcomes = verify.verify_criterion(gs.cyclic(20))
     assert verdict.passed
     assert all(o.satisfied for o in outcomes)
+
+
+def test_verification_records_store_the_verdicts_they_print():
+    # each verdict is a stored field decided where the record is built,
+    # not a property recombining stored ingredients
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(verify.CriterionOutcome) == [
+        "witness", "witness_order", "sylow_prime", "sylow_order", "unique",
+        "normal", "cyclic", "contained_in_gen", "identity_exception", "satisfied",
+    ]
+    assert "satisfied" not in vars(verify.CriterionOutcome)
+    assert "passed" in names(verify.Table2Verdict)
+    assert "passed" not in vars(verify.Table2Verdict)
+    assert "relation_holds" not in names(verify.Table2Verdict)
+    assert "case_label" not in names(verify.Table2Case)
 
 
 def test_contrapositive_a4():
@@ -265,7 +283,7 @@ def test_table2_other_flagged_rows():
         "table-2-k6-q14-a4eq1",
     }
     # the comparisons still hold for every flagged row
-    assert all(spot[key].relation_holds for key in mismatched)
+    assert all(spot[key].passed for key in mismatched)
 
 
 def test_table2_sample_values():
