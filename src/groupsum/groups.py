@@ -257,8 +257,9 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
     # the magma closure, so a failure names the same (x, g, y) as testing
     # all generators after closing on the raw table.  Blocks run in row
     # order, so the first block that fails holds the first failing (x, y).
-    # mode="clip" (the indices are in range) lets `take` write into its out
-    # array directly; the default mode buffers it.
+    # mode="wrap" lets `take` write into its out array directly (the default
+    # mode buffers it) and costs less than "clip"; the indices are already
+    # in range, so both modes read the same cells.
     gens: list[int] = []
     closed = _member_mask(n, [identity])
     g = int(closed.argmin())
@@ -266,8 +267,8 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
         column = arr[:, g].astype(np.intp)  # x*g
         row = arr[g].astype(np.intp)        # g*y
         for start, block, lhs, rhs, equal in blocks:
-            arr.take(column[start:start + len(block)], axis=0, out=lhs, mode="clip")  # (x*g)*y
-            block.take(row, axis=1, out=rhs, mode="clip")                           # x*(g*y)
+            arr.take(column[start:start + len(block)], axis=0, out=lhs, mode="wrap")  # (x*g)*y
+            block.take(row, axis=1, out=rhs, mode="wrap")                           # x*(g*y)
             if not np.equal(lhs, rhs, out=equal).all():
                 x, y = divmod(int(equal.argmin()), n)
                 raise NotAssociativeError(start + x, g, y)
@@ -783,17 +784,29 @@ def _integer(value, what: str) -> int:
 def _extension_table(a: int, b: int, r: int, c: int = 0, t_major: bool = True) -> np.ndarray:
     """The int32 table of the n = a*b pairs (u, t) under
     (u1, t1)(u2, t2) = (u1 + r^t1 u2 + c [t1 + t2 >= b] mod a, t1 + t2 mod b),
-    with (u, t) at index u + a*t when `t_major` and u*b + t otherwise.
+    with (u, t) at index u + a*t when `t_major` and u*b + t otherwise (the
+    same index when a or b is 1).
 
-    The u-part is computed on the int32 axes (t1, u1, ., u2), or (u1, t1, u2, .),
-    and the t-part on (t1, t2), so only the final sum is n^2, unless a carry
-    c makes the u-part depend on t2.  No entry reaches a^2 + 2a, inside int32
-    for any a < 46000 (such a table would take 8 GiB).
+    The broadcast computes the u-part on the int32 axes (t1, u1, ., u2), or
+    (u1, t1, u2, .), or all four when a carry c makes it depend on t2, and the
+    t-part on (t1, t2), so only the final sum is n^2; its inner loops run
+    along the last axis, a cells t-major and b cells u-major.  So a u-major
+    table (or a t-major one with b = 1) with a > b is built from its rows
+    (0, t1) instead, the broadcast on n*b cells: a cell there holds x*b + s
+    for a u-part x < a and a t-part s < b, and the same cell of row (u1, t1)
+    holds ((u1 + x) mod a)*b + s = (u1*b + x*b + s) mod n, one add along rows
+    of n cells and one subtraction of n where the sum reaches it.  No value
+    reaches a^2 + 2a or 2n, inside int32 for any a < 46000 and n < 2^30
+    (such tables would take 8 GiB and more).
     """
+    n = a * b
     u = np.arange(a, dtype=np.int32)
     t = np.arange(b, dtype=np.int32)
     r_pow = np.array([pow(r, k, a) for k in range(b)], dtype=np.int32)
-    if t_major:
+    from_first_rows = a > b and (b == 1 or not t_major)
+    if from_first_rows:
+        (t1, u2, t2), u1 = np.ix_(t, u, t), 0
+    elif t_major:
         t1, u1, t2, u2 = np.ix_(t, u, t, u)
     else:
         u1, t1, u2, t2 = np.ix_(u, t, u, t)
@@ -806,7 +819,10 @@ def _extension_table(a: int, b: int, r: int, c: int = 0, t_major: bool = True) -
     new_u -= new_u // a * a
     new_t = (t1 + t2) % b
     table = new_u + a * new_t if t_major else new_u * b + new_t
-    return table.reshape(a * b, a * b)
+    if from_first_rows:  # the rows (0, t1) so far
+        table = (u * b)[:, None, None] + table.reshape(b, n)
+        np.subtract(table, n, out=table, where=table >= n)
+    return table.reshape(n, n)
 
 
 def cyclic(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -819,9 +835,19 @@ def cyclic(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def _combine_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Componentwise product table on pairs, indexed i1 * n2 + i2."""
-    n = t1.shape[0] * t2.shape[0]
-    return (t1[:, None, :, None] * t2.shape[0] + t2[None, :, None, :]).reshape(n, n)
+    """Componentwise product table on pairs, indexed i1 * n2 + i2.
+
+    Row (i1, i2) is row i1 of t1 times n2, each entry repeated n2 times, plus
+    row i2 of t2 tiled n1 times, so the add runs along rows of n1*n2 cells.
+    When n1 or n2 is 1 the broadcast add is already that long, and the
+    repeated or tiled copy would be a second n^2 array.
+    """
+    n1, n2 = t1.shape[0], t2.shape[0]
+    if n1 == 1 or n2 == 1:
+        table = t1[:, None, :, None] * n2 + t2[None, :, None, :]
+    else:
+        table = np.repeat(t1 * n2, n2, axis=1)[:, None, :] + np.tile(t2, n1)
+    return table.reshape(n1 * n2, n1 * n2)
 
 
 def abelian(factors: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

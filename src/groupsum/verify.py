@@ -543,20 +543,24 @@ def _totient_sieve(bound: int) -> np.ndarray:
 
     Each prime p <= sqrt(bound) takes the factor (1 - 1/p) off its
     multiples, and its powers are divided out of `rest`.  What is left in
-    `rest` is 1 or the one prime factor above sqrt(bound), which one masked
-    step takes off.  Every division is exact; phi(0) is left at 0.
+    `rest` is 1 or the one prime factor above sqrt(bound), which divides t;
+    one pass over the whole array takes it off.  Every division is exact;
+    phi(0) is left at 0.  The sweep's bound is at most 10^6, so int32 holds
+    every value and every product phi(m) phi(n) its check forms.
     """
-    t = np.arange(bound + 1, dtype=np.int64)
+    t = np.arange(bound + 1, dtype=np.int32)
     rest = t.copy()
     for p in range(2, math.isqrt(bound) + 1):
         if t[p] == p:  # no smaller prime divides p
-            t[p::p] -= t[p::p] // p
+            multiples = t[p::p]  # views, updated in place
+            multiples -= multiples // p
             power = p
             while power <= bound:
-                rest[power::power] //= p
+                powers = rest[power::power]
+                powers //= p
                 power *= p
-    big = rest > 1
-    t[big] -= t[big] // rest[big]
+    rest[0] = 1  # t[0] = 0 stays 0; no division by zero
+    t -= t // rest * (rest > 1)
     return t
 
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -763,14 +764,39 @@ def test_extension_table_matches_int64_reference():
         assert table.dtype == np.int32 and np.array_equal(table, expected), (a, b, r, c, t_major)
 
 
-@pytest.mark.parametrize("args", [(2000, 1, 1, 0, True), (1000, 2, -1, 500, True)])
+@pytest.mark.parametrize("args", [
+    (2000, 1, 1, 0, True),     # cyclic:2000, built from its first row
+    (1000, 2, -1, 500, True),  # dicyclic:500, the t-major broadcast
+    (999, 2, 998, 0, False),   # sdp:999:2:998, from its first rows
+    (125, 16, 57, 0, False),   # sdp:125:16:57 (57 has order 4 mod 125), from its first rows
+    (15, 128, 14, 0, False),   # sdp:15:128:14, the u-major broadcast
+])
 def test_extension_table_matches_int64_reference_at_order_2000(args):
-    # cyclic:2000 and dicyclic:500, compared 250 rows at a time
+    # orders 1920 to 2000, compared 250 rows at a time
     table = gs.groups._extension_table(*args)
-    assert table.dtype == np.int32 and table.shape == (2000, 2000)
-    for start in range(0, 2000, 250):
-        rows = range(start, start + 250)
-        assert np.array_equal(table[start:start + 250], reference_extension_rows(*args, rows))
+    n = args[0] * args[1]
+    assert table.dtype == np.int32 and table.shape == (n, n)
+    for start in range(0, n, 250):
+        rows = range(start, min(start + 250, n))
+        assert np.array_equal(table[rows.start:rows.stop], reference_extension_rows(*args, rows))
+
+
+def reference_combined_table(t1, t2):
+    """The product table by one broadcast add over (i1, i2, j1, j2), in int64."""
+    n = len(t1) * len(t2)
+    t1, t2 = np.asarray(t1, dtype=np.int64), np.asarray(t2, dtype=np.int64)
+    return (t1[:, None, :, None] * len(t2) + t2[None, :, None, :]).reshape(n, n)
+
+
+@pytest.mark.parametrize("factors", [
+    ["abelian:2"] * 10, ["dihedral:3", "cyclic:4"], ["cyclic:1", "dihedral:5"],
+    ["dihedral:5", "cyclic:1"], ["sym:5", "dicyclic:4"],  # the last of order 1920
+])
+def test_combine_tables_matches_int64_reference(factors):
+    tables = [cli.parse_group_spec(spec).table for spec in factors]
+    table = functools.reduce(gs.groups._combine_tables, tables)
+    expected = functools.reduce(reference_combined_table, tables)
+    assert table.dtype == np.int32 and np.array_equal(table, expected)
 
 
 def test_constructed_tables_are_pinned():
