@@ -839,14 +839,9 @@ def _combine_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
     Row (i1, i2) is row i1 of t1 times n2, each entry repeated n2 times, plus
     row i2 of t2 tiled n1 times, so the add runs along rows of n1*n2 cells.
-    When n1 or n2 is 1 the broadcast add is already that long, and the
-    repeated or tiled copy would be a second n^2 array.
     """
     n1, n2 = t1.shape[0], t2.shape[0]
-    if n1 == 1 or n2 == 1:
-        table = t1[:, None, :, None] * n2 + t2[None, :, None, :]
-    else:
-        table = np.repeat(t1 * n2, n2, axis=1)[:, None, :] + np.tile(t2, n1)
+    table = np.repeat(t1 * n2, n2, axis=1)[:, None, :] + np.tile(t2, n1)
     return table.reshape(n1 * n2, n1 * n2)
 
 
