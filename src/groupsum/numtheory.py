@@ -18,9 +18,9 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
 class HypothesisViolation(ValueError):
@@ -128,6 +128,8 @@ class Factorization:
 
     n: int
     factors: tuple[tuple[int, int], ...]
+    # the distinct primes, ascending; derived from `factors` on construction
+    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -141,10 +143,7 @@ class Factorization:
             last = p
         if prod != self.n:
             raise ValueError(f"factors multiply to {prod}, not {self.n}")
-
-    @functools.cached_property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+        object.__setattr__(self, "primes", tuple(p for p, _ in self.factors))
 
     @functools.cached_property
     def q(self) -> Fraction:
@@ -278,8 +277,12 @@ def factorization_from_spf(n: int, spf: list[int]) -> Factorization:
 
 
 def divisors(n: IntLike) -> list[int]:
-    """All positive divisors of n, ascending."""
-    return sorted(d for d, _ in _divisor_totients(_coerce(n)))
+    """All positive divisors of n, ascending, built from its prime powers."""
+    found = [1]
+    for p, a in _coerce(n).factors:
+        powers = [p**i for i in range(a + 1)]
+        found = [d * pp for d in found for pp in powers]
+    return sorted(found)
 
 
 # --- totients ---
@@ -299,29 +302,27 @@ def totient_table(values: Iterable[int]) -> dict[int, int]:
     return {v: totient(v) for v in set(values)}
 
 
-def _divisor_totients(fact: Factorization) -> Iterator[tuple[int, int]]:
-    """Yield (d, phi(d)) for every divisor d of n, phi built multiplicatively."""
-    pairs = [(1, 1)]
-    for p, a in fact.factors:
-        grown = []
-        for d, ph in pairs:
-            grown.append((d, ph))
-            pp = 1
-            for _ in range(a):
-                pp *= p
-                grown.append((d * pp, ph * (pp // p) * (p - 1)))
-        pairs = grown
-    return iter(pairs)
-
-
 def phi_cyclic_sum(n: IntLike) -> int:
     """Totient sum of the cyclic group of order n, as the divisor sum.
 
     Each divisor d contributes phi(d) elements of order d, each worth
-    phi(d), so the value is sum over d | n of phi(d)^2.
+    phi(d), so the value is sum over d | n of phi(d)^2.  Both phi and the
+    divisor sum are multiplicative, so the sum is taken one prime power at
+    a time: the product over p^a dividing n exactly of
+    1 + sum_{i=1..a} (p^(i-1)(p-1))^2.  The cost follows the number of
+    prime factors of n, not its number of divisors, and no divisor is
+    listed.  This is still a summation, independent of the closed form in
+    `phi_cyclic_product`.
     """
-    fact = _coerce(n)
-    return sum(ph * ph for _, ph in _divisor_totients(fact))
+    result = 1
+    for p, a in _coerce(n).factors:
+        ph = p - 1  # phi(p^i), from i = 1
+        part = 1  # phi(1)^2
+        for _ in range(a):
+            part += ph * ph
+            ph *= p
+        result *= part
+    return result
 
 
 def phi_cyclic_product(n: IntLike) -> int:

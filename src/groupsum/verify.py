@@ -599,20 +599,18 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
     tot = [0] * (limit + 1)
 
     failures: dict[str, dict] = {}
-    counts: dict[str, int] = {}
+    # values checked per hypothesis-limited statement; eq5 checks every n
+    # in 1..limit and eq6 every n in 2..limit
+    n_24i = n_24ii = n_26 = 0
 
     def fail(key: str, n: int, info: str):
         failures.setdefault(key, {"n": n, "info": info})
-
-    def bump(key: str):
-        counts[key] = counts.get(key, 0) + 1
 
     for n in range(1, limit + 1):
         fact = numtheory.factorization_from_spf(n, spf)
         tot[n] = numtheory.totient(fact)
         sum_form = numtheory.phi_cyclic_sum(fact)
         product_form = numtheory.phi_cyclic_product(fact)
-        bump("eq5-two-forms")
         if sum_form != product_form:
             fail("eq5-two-forms", n, f"{sum_form} != {product_form}")
         if n == 1:
@@ -621,32 +619,33 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
         num, den = numtheory._q_terms(fact.primes)
         p = fact.largest_prime
 
-        bump("eq6-lower-bound")
         if not sum_form * num > n * n * den:
             q = numtheory.q_of(fact)
             fail("eq6-lower-bound", n, f"phi(C_n)*Q = {sum_form * q} <= n^2")
 
         bounds = numtheory.lemma_Q_bounds(fact)
         if bounds.q_le_p_plus_1 is not None:
-            bump("lem-2.4i")
+            n_24i += 1
             if not bounds.q_le_p_plus_1:
                 fail("lem-2.4i", n, f"Q = {numtheory.q_of(fact)} > {p + 1}")
         if bounds.q_lt_p_odd is not None:
-            bump("lem-2.4ii")
+            n_24ii += 1
             if not bounds.q_lt_p_odd:
                 fail("lem-2.4ii", n, f"Q = {numtheory.q_of(fact)} >= {p}")
 
         if fact.primes != (2,):
-            bump("lem-2.6")
+            n_26 += 1
             holds, equality = numtheory.lemma_n_geq_check(fact)
             if not holds or equality != (fact.primes == (2, 3)):
                 fail("lem-2.6", n, f"holds = {holds}, equality = {equality}")
 
-    for key in ("eq5-two-forms", "eq6-lower-bound", "lem-2.4i", "lem-2.4ii", "lem-2.6"):
+    counts = {"eq5-two-forms": limit, "eq6-lower-bound": limit - 1,
+              "lem-2.4i": n_24i, "lem-2.4ii": n_24ii, "lem-2.6": n_26}
+    for key, count in counts.items():
         record(
             key,
             key not in failures,
-            f"{counts.get(key, 0)} values checked up to {limit}",
+            f"{count} values checked up to {limit}",
             failures.get(key),
         )
 
@@ -682,11 +681,17 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
     if disagree.size:
         mul_bad = {"n": int(disagree[0]) + 1, "info": "sieve disagrees with totient()"}
     else:
-        m, n2 = np.triu_indices(mul_limit)
+        # Cell (m-1, n-1) is marked when m > n or a prime divides both m
+        # and n; the unmarked cells, read row by row, are the walk's pairs.
+        # The primes come from spf, so the pairs do not depend on the sieve
+        # under test.
+        shared = np.tri(mul_limit, k=-1, dtype=bool)
+        for p in range(2, mul_limit + 1):
+            if spf[p] == p:
+                shared[p - 1 :: p, p - 1 :: p] = True
+        m, n2 = np.nonzero(~shared)
         m += 1
         n2 += 1
-        coprime = np.gcd(m, n2) == 1
-        m, n2 = m[coprime], n2[coprime]
         bad = np.flatnonzero(sieve_tot[m] * sieve_tot[n2] != sieve_tot[m * n2])
         pairs = m.size
         if bad.size:

@@ -41,6 +41,20 @@ def test_phi_by_n(capsys):
     assert code == 0 and out == "86\n"
 
 
+def test_phi_of_a_highly_composite_n_lists_no_divisors(capsys, monkeypatch):
+    # 7,096,320 divisors: the sum is taken one prime power at a time
+    n = 67006300653005242387098240000
+    expected = 141709693259111404075505308508913228442411024531518693750
+
+    def refuse(_):
+        raise AssertionError("phi_cyclic_sum must not list divisors")
+
+    monkeypatch.setattr(gs.numtheory, "divisors", refuse)
+    assert gs.numtheory.phi_cyclic_sum(n) == expected == gs.numtheory.phi_cyclic_product(n)
+    code, out, _ = run_cli(capsys, "phi", "--n", str(n))
+    assert code == 0 and out == f"{expected}\n"
+
+
 def test_phi_json(capsys):
     code, out, _ = run_cli(capsys, "phi", "--group", "alt:4", "--format", "json")
     assert code == 0

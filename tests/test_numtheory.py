@@ -69,7 +69,7 @@ def test_factorization_validation():
 def test_factorization_properties():
     fact = nt.factorize(360)
     assert fact.primes == (2, 3, 5)
-    assert fact.primes is fact.primes  # computed once, then cached
+    assert fact.primes is fact.primes  # derived once, on construction
     assert fact.q == Fraction(3 * 4 * 6, 1 * 2 * 4)
     assert fact.q is fact.q and nt.q_of(fact) is fact.q
     fresh = nt.factorize(360)
@@ -254,6 +254,18 @@ def test_phi_cyclic_sum_against_oracle():
 def test_two_forms_agree():
     for n in range(1, 5000):
         assert nt.phi_cyclic_sum(n) == nt.phi_cyclic_product(n)
+
+
+def test_phi_cyclic_sum_and_divisors_against_oracles_on_drawn_n():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(hypothesis.strategies.integers(1, 20000))
+    def check(n):
+        assert nt.divisors(n) == naive_divisors(n)
+        assert nt.phi_cyclic_sum(n) == naive_phi_cyclic(n)
+
+    check()
 
 
 # --- Q ---

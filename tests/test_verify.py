@@ -401,11 +401,68 @@ def test_eq6_lower_bound_reports_the_first_n_it_fails_at(monkeypatch):
     assert verdict.counterexample == {"n": 97, "info": "phi(C_n)*Q = 9408 <= n^2"}
 
 
+def test_eq5_reports_the_n_where_the_two_forms_differ(monkeypatch):
+    real = gs.numtheory.phi_cyclic_product
+
+    def long_at_97(n):
+        value = real(n)
+        return value + 1 if getattr(n, "n", n) == 97 else value
+
+    monkeypatch.setattr(gs.numtheory, "phi_cyclic_product", long_at_97)
+    verdict = verify.verify_numtheory_sweep(300)["eq5-two-forms"]
+    assert not verdict.passed
+    assert verdict.detail == "300 values checked up to 300"
+    assert verdict.counterexample == {"n": 97, "info": "9217 != 9218"}
+
+
+def test_phi_divisibility_reports_the_first_pair_in_loop_order(monkeypatch):
+    real = gs.numtheory.totient
+
+    def odd_at_100(n):
+        # phi(100) = 40 becomes 41, which phi(4) = 2 no longer divides
+        value = real(n)
+        return value + 1 if getattr(n, "n", n) == 100 else value
+
+    monkeypatch.setattr(gs.numtheory, "totient", odd_at_100)
+    verdict = verify.verify_numtheory_sweep(300)["phi-divisibility"]
+    assert not verdict.passed
+    # phi(1) = phi(2) = 1 divides everything and 3 does not divide 100, so
+    # the walk passes every b for a = 1, 2, 3 (299 + 149 + 99 pairs) and
+    # fails at a = 4 on its 24th multiple, b = 100
+    assert verdict.detail == "571 divisor pairs up to 300"
+    assert verdict.counterexample == {"a": 4, "b": 100}
+
+
+@pytest.mark.parametrize("key, detail, counterexample", [
+    ("lem-2.4i", "266 values checked up to 300", {"n": 15, "info": "Q = 30 > 6"}),
+    ("lem-2.4ii", "149 values checked up to 300", {"n": 15, "info": "Q = 30 >= 5"}),
+    ("lem-2.6", "291 values checked up to 300",
+     {"n": 15, "info": "holds = False, equality = False"}),
+])
+def test_q_lemmas_report_the_first_n_with_an_inflated_q(
+    monkeypatch, key, detail, counterexample
+):
+    # Q over {3, 5} is 3; ten times that breaks all three statements at
+    # every n with that prime set (15, 45, 75, ...), and 15 is the first.
+    real = gs.numtheory._q_terms
+
+    def inflated(primes):
+        num, den = real(primes)
+        return (10 * num, den) if primes == (3, 5) else (num, den)
+
+    monkeypatch.setattr(gs.numtheory, "_q_terms", inflated)
+    verdict = verify.verify_numtheory_sweep(300)[key]
+    assert not verdict.passed
+    assert verdict.detail == detail
+    assert verdict.counterexample == counterexample
+
+
 @pytest.mark.parametrize("index, counterexample", [
     (1, {"n": 1, "info": "sieve disagrees with totient()"}),
     (250, {"n": 250, "info": "sieve disagrees with totient()"}),
     (1400, {"m": 7, "n": 200}),  # 1400 = 7 * 200 = 8 * 175 = 25 * 56
     (89700, {"m": 299, "n": 300}),  # the last pair of the walk
+    (350, {"m": 2, "n": 175}),  # above the agreement range; 350 = 2 * 175 = 14 * 25
 ])
 def test_multiplicativity_reports_a_bad_sieve_entry_as_the_old_loop_did(
     monkeypatch, index, counterexample
