@@ -67,11 +67,11 @@ read-only.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import permutations as _permutations
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -571,7 +571,7 @@ class FiniteGroup:
         pair = self._sylow.get(q)
         if pair is not None:
             return pair
-        q_part = q ** dict(numtheory.factorize(self.order).factors)[q]
+        q_part = math.gcd(self.order, q ** self.order.bit_length())  # q^bitlen(n) > n
         orders = np.asarray(self.element_orders())
         q_elements = q_part % orders == 0  # orders divide n, so these are the q-powers
         seed = int(np.argmax(np.where(q_elements, orders, 0)))
@@ -904,7 +904,7 @@ def _all_permutations(k: int) -> np.ndarray:
     k = _integer(k, "k")
     if not 1 <= k <= 6:
         raise ValueError("supported for 1 <= k <= 6")
-    return np.array(list(_permutations(range(k))), dtype=np.int8)
+    return np.array(list(itertools.permutations(range(k))), dtype=np.int8)
 
 
 def symmetric(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -1018,28 +1018,20 @@ def _partitions(k: int, largest: Optional[int] = None):
 def abelian_invariant_factor_lists(n: int) -> list[list[int]]:
     """One invariant-factor list per abelian group of order n.
 
-    The first entry is always [n] (the cyclic group); factors are returned
-    ascending and each divides the next.
+    Each prime power p^a exactly dividing n is split by a partition of a,
+    written as its descending prime powers; one partition per prime gives
+    one group, and its i-th invariant factor from the top is the product
+    of the i-th parts.  The first entry is always [n] (the cyclic group);
+    factors are returned ascending and each divides the next.
     """
-    fact = numtheory.factorize(n)
     per_prime = [
-        [(p, part) for part in _partitions(a)] for p, a in fact.factors
+        [[p**e for e in part] for part in _partitions(a)]
+        for p, a in numtheory.factorize(n).factors
     ]
-    combos = [[]]
-    for options in per_prime:
-        combos = [combo + [opt] for combo in combos for opt in options]
-    results = []
-    for combo in combos:
-        depth = max((len(part) for _, part in combo), default=0)
-        invariant = []
-        for layer in range(depth):
-            d = 1
-            for p, part in combo:
-                if layer < len(part):
-                    d *= p ** part[layer]
-            invariant.append(d)
-        results.append(sorted(invariant) if invariant else [1])
-    return results
+    return [
+        sorted(map(math.prod, itertools.zip_longest(*combo, fillvalue=1))) or [1]
+        for combo in itertools.product(*per_prime)
+    ]
 
 
 def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
@@ -1049,7 +1041,10 @@ def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
     when the order permits, the symmetric and alternating groups on up to
     six points when their order is exactly n, and every cyclic-by-cyclic
     semidirect product over coprime factorizations n = a*b (a, b >= 2).
-    This is catalog coverage, not a classification of all groups of
+    The abelian entries come one per choice of a partition of each prime's
+    exponent; each split takes a as the product of a proper, nonempty set
+    of n's prime powers, in ascending order of a, with every valid action
+    r.  This is catalog coverage, not a classification of all groups of
     order n.
     """
     n = _integer(n, "order")
@@ -1058,7 +1053,7 @@ def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
     _check_cap(n, cap)
     groups: list[FiniteGroup] = []
     for invariant in abelian_invariant_factor_lists(n):
-        if invariant == [n] or n == 1:
+        if invariant == [n]:
             groups.append(cyclic(n, cap))
         else:
             groups.append(abelian(invariant, cap))
@@ -1071,10 +1066,13 @@ def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
             groups.append(symmetric(k, cap))
         if math.factorial(k) // 2 == n:
             groups.append(alternating(k, cap))
-    for a in numtheory.divisors(n):
-        b = n // a
-        if a < 2 or b < 2 or math.gcd(a, b) != 1:
-            continue
-        for r in enumerate_semidirect_units(a, b):
-            groups.append(semidirect_cyclic(SemidirectSpec(a, b, r), cap))
+    powers = [p**e for p, e in numtheory.factorize(n).factors]
+    splits = (
+        math.prod(part)
+        for size in range(1, len(powers))
+        for part in itertools.combinations(powers, size)
+    )
+    for a in sorted(splits):
+        for r in enumerate_semidirect_units(a, n // a):
+            groups.append(semidirect_cyclic(SemidirectSpec(a, n // a, r), cap))
     return groups

@@ -30,7 +30,7 @@ class HypothesisViolation(ValueError):
 # --- primes ---
 
 
-# The first 13 primes: trial divisors and strong-probable-prime bases.
+# The first 13 primes: for trial division and as strong-probable-prime bases.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The least odd composite that is a strong probable prime to every base in
 # _BASES (Sorenson & Webster, Math. Comp. 2015); below it the test is a proof.
@@ -276,15 +276,6 @@ def factorization_from_spf(n: int, spf: list[int]) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def divisors(n: IntLike) -> list[int]:
-    """All positive divisors of n, ascending, built from its prime powers."""
-    found = [1]
-    for p, a in _coerce(n).factors:
-        powers = [p**i for i in range(a + 1)]
-        found = [d * pp for d in found for pp in powers]
-    return sorted(found)
-
-
 # --- totients ---
 
 
@@ -310,7 +301,7 @@ def phi_cyclic_sum(n: IntLike) -> int:
     divisor sum are multiplicative, so the sum is taken one prime power at
     a time: the product over p^a dividing n exactly of
     1 + sum_{i=1..a} (p^(i-1)(p-1))^2.  The cost follows the number of
-    prime factors of n, not its number of divisors, and no divisor is
+    prime factors of n, not its divisor count, and no divisor is
     listed.  This is still a summation, independent of the closed form in
     `phi_cyclic_product`.
     """

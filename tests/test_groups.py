@@ -940,6 +940,45 @@ def test_catalog_always_contains_cyclic():
         assert any(g.name == f"cyclic:{n}" for g in gs.catalog(n))
 
 
+# sha256 over the lines "n:lists" for n = 1..20000, joined by newlines,
+# recorded while the lists were still built by hand-written nested loops.
+PINNED_INVARIANT_LISTS = "7812466a4f56dd6ffbd506e27686b1ee5e3d7fb89644243bebc22195b190dbcc"
+
+
+def test_invariant_factor_lists_are_every_divisor_chain_up_to_20000():
+    # the chains d1 | d2 | ... with product n and every d > 1 are one per
+    # choice of a partition of each prime's exponent, so distinct valid
+    # chains, as many as that product of partition counts, are all of them
+    partition_count = [1] + [0] * 14  # 2^14 < 20000 < 2^15
+    for part in range(1, 15):
+        for k in range(part, 15):
+            partition_count[k] += partition_count[k - part]
+    lines = []
+    for n in range(1, 20001):
+        lists = gs.groups.abelian_invariant_factor_lists(n)
+        assert lists[0] == [n]
+        for factors in lists:
+            assert math.prod(factors) == n, (n, factors)
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:])), (n, factors)
+            assert n == 1 or factors[0] > 1, (n, factors)
+        assert len(set(map(tuple, lists))) == len(lists) == math.prod(
+            partition_count[a] for _, a in nt.factorize(n).factors), n
+        lines.append(f"{n}:{lists}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_INVARIANT_LISTS
+
+
+def test_catalog_splits_past_order_300_follow_the_divisor_rule():
+    # four distinct primes each: fourteen coprime splits, in ascending a
+    for n in (330, 390, 462, 510):
+        expected = [
+            f"sdp:{a}:{n // a}:{r}"
+            for a in range(2, n) if n % a == 0 and math.gcd(a, n // a) == 1
+            for r in gs.enumerate_semidirect_units(a, n // a)
+        ]
+        names = [g.name for g in gs.catalog(n) if g.name.startswith("sdp:")]
+        assert names == expected, n
+
+
 # --- JSON wire format ---
 
 

@@ -85,13 +85,6 @@ def test_spf_sieve_matches_factorize():
         assert nt.factorization_from_spf(n, spf) == nt.factorize(n)
 
 
-def test_divisors():
-    assert nt.divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert nt.divisors(1) == [1]
-    for n in range(1, 200):
-        assert nt.divisors(n) == naive_divisors(n)
-
-
 # --- primes ---
 
 
@@ -256,13 +249,12 @@ def test_two_forms_agree():
         assert nt.phi_cyclic_sum(n) == nt.phi_cyclic_product(n)
 
 
-def test_phi_cyclic_sum_and_divisors_against_oracles_on_drawn_n():
+def test_phi_cyclic_sum_against_its_oracle_on_drawn_n():
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @hypothesis.given(hypothesis.strategies.integers(1, 20000))
     def check(n):
-        assert nt.divisors(n) == naive_divisors(n)
         assert nt.phi_cyclic_sum(n) == naive_phi_cyclic(n)
 
     check()

@@ -55,6 +55,28 @@ def test_verify_main_sweep_small():
         assert verify.verify_main(n).passed
 
 
+def test_thm_main_reports_a_non_cyclic_group_with_the_cyclic_flag(monkeypatch):
+    real = gs.FiniteGroup.is_cyclic
+    monkeypatch.setattr(gs.FiniteGroup, "is_cyclic",
+                        lambda self: self.name == "abelian:2x2" or real(self))
+    verdict = verify.verify_main(4).verdicts["thm-main"]
+    assert not verdict.passed
+    assert verdict.detail == "checked 2 groups of order 4"
+    assert verdict.counterexample == {"group": "abelian:2x2", "phi_G": 4}
+
+
+def test_thm_edge_max_reports_a_non_cyclic_group_above_the_cyclic_count(monkeypatch):
+    # cyclic:4 has 1 undirected edge and abelian:2x2 none; the theorem is
+    # strict, so one extra edge only ties and two put abelian:2x2 above
+    real = gs.powergraph.undirected_edge_count
+    monkeypatch.setattr(gs.powergraph, "undirected_edge_count",
+                        lambda graph: real(graph) + 2 * (not graph.group.is_cyclic()))
+    verdict = verify.verify_main(4).verdicts["thm-edge-max"]
+    assert not verdict.passed
+    assert verdict.detail == "cyclic entry has 1 undirected edges, max is 2, expected 1"
+    assert verdict.counterexample == {"group": "abelian:2x2", "edges": 2}
+
+
 # --- witnesses and the normal-Sylow criterion ---
 
 
@@ -182,6 +204,19 @@ def test_criterion_sweep_small():
     assert verdicts["cor-contrapositive"].passed
 
 
+def test_cor_contrapositive_reports_a_witness_beside_several_sylow_subgroups(monkeypatch):
+    real = gs.FiniteGroup.count_sylow
+    monkeypatch.setattr(gs.FiniteGroup, "count_sylow",
+                        lambda self, q: 4 if self.name == "cyclic:12" else real(self, q))
+    verdict = verify.criterion_sweep(12)["cor-contrapositive"]
+    assert not verdict.passed
+    assert verdict.detail == "35 groups"
+    # the generators 1, 5, 7, 11 of cyclic:12 are its witnesses
+    assert verdict.counterexample == {"group": "cyclic:12", "witness": 1}
+    assert verify.verify_contrapositive(gs.cyclic(12)).detail == (
+        "cyclic:12: 4 Sylow-3 subgroups but a witness exists")
+
+
 # --- product lemmas ---
 
 
@@ -249,6 +284,50 @@ def test_semidirect_sweep_small():
     assert all(v.passed for v in verdicts.values())
 
 
+# sdp:7:3:2 against prod:cyclic:7,cyclic:3: every statement holds, with
+# totient sums 65 < 185.  Each test below makes one ingredient false for
+# the twisted group and checks that only its own verdict fails.
+TWISTED = gs.SemidirectSpec(7, 3, 2)
+
+
+def failing_semidirect_verdicts():
+    verdicts = verify.verify_semidirect_lemmas(TWISTED)
+    return {k: (v.detail, v.counterexample) for k, v in verdicts.items() if not v.passed}
+
+
+def test_lem_3_2_reports_the_first_pair_whose_order_does_not_divide(monkeypatch):
+    # pair 1 = (0, 1) has order 3 in both groups; order 2 does not divide 3,
+    # and phi(2) = 1 divides every totient, so only the order test can fire
+    real = gs.FiniteGroup.element_orders
+
+    def wrong_at_pair_1(self):
+        orders = real(self)
+        return orders[:1] + (2,) + orders[2:] if self.name == "sdp:7:3:2" else orders
+
+    monkeypatch.setattr(gs.FiniteGroup, "element_orders", wrong_at_pair_1)
+    assert failing_semidirect_verdicts() == {"lem-3.2": (
+        "sdp:7:3:2: orders divide the direct-product orders",
+        {"group": "sdp:7:3:2", "pair": 1})}
+
+
+def test_cor_3_3_reports_a_twisted_sum_above_the_direct_one(monkeypatch):
+    real = gs.FiniteGroup.phi
+    monkeypatch.setattr(gs.FiniteGroup, "phi",
+                        lambda self: 186 if self.name == "sdp:7:3:2" else real(self))
+    assert failing_semidirect_verdicts() == {"cor-3.3": (
+        "phi(sdp:7:3:2) = 186 <= phi(prod:cyclic:7,cyclic:3) = 185",
+        {"group": "sdp:7:3:2"})}
+
+
+def test_lem_3_5_reports_an_action_whose_equality_case_is_flipped(monkeypatch):
+    real = gs.SemidirectSpec.is_direct
+    monkeypatch.setattr(gs.SemidirectSpec, "is_direct",
+                        property(lambda self: not real.fget(self)))
+    assert failing_semidirect_verdicts() == {"lem-3.5": (
+        "sdp:7:3:2: equality expected (phi 65 vs 185)",
+        {"group": "sdp:7:3:2", "r": 2})}
+
+
 # --- tabulated spot checks ---
 
 
@@ -300,6 +379,25 @@ def test_table2_witness_orders_are_odd_multiples_of_top_prime_power():
         assert row.witness_order % 2 == 1
         assert row.n % row.witness_order == 0
         assert row.n // row.witness_order == row.case.quotient
+
+
+@pytest.mark.parametrize("case", verify.TABLE2_CASES, ids=lambda case: case.row_id)
+def test_table2_row_fails_on_a_wrong_witness_totient(monkeypatch, case):
+    # phi(o(g)) = 1 puts n / phi above Q and phi = n puts it at 1, below Q;
+    # rows that share the witness order (15, 105, 1155, 15015) fail together
+    clean = verify.table2_spot_check()
+    row = clean[case.row_id]
+    wrong = 1 if case.relation == "<" else row.n
+    real = gs.numtheory.totient
+    monkeypatch.setattr(gs.numtheory, "totient",
+                        lambda m: wrong if m == row.witness_order else real(m))
+    spot = verify.table2_spot_check()
+    for key, verdict in spot.items():
+        if verdict.witness_order == row.witness_order:
+            assert not verdict.passed, key
+            assert (verdict.n, verdict.phi_witness_order) == (clean[key].n, wrong), key
+        else:
+            assert verdict.to_json_dict() == clean[key].to_json_dict(), key
 
 
 # --- arithmetic sweeps ---
@@ -481,6 +579,21 @@ def test_multiplicativity_reports_a_bad_sieve_entry_as_the_old_loop_did(
     expected = _expected_multiplicativity(300, old_sieve)
     assert expected[2] == counterexample
     assert _multiplicativity(verdicts) == expected
+
+
+def test_table_1_reports_the_first_altered_row(monkeypatch):
+    real = gs.numtheory.table1
+
+    def altered():
+        rows = list(real())
+        rows[4] = rows[4]._replace(q_skip=rows[4].q_skip + 1)
+        return rows
+
+    monkeypatch.setattr(gs.numtheory, "table1", altered)
+    verdict = verify.verify_numtheory_sweep(0)["table-1"]
+    assert not verdict.passed
+    assert verdict.detail == "9 rows compared exactly"
+    assert verdict.counterexample == {"ell": 5}
 
 
 def test_numtheory_sweep_limit_cap():
