@@ -9,12 +9,12 @@ the factors and the running time repeat from run to run.  Totients come
 from the prime factorization, and every inequality is decided exactly,
 with `fractions.Fraction` or by cross-multiplying integers (never floats).
 All integers are arbitrary precision, so products of many prime powers
-cannot overflow.
+cannot overflow.  The module holds no state: nothing is cached, and every
+value is computed from the arguments on each call.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -86,22 +86,19 @@ def nth_prime(i: int) -> int:
     return first_primes(i)[-1]
 
 
-# The primes found so far, ascending; `first_primes` extends it on demand.
-_PRIMES: tuple[int, ...] = ()
-
-
 def first_primes(ell: int) -> tuple[int, ...]:
-    """The set of the first `ell` primes, ascending; () for ell <= 0."""
-    global _PRIMES
-    if ell > len(_PRIMES):
-        primes = list(_PRIMES)
-        candidate = primes[-1] if primes else 1
-        while len(primes) < ell:
-            candidate += 1
-            if is_prime(candidate):
-                primes.append(candidate)
-        _PRIMES = tuple(primes)
-    return _PRIMES[: max(ell, 0)]
+    """The set of the first `ell` primes, ascending; () for ell <= 0.
+
+    The first 13 are `_BASES`; any past those are found with `is_prime`
+    on each call.
+    """
+    primes = _BASES[: max(ell, 0)]
+    candidate = _BASES[-1]
+    while len(primes) < ell:
+        candidate += 2
+        if is_prime(candidate):
+            primes += (candidate,)
+    return primes
 
 
 def skip_primes(ell: int) -> tuple[int, ...]:
@@ -110,7 +107,7 @@ def skip_primes(ell: int) -> tuple[int, ...]:
     This is the "skip one prime" family used alongside `first_primes` in
     the tabulated special values of the rational invariant Q.
     """
-    return tuple(nth_prime(i) for i in range(1, ell)) + (nth_prime(ell + 1),)
+    return first_primes(ell - 1) + (nth_prime(ell + 1),)
 
 
 # --- factorization ---
@@ -144,11 +141,6 @@ class Factorization:
         if prod != self.n:
             raise ValueError(f"factors multiply to {prod}, not {self.n}")
         object.__setattr__(self, "primes", tuple(p for p, _ in self.factors))
-
-    @functools.cached_property
-    def q(self) -> Fraction:
-        """Q(n) = prod (p+1)/(p-1) over the distinct primes (see `q_of`)."""
-        return q_of_primes(self.primes)
 
     @property
     def k(self) -> int:
@@ -359,7 +351,7 @@ def q_of_primes(primes: Iterable[int]) -> Fraction:
 def q_of(n: IntLike) -> Fraction:
     """The reduced rational Q(n) = prod (p+1)/(p-1) over distinct prime
     factors of n.  Q(1) == 1 (empty product)."""
-    return _coerce(n).q
+    return q_of_primes(_coerce(n).primes)
 
 
 @dataclass(frozen=True)

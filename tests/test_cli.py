@@ -3,9 +3,11 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
@@ -274,6 +276,72 @@ def test_cap_bounds_file_groups(tmp_path, capsys):
             assert err == "error: order 16 exceeds cap 10\n"
         code, out, _ = run_cli(capsys, "phi", "--group", f"file:{path}", "--cap", "16")
         assert (code, out) == (0, f"{gs.dihedral(8).phi()}\n")
+
+
+def linear_permutation(matrix, points, modulus):
+    # the permutation of `points` (tuples) under x -> matrix . x mod modulus
+    index = {p: i for i, p in enumerate(points)}
+    return [index[tuple(sum(a * x for a, x in zip(row, p)) % modulus for row in matrix)]
+            for p in points]
+
+
+def outside_catalog_groups():
+    # (name, generators as permutation lists, phi, Sylow counts by prime)
+    plane = [p for p in itertools.product(range(3), repeat=2) if any(p)]
+    space = list(itertools.product(range(3), repeat=3))
+    return [
+        ("SL(2,3)", [linear_permutation([[1, 1], [0, 1]], plane, 3),
+                     linear_permutation([[0, 2], [1, 0]], plane, 3)], 46, {2: 1, 3: 4}),
+        ("Heisenberg mod 3", [linear_permutation([[1, 1, 0], [0, 1, 0], [0, 0, 1]], space, 3),
+                              linear_permutation([[1, 0, 0], [0, 1, 1], [0, 0, 1]], space, 3)],
+         53, {3: 1}),
+        ("M16", [[(x + 1) % 8 for x in range(8)], [5 * x % 8 for x in range(8)]], 44, {2: 1}),
+    ]
+
+
+def test_groups_outside_the_catalog_run_through_file_specs(tmp_path, capsys):
+    sympy = pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    rng = random.Random(2813)
+    for name, gens, phi, sylow_counts in outside_catalog_groups():
+        theirs = PermutationGroup([Permutation(g) for g in gens])
+        elements = list(theirs.generate())
+        n = len(elements)
+        assert sum(sympy.totient(g.order()) for g in elements) == phi, name
+        for q, count in sylow_counts.items():
+            sylow = theirs.sylow_subgroup(q).elements
+            conjugates = {frozenset(g**-1 * h * g for h in sylow) for g in elements}
+            assert len(conjugates) == count, (name, q)
+
+        index = {g: i for i, g in enumerate(elements)}
+        table = [[index[g * h] for h in elements] for g in elements]
+        sigma = list(range(n))
+        while sigma[index[theirs.identity]] == 0:
+            rng.shuffle(sigma)
+        relabelled = [[0] * n for _ in range(n)]
+        for i, row in enumerate(table):
+            for j, k in enumerate(row):
+                relabelled[sigma[i]][sigma[j]] = sigma[k]
+        moved = gs.FiniteGroup(relabelled, sigma[index[theirs.identity]], name=name)
+        assert moved.identity != 0
+        data = gs.FiniteGroup(table, index[theirs.identity], name=name).to_json_dict()
+        for i, text in enumerate([moved.to_json(),
+                                  json.dumps({"table": data.pop("table"), **data})]):
+            path = tmp_path / f"outside-{i}.json"
+            path.write_text(text)
+            spec = f"file:{path}"
+            assert run_cli(capsys, "phi", "--group", spec) == (0, f"{phi}\n", ""), name
+            code, out, _ = run_cli(capsys, "graph", "--group", spec, "--format", "json")
+            graph = json.loads(out)
+            assert (code, graph["n"]) == (0, n)
+            assert len(graph["undirected"]) == (phi - n) // 2, name
+            code, out, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
+            verdicts = json.loads(out)["verdicts"]
+            assert code == 0 and all(v["passed"] for v in verdicts.values()), name
+            group = gs.FiniteGroup.from_json(text)
+            for q, count in sylow_counts.items():
+                assert group.count_sylow(q) == count, (name, q)
 
 
 # --- verify-main ---

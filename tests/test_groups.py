@@ -280,6 +280,65 @@ def test_order_census_against_oracle():
         assert Counter(group.element_orders()) == naive_census(group)
 
 
+def cyclic_orders(m):
+    return [m // math.gcd(m, x) for x in range(m)]
+
+
+def permutation_order(perm):
+    # the lcm of the cycle lengths, walked by hand
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return math.lcm(*lengths), len(lengths)
+
+
+def closed_form_orders(name):
+    # Element orders in the constructions' index order, from the name alone
+    family, _, args = name.partition(":")
+    if family in ("cyclic", "abelian"):
+        # mixed-radix digits, first factor most significant
+        radices = [int(d) for d in args.split("x")]
+        return [math.lcm(*(d // math.gcd(d, x) for d, x in zip(radices, digits)))
+                for digits in itertools.product(*map(range, radices))]
+    if family == "dihedral":
+        m = int(args)
+        return cyclic_orders(m) + [2] * m
+    if family == "dicyclic":
+        m = int(args)
+        return cyclic_orders(2 * m) + [4] * (2 * m)
+    if family == "sdp":
+        # (u, t) at u*b + t; its k-th power, k = b / gcd(b, t), is (u*N_t, 0)
+        a, b, r = map(int, args.split(":"))
+        powers = []
+        for t in range(b):
+            k = b // math.gcd(b, t)
+            powers.append((k, sum(pow(r, t * i, a) for i in range(k)) % a))
+        return [k * a // math.gcd(a, u * n_t) for u in range(a) for k, n_t in powers]
+    # sym/alt: rows sorted lexicographically; a permutation of k points with
+    # c cycles is even when k - c is
+    k = int(args)
+    orders = []
+    for perm in itertools.permutations(range(k)):
+        order, cycles = permutation_order(perm)
+        if family == "sym" or (k - cycles) % 2 == 0:
+            orders.append(order)
+    return orders
+
+
+def test_element_orders_match_closed_forms_in_index_order():
+    groups = [group for n in range(1, 201) for group in gs.catalog(n)]
+    groups += [make(k) for k in range(1, 7) for make in (gs.symmetric, gs.alternating)]
+    assert len(groups) == 1339
+    for group in groups:
+        assert list(group.element_orders()) == closed_form_orders(group.name), group.name
+
+
 def test_s3_has_three_cycles_of_order_three():
     census = Counter(gs.symmetric(3).element_orders())
     assert census == {1: 1, 2: 3, 3: 2}

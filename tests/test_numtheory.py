@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from groupsum import numtheory as nt
+from groupsum import verify
 
 
 # --- independent oracles ---
@@ -70,11 +71,9 @@ def test_factorization_properties():
     fact = nt.factorize(360)
     assert fact.primes == (2, 3, 5)
     assert fact.primes is fact.primes  # derived once, on construction
-    assert fact.q == Fraction(3 * 4 * 6, 1 * 2 * 4)
-    assert fact.q is fact.q and nt.q_of(fact) is fact.q
+    assert nt.q_of(fact) == 9 == Fraction(3 * 4 * 6, 1 * 2 * 4)
     fresh = nt.factorize(360)
-    assert fact == fresh and hash(fact) == hash(fresh)  # the caches are not compared
-    assert "q" in vars(fact) and "q" not in vars(fresh)
+    assert fact == fresh and hash(fact) == hash(fresh)
     assert fact.k == 3
     assert fact.largest_prime == 5
 
@@ -178,15 +177,36 @@ def _fresh_first_primes(ell):
     return tuple(primes)
 
 
-def test_first_primes_grows_one_shared_tuple(monkeypatch):
-    monkeypatch.setattr(nt, "_PRIMES", ())
-    assert nt.first_primes(0) == ()
-    assert nt.first_primes(-1) == ()
-    for ell in (20, 9, 25, 0, 1, -3, 25):
+def test_first_primes_and_skip_primes_match_trial_division():
+    for ell in (-3, 0, 1, 9, 13, 14, 25):
         assert nt.first_primes(ell) == _fresh_first_primes(max(ell, 0)), ell
-    assert nt._PRIMES == _fresh_first_primes(25)
-    assert [nt.skip_primes(ell) for ell in (1, 2, 9)] == [
-        (3,), (2, 5), (2, 3, 5, 7, 11, 13, 17, 19, 29)]
+    for ell in (0, 1, 2, 9, 14):
+        expected = _fresh_first_primes(max(ell - 1, 0)) + _fresh_first_primes(ell + 1)[-1:]
+        assert nt.skip_primes(ell) == expected, ell
+    assert nt.skip_primes(9) == (2, 3, 5, 7, 11, 13, 17, 19, 29)
+    with pytest.raises(ValueError):
+        nt.skip_primes(-1)
+
+
+def test_numtheory_holds_no_state():
+    # Nothing is cached: the module's names stay bound to the same objects
+    # and a Factorization holds only its fields, whatever was computed.
+    before = dict(vars(nt))
+    fact = nt.factorize(360)
+    verify.verify_numtheory_sweep(300)
+    nt.table1()
+    verify.table2_spot_check()
+    nt.first_primes(30)
+    nt.nth_prime(20)
+    nt.skip_primes(14)
+    nt.q_of(fact)
+    nt.totient(fact)
+    nt.lemma_Q_bounds(fact)
+    nt.lemma_n_geq_check(fact)
+    after = vars(nt)
+    assert after.keys() == before.keys()
+    assert [name for name in before if after[name] is not before[name]] == []
+    assert sorted(vars(fact)) == ["factors", "n", "primes"]
 
 
 # --- totient ---
