@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import re
 import sys
@@ -240,6 +239,8 @@ def _cmd_verify_main(args) -> tuple[str, int]:
     worker = partial(verify.verify_main, cap=args.cap)
     jobs = min(args.jobs, os.cpu_count() or 1, len(ns))
     if jobs > 1:
+        import multiprocessing  # here, not at the top: it costs every start-up ~10 ms
+
         with multiprocessing.Pool(jobs) as pool:
             reports = pool.map(worker, ns)
     else:

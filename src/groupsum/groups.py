@@ -28,11 +28,12 @@ generators it grew H from, and `normalizer` passes H's members.
 `FiniteGroup.from_json` reads a document whose last key is "table" and whose
 table is a square matrix of integers in [0, n), in the layout `to_json`
 writes or any other JSON whitespace, with numpy: byte-level checks on the
-matrix's text, one `np.fromstring` pass over its numbers, and `json.loads`
-for the rest of the document.  Every other document, and any the numpy read
-cannot decide, goes through `json.loads` whole, the reference the tests
-compare the numpy read with.  Either way the row count is checked against
-the order cap before the n x n array is built.
+matrix's text, `json.loads` for the rest of the document, and a place-value
+read of the numbers from their digit bytes, in chunks of about
+`_CHUNK_BYTES` cut at commas into a preallocated int32 array.  Every other
+document, and any the numpy read cannot decide, goes through `json.loads`
+whole, the reference the tests compare the numpy read with.  Either way the
+row count is checked against the order cap before the n x n array is built.
 
 The constructions build int32 tables by index arithmetic: one rule,
 `_extension_table`, builds the cyclic, abelian, dihedral, dicyclic and
@@ -282,7 +283,26 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
 
 
 _TABLE_KEY = re.compile(r'"table"[ \t\n\r]*:[ \t\n\r]*\[')
-_CELLS_TO_WORDS = bytes.maketrans(b"[],\t\n\r", b"      ")  # digits stay
+
+# Bytes of matrix text per chunk of the digit scans: a chunk's digit codes,
+# digit mask and place sums stay in cache and small beside the int32 table.
+_CHUNK_BYTES = 1 << 16
+
+
+def _digit_chunks(matrix: bytes):
+    """(digit, is_digit) for each chunk of a matrix's text: its bytes minus
+    ord("0") as uint8, and which of them are digits.  A chunk runs from a "["
+    or "," to the next "," about `_CHUNK_BYTES` on, or to the final "]", so
+    it starts and ends on a non-digit and no number straddles a cut."""
+    codes = np.frombuffer(matrix, dtype=np.uint8)
+    first = 0
+    while first < len(matrix) - 1:
+        last = matrix.find(b",", first + _CHUNK_BYTES)
+        if last < 0:
+            last = len(matrix) - 1
+        digit = np.subtract(codes[first:last + 1], 48, dtype=np.uint8)
+        yield digit, digit < 10
+        first = last
 
 
 def _read_square_table(text: str, cap: int) -> Optional[dict]:
@@ -297,7 +317,12 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
     replaced by `NaN`, which must be the one constant read and come back as
     the value of "table", in objects without a duplicate key.  The row count
     is then checked against `cap`, as `from_json_dict` checks it, before the
-    numbers are read.
+    numbers are read.  They are read by place value from the matrix's digit
+    bytes as written, in chunks of about `_CHUNK_BYTES` cut at commas, so no
+    number straddles a cut: each is the sum of its last len(str(n - 1))
+    digits times powers of ten, written into a preallocated int32 array.
+    A matrix with no whitespace is checked as it stands, without the copy
+    that deletes whitespace.
     """
     key = text.find('"table"')
     found = _TABLE_KEY.match(text, key) if key >= 0 and text.isascii() else None
@@ -306,7 +331,8 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
         return None
     start = found.end() - 1
     matrix = text[start:end].encode("ascii")
-    dense = matrix.translate(None, b" \t\n\r")
+    spaced = any(c in matrix for c in (b" ", b"\t", b"\n", b"\r"))
+    dense = matrix.translate(None, b" \t\n\r") if spaced else matrix
     # With digits deleted, n rows of n slots leave (n + 1)^2 bytes.
     skeleton = dense.translate(None, b"0123456789")
     n = math.isqrt(len(skeleton)) - 1
@@ -316,11 +342,11 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
     if not (dense.startswith(b"[[") and dense.endswith(b"]]")
             and dense.count(b"],[") == n - 1):
         return None
-    is_digit = np.subtract(np.frombuffer(dense, dtype=np.uint8), 48, dtype=np.uint8) < 10
-    if np.count_nonzero(is_digit[1:] > is_digit[:-1]) != n * n:
+    if sum(int(np.count_nonzero(is_digit[1:] > is_digit[:-1]))
+           for _, is_digit in _digit_chunks(dense)) != n * n:
         return None
     digits = len(dense) - len(skeleton)
-    del dense, skeleton, is_digit  # freed before the numbers are read
+    del dense, skeleton  # freed before the numbers are read
 
     placeholder = object()
     read = []  # each constant read, and None for each duplicate key
@@ -343,16 +369,33 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
         return None
     _check_cap(n, cap)
 
-    # numpy reads each run of digits between whitespace as one number, so n * n
-    # numbers means no whitespace inside one.  Numbers in [0, n) whose digits
-    # add up to the digits written had no leading zero and were not too long
-    # for int32 (numpy would wrap those).
-    cells = np.fromstring(matrix.translate(_CELLS_TO_WORDS), dtype=np.int32, sep=" ")
-    if cells.size != n * n or cells.min() < 0 or cells.max() >= n:
+    # Each run of digits in the text as written is one number, so n * n runs
+    # means no whitespace inside one.  A number is read by place value from
+    # its last `width` digits, so it has at most `width` digits itself;
+    # numbers in [0, n) whose digits add up to the digits written had no
+    # leading zero and none was longer than `width`.
+    width = len(str(n - 1))
+    dtype = np.int16 if width <= 4 else np.int32  # holds any `width` digits
+    cells = np.empty(n * n, dtype=np.int32)
+    filled = 0
+    for digit, is_digit in _digit_chunks(matrix):
+        digit *= is_digit  # 0 off the digits
+        # value[i] is the number whose last digit is at i, where i ends a run
+        value = digit.astype(dtype)
+        for k in range(1, width):
+            place = np.multiply(digit[:-k], 10**k, dtype=dtype)
+            if k > 1:  # digit[i - k] is in i's run only if i - 1, ..., i - k + 1 are digits
+                held = is_digit[1:1 - k] if k == 2 else held[1:] & is_digit[1:1 - k]
+                place *= held
+            value[k:] += place
+        ends = np.flatnonzero(is_digit[:-1] > is_digit[1:])
+        if filled + len(ends) > n * n:
+            return None
+        cells[filled:filled + len(ends)] = value[ends]
+        filled += len(ends)
+    if filled != n * n or cells.max() >= n:
         return None
-    if digits != n * n + sum(
-        int(np.count_nonzero(cells >= 10**k)) for k in range(1, len(str(n - 1)))
-    ):
+    if digits != n * n + sum(int(np.count_nonzero(cells >= 10**k)) for k in range(1, width)):
         return None
     data["table"] = cells.reshape(n, n)
     return data

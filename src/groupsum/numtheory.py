@@ -260,7 +260,10 @@ def factorization_from_spf(n: int, spf: list[int]) -> Factorization:
     factors = []
     while m > 1:
         p = spf[m]
-        a = 0
+        if p < 2 or m % p:
+            raise ValueError(f"spf[{m}] = {p} is not a prime factor of {m}")
+        m //= p
+        a = 1
         while m % p == 0:
             m //= p
             a += 1

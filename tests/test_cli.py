@@ -407,7 +407,7 @@ def test_verify_main_jobs_clamped_to_cpus_and_orders(monkeypatch, capsys):
         def map(self, fn, items):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     _, serial, _ = run_cli(capsys, "verify-main", "--range", "1..6", "--format", "csv")
     for argv, size in [(["1..6", "--jobs", "1000"], 4), (["1..3", "--jobs", "1000"], 3),
@@ -419,6 +419,17 @@ def test_verify_main_jobs_clamped_to_cpus_and_orders(monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     run_cli(capsys, "verify-main", "--range", "1..6", "--jobs", "8")
     assert len(sizes) == 3
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only verify-main with --jobs above 1 uses it, and importing it costs
+    # every other command's start-up about 10 ms
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, groupsum.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_verify_main_deterministic(capsys):

@@ -1437,9 +1437,10 @@ def test_numpy_read_takes_both_wire_layouts():
                     reference_from_json, text)
 
 
-def test_numpy_read_agrees_with_json_loads_on_drawn_documents():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def drawn_documents(st):
+    """Documents of relabelled catalog groups of order <= 60, each with its
+    keys in a drawn order, perhaps drawn JSON whitespace, and perhaps a
+    duplicate key."""
     groups = [g for n in range(1, 61) for g in gs.catalog(n)]
 
     @st.composite
@@ -1463,8 +1464,14 @@ def test_numpy_read_agrees_with_json_loads_on_drawn_documents():
         return write_group([(k, fields[k]) for k in keys], rng,
                            draw(st.sampled_from([", ", ","])), duplicate)
 
+    return documents()
+
+
+def test_numpy_read_agrees_with_json_loads_on_drawn_documents():
+    hypothesis = pytest.importorskip("hypothesis")
+
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(documents())
+    @hypothesis.given(drawn_documents(hypothesis.strategies))
     def check(text):
         assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text)
 
@@ -1505,3 +1512,96 @@ def test_numpy_read_leaves_undecided_documents_to_json_loads():
         assert text != good, what
         assert gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP) is None, what
         assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text), what
+
+
+# --- the JSON reader across the chunk cuts of its number read ---
+
+
+def test_numpy_read_agrees_with_json_loads_across_chunk_cuts(monkeypatch):
+    # the read cuts its text at the first comma at least _CHUNK_BYTES past
+    # the last cut, so at 5 bytes nearly every number sits next to a cut
+    hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.setattr(gs.groups, "_CHUNK_BYTES", 5)
+    for group in [*gs.catalog(1), *gs.catalog(2), *gs.catalog(12), gs.cyclic(101)]:
+        for text in (group.to_json(), group.to_json().replace(", ", ",")):
+            assert gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP) is not None
+            assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text)
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(drawn_documents(hypothesis.strategies))
+    def check(text):
+        assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text)
+
+    check()
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_numpy_read_rejects_edits_right_at_a_chunk_cut(monkeypatch, side):
+    # Each edit goes into the number just before or just after one comma,
+    # and _CHUNK_BYTES is that comma's offset in the matrix text, so the
+    # read's first chunk ends at it.  In C_101 row 50 holds 99 then 100.
+    group = gs.cyclic(101)
+    rows = [[str(x) for x in row] for row in group.table.tolist()]
+    head = '{"identity": 0, "name": "cyclic:101", "order": 101, "table": '
+
+    def document(rows, r, j=None, outside=""):
+        """The compact document, and the offset in its matrix of the comma
+        after slot (r, j), or after row r with the digit `outside` on
+        `side` of it when j is None."""
+        texts = ["[" + ",".join(row) + "]" for row in rows]
+        if j is None:
+            left = "[" + ",".join(texts[:r + 1]) + (outside if side == "before" else "")
+            right = (outside if side == "after" else "") + ",".join(texts[r + 1:]) + "]"
+        else:
+            left = "[" + "".join(t + "," for t in texts[:r]) + "[" + ",".join(rows[r][:j + 1])
+            right = ",".join(rows[r][j + 1:]) + "]" + "".join("," + t for t in texts[r + 1:]) + "]"
+        return head + left + "," + right + "}", len(left)
+
+    r, j = 50, 49
+    assert rows[r][j:j + 2] == ["99", "100"]
+    slot = (r, j) if side == "before" else (r, j + 1)
+    edits = {
+        "space in a number": lambda x: x[:1] + " " + x[1:],
+        "leading zero": lambda x: "0" + x,
+        "nineteen digits ending in the number": lambda x: "1" + x.rjust(18, "0"),
+        "empty slot": lambda x: "",
+    }
+    texts = {"unedited": document(rows, r, j)}
+    for what, edit in edits.items():
+        edited = [row[:] for row in rows]
+        edited[slot[0]][slot[1]] = edit(rows[slot[0]][slot[1]])
+        texts[what] = document(edited, r, j)
+    both = [row[:] for row in rows]
+    both[r][j], both[r][j + 1] = "", "1 0"  # one run short and one too many: n * n runs
+    texts["empty slot beside a space in a number"] = document(both, r, j)
+    texts["digit outside a slot"] = document(rows, r, outside="7")
+    for what, (text, cut) in texts.items():
+        monkeypatch.setattr(gs.groups, "_CHUNK_BYTES", cut)
+        read = gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP)
+        assert (read is not None) == (what == "unedited"), what
+        assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text), what
+
+
+def relabelled(group, seed):
+    """`group` with its elements renamed by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(group.order)
+    table = np.empty_like(group.table)
+    table[perm[:, None], perm] = perm[group.table]
+    return gs.FiniteGroup(table, int(perm[group.identity]), name=group.name)
+
+
+def test_numpy_read_agrees_with_json_loads_on_large_relabelled_tables():
+    # tables of several chunks each, as the graph-export benchmark reads
+    # them: the order-981 one is 3.7 MB of compact text
+    rng = random.Random(0)
+    for spec, layout in (("sdp:109:9:16", "compact"), ("dihedral:257", "to_json"),
+                         ("abelian:20x20", "drawn")):
+        text = relabelled(cli.parse_group_spec(spec), 1).to_json()
+        if layout == "compact":
+            text = text.replace(", ", ",")
+        elif layout == "drawn":  # JSON whitespace drawn around every comma
+            pieces = text.split(", ")
+            spaces = rng.choices([",", ", ", " ,", "\n,\t", "\r\n,  "], k=len(pieces) - 1)
+            text = "".join(itertools.chain.from_iterable(zip(pieces, spaces))) + pieces[-1]
+        assert gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP) is not None, spec
+        assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text), spec

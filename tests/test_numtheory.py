@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,30 @@ def test_spf_sieve_matches_factorize():
     spf = nt.smallest_prime_factors(500)
     for n in range(1, 501):
         assert nt.factorization_from_spf(n, spf) == nt.factorize(n)
+
+
+def test_spf_sieve_entry_that_is_no_prime_factor_raises():
+    # an entry of 1 divided forever, one that does not divide its index
+    # looped forever and 0 divided by zero, so the cases run in a child
+    # process bounded by a timeout
+    code = """if True:
+        from groupsum import numtheory as nt
+        for n, m, p in ((18, 9, 1), (9, 9, 2), (12, 3, 0)):
+            spf = nt.smallest_prime_factors(n)
+            spf[m] = p
+            try:
+                nt.factorization_from_spf(n, spf)
+            except ValueError as exc:
+                print(exc)
+    """
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "spf[9] = 1 is not a prime factor of 9",
+        "spf[9] = 2 is not a prime factor of 9",
+        "spf[3] = 0 is not a prime factor of 3",
+    ]
 
 
 # --- primes ---
