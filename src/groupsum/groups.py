@@ -1,10 +1,13 @@
 """Finite groups as dense Cayley tables, with constructions and subgroup machinery.
 
 A group of order n is an n x n table of element indices plus the index of
-the identity.  The table is held once, as the read-only int32 array that
-validation returns, and `FiniteGroup.table` returns that array; subgroup
-queries (closure, conjugation) run on it with numpy.  Tables are validated
-on construction: closure, identity, inverses, and associativity.
+the identity.  The table is held once, as one read-only C-contiguous int32
+array, and `FiniteGroup.table` returns it; subgroup queries (closure,
+conjugation) run on it with numpy.  A table that a constructor or the JSON
+read has just built is adopted: validated in place and kept, not copied.
+Any other table (a caller's, a pickle's) is copied once, after its range
+check.  Tables are validated on construction: closure, identity, inverses,
+and associativity.
 Associativity is verified with the generator-translation test, a complete
 check at cost O(g * n^2) instead of O(n^3): take as the next generator g
 the smallest element outside the closure of those before it, check
@@ -12,14 +15,14 @@ the smallest element outside the closure of those before it, check
 the test are closed under the product and the table is associative on them
 (Light's test), and the inverse check gives each of them a bijective row
 and column, so the closure of the generators that passed is a group.  The
-inverse check and the translation test run over blocks of whole rows of at
-most `_BLOCK_CELLS` cells, into scratch arrays made once per validation,
-so the int32 copy is the only n x n array validation allocates.  The
-closure is grown by `_closure_of`, as is every subgroup, Sylow subgroups
-included: <H, g> starts as H*<g>, the cosets H*g^i up to the first power
-of g inside H, found by one walk down column g and added in one gather,
-and then grows by right cosets H*r (Dimino's algorithm) until the
-generators map it into itself.  A `Subgroup` is its read-only membership
+inverse check (with an adopted table's range check) and the translation
+test run over blocks of whole rows of at most `_BLOCK_CELLS` cells, into
+scratch arrays made once per validation, so the group's table is the only
+n x n array validation holds.  The closure is grown by `_closure_of`, as
+is every subgroup, Sylow subgroups included: <H, g> starts as H*<g>, the
+cosets H*g^i up to the first power of g inside H, found by one walk down
+column g and added in one gather, and then grows by right cosets H*r
+(Dimino's algorithm) until the generators map it into itself.  A `Subgroup` is its read-only membership
 mask, built once when it is validated; its members are the mask's indices.
 The normalizer N(H) is found by conjugating a generating set of H by every
 element, one gather of n x |gens| cells: the Sylow search passes the
@@ -33,7 +36,8 @@ read of the numbers from their digit bytes, in chunks of about
 `_CHUNK_BYTES` cut at commas into a preallocated int32 array.  Every other
 document, and any the numpy read cannot decide, goes through `json.loads`
 whole, the reference the tests compare the numpy read with.  Either way the
-row count is checked against the order cap before the n x n array is built.
+row count is checked against the order cap before the n x n array is built,
+and the numpy read's array becomes the group's table.
 
 The constructions build int32 tables by index arithmetic: one rule,
 `_extension_table`, builds the cyclic, abelian, dihedral, dicyclic and
@@ -193,10 +197,21 @@ def _member_mask(order: int, members: Sequence[int]) -> np.ndarray:
     return inside
 
 
-def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check the group axioms and return the table narrowed to int32, with
-    the inverse table that the inverse check finds.
-    Entries are range-checked before narrowing, so none can wrap into range."""
+def _check_range(table: np.ndarray, n: int, start: int = 0) -> None:
+    """Raise NotClosedError naming the first entry outside [0, n) in
+    row-major order; `table` holds the rows from row `start` on."""
+    if table.min() < 0 or table.max() >= n:
+        i, j = map(int, np.argwhere((table < 0) | (table >= n))[0])
+        raise NotClosedError(start + i, j, int(table[i, j]), n)
+
+
+def _validate_table(
+    raw: np.ndarray, identity: int, adopt: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check the group axioms and return the table as C-contiguous int32,
+    with the inverse table that the inverse check finds.  Entries are
+    range-checked before narrowing a copy, so none can wrap into range; an
+    `adopt`ed table is already int32 and is checked and returned in place."""
     if raw.ndim != 2 or raw.shape[0] == 0 or raw.shape[0] != raw.shape[1]:
         raise GroupValidationError(f"table must be a nonempty square, got shape {raw.shape}")
     if not np.issubdtype(raw.dtype, np.integer):
@@ -206,22 +221,18 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
     n = raw.shape[0]
     if not (0 <= identity < n):
         raise NoIdentityError(identity, "index out of range")
-
-    if raw.min() < 0 or raw.max() >= n:
-        i, j = map(int, np.argwhere((raw < 0) | (raw >= n))[0])
-        raise NotClosedError(i, j, int(raw[i, j]), n)
-
-    arr = raw.astype(np.int32)  # the one n x n array kept
-    idx = np.arange(n)
-    if not (np.array_equal(arr[identity], idx) and np.array_equal(arr[:, identity], idx)):
-        row_bad = np.nonzero(arr[identity] != idx)[0]
-        col_bad = np.nonzero(arr[:, identity] != idx)[0]
-        witness = int(row_bad[0]) if row_bad.size else int(col_bad[0])
-        raise NoIdentityError(identity, witness)
+    if adopt:
+        if raw.dtype != np.int32 or not raw.flags.c_contiguous:
+            raise AssertionError("an adopted table must be C-contiguous int32")
+        arr = raw
+    else:
+        _check_range(raw, n)
+        arr = raw.astype(np.int32, order="C")
 
     # The inverse check and the translation test run over blocks of rows of
     # at most _BLOCK_CELLS cells, writing into scratch arrays made once, so
-    # the int32 copy is the only n x n array that validation allocates.
+    # the one n x n array validation holds is the group's table: the copy
+    # of a caller's table, or an adopted table itself.
     rows = min(n, max(1, _BLOCK_CELLS // n))
     left = np.empty((rows, n), dtype=np.int32)
     right = np.empty((rows, n), dtype=np.int32)
@@ -232,11 +243,16 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
         blocks.append((start, arr[start:start + k], left[:k], right[:k], same[:k]))
 
     # Both masks cover every block before any x is named, so a missing
-    # inverse is the smallest x whose row or column lacks the identity.
+    # inverse is the smallest x whose row or column lacks the identity.  An
+    # adopted table's range is checked here, in row order, before any entry
+    # is used as an index: the checks raise in the order range, identity,
+    # inverse, and name the same cells, as on a copied table.
     inverses = np.zeros(n, dtype=np.intp)
     row_has = np.zeros(n, dtype=bool)
     col_has = np.zeros(n, dtype=bool)
     for start, block, _, _, is_identity in blocks:
+        if adopt:
+            _check_range(block, n, start)
         np.equal(block, identity, out=is_identity)
         x, y = np.divmod(is_identity.ravel().nonzero()[0], n)
         x += start
@@ -245,6 +261,12 @@ def _validate_table(raw: np.ndarray, identity: int) -> tuple[np.ndarray, np.ndar
         # x * inverses[x] = identity; a row holding the identity twice
         # cannot belong to a group, so which one lands here does not matter
         inverses[x] = y
+    idx = np.arange(n)
+    if not (np.array_equal(arr[identity], idx) and np.array_equal(arr[:, identity], idx)):
+        row_bad = np.nonzero(arr[identity] != idx)[0]
+        col_bad = np.nonzero(arr[:, identity] != idx)[0]
+        witness = int(row_bad[0]) if row_bad.size else int(col_bad[0])
+        raise NoIdentityError(identity, witness)
     missing = (~(row_has & col_has)).nonzero()[0]
     if missing.size:
         raise NoInverseError(int(missing[0]))
@@ -320,9 +342,13 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
     numbers are read.  They are read by place value from the matrix's digit
     bytes as written, in chunks of about `_CHUNK_BYTES` cut at commas, so no
     number straddles a cut: each is the sum of its last len(str(n - 1))
-    digits times powers of ten, written into a preallocated int32 array.
-    A matrix with no whitespace is checked as it stands, without the copy
-    that deletes whitespace.
+    digits times powers of ten, written into a preallocated int32 array,
+    which `from_json` hands to the group as its table.  A matrix with no
+    whitespace is checked as it stands, without the copy that deletes
+    whitespace.  The rule that no digit sits outside a slot is checked by
+    one `find` per row end, not by a scan of the whole matrix.  Over the
+    cap, a number with whitespace inside or a leading zero leaves the
+    document to `json.loads`, which rejects it before the cap is checked.
     """
     key = text.find('"table"')
     found = _TABLE_KEY.match(text, key) if key >= 0 and text.isascii() else None
@@ -338,10 +364,17 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
     n = math.isqrt(len(skeleton)) - 1
     if n < 1 or skeleton != b"[" + b",".join([b"[" + b"," * (n - 1) + b"]"] * n) + b"]":
         return None
-    # No digit outside a slot, and one run of digits in each slot.
-    if not (dense.startswith(b"[[") and dense.endswith(b"]]")
-            and dense.count(b"],[") == n - 1):
+    # No digit outside a slot: "[[" opens the matrix, each row but the last
+    # ends in "],[", and the last in "]]".  The skeleton holds n + 1 "]", so
+    # one find per row visits each row's end.
+    close = -1
+    for _ in range(n - 1):
+        close = dense.find(b"]", close + 1)
+        if not dense.startswith(b"],[", close):
+            return None
+    if not (dense.startswith(b"[[") and dense.find(b"]", close + 1) == len(dense) - 2):
         return None
+    # One run of digits in each slot.
     if sum(int(np.count_nonzero(is_digit[1:] > is_digit[:-1]))
            for _, is_digit in _digit_chunks(dense)) != n * n:
         return None
@@ -367,7 +400,21 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
         return None
     if read != ["NaN"] or not isinstance(data, dict) or data.get("table") is not placeholder:
         return None
-    _check_cap(n, cap)
+    if n > cap:
+        # json.loads rejects a number with whitespace inside or a leading
+        # zero before `from_json_dict` checks the cap, so such a document is
+        # left to it; the digits are scanned for both only on this path.
+        # More runs than the n * n slots means whitespace inside a number.
+        runs = 0
+        for digit, is_digit in _digit_chunks(matrix):
+            starts = np.flatnonzero(is_digit[1:] > is_digit[:-1]) + 1
+            # a chunk ends on a non-digit, so starts + 1 is inside it
+            if (is_digit[starts + 1] & (digit[starts] == 0)).any():
+                return None
+            runs += len(starts)
+        if runs != n * n:
+            return None
+        raise OrderCapError(n, cap)
 
     # Each run of digits in the text as written is one number, so n * n runs
     # means no whitespace inside one.  A number is read by place value from
@@ -404,8 +451,23 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
 # --- the group itself ---
 
 
+class _Fresh:
+    """A C-contiguous int32 table that a constructor or the JSON read has
+    just built and nothing else holds: `FiniteGroup` validates it in place
+    and keeps it, where it copies any other table."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+
 class FiniteGroup:
-    """An immutable finite group given by its multiplication table."""
+    """An immutable finite group given by its multiplication table.
+
+    The table is copied into a read-only int32 array, so the caller's
+    array is never aliased; a constructor's own table, passed as `_Fresh`,
+    is validated in place and kept instead."""
 
     __slots__ = (
         "name", "identity", "_labels", "_table", "_orders", "_classes", "_inverses",
@@ -419,14 +481,17 @@ class FiniteGroup:
         name: str = "G",
         labels: Optional[Sequence[str]] = None,
     ):
-        try:
-            raw = np.asarray(table)
-        except ValueError as exc:  # ragged rows: numpy's "inhomogeneous shape"
-            raise GroupValidationError(
-                "table must be a nonempty square, got rows of unequal length"
-            ) from exc
-        arr, inverses = _validate_table(raw, identity)
-        if not isinstance(table, np.ndarray):
+        if isinstance(table, _Fresh):
+            arr, inverses = _validate_table(table.table, identity, adopt=True)
+        else:
+            try:
+                raw = np.asarray(table)
+            except ValueError as exc:  # ragged rows: numpy's "inhomogeneous shape"
+                raise GroupValidationError(
+                    "table must be a nonempty square, got rows of unequal length"
+                ) from exc
+            arr, inverses = _validate_table(raw, identity)
+        if not isinstance(table, (np.ndarray, _Fresh)):
             # numpy reads a list that mixes ints and bools as integers, so a
             # bool can only have become a cell holding 0 or 1: 2n cells of a group
             for i, j in np.argwhere((arr == 0) | (arr == 1)).tolist():
@@ -704,6 +769,8 @@ class FiniteGroup:
         data = _read_square_table(text, cap)
         if data is None:
             data = json.loads(text)
+        else:  # the read's own array, within the cap: adopted, not copied
+            data["table"] = _Fresh(data["table"])
         return cls.from_json_dict(data, cap)
 
 
@@ -874,7 +941,7 @@ def cyclic(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
     _check_cap(n, cap)
-    return FiniteGroup(_extension_table(n, 1, 1), 0, name=f"cyclic:{n}")
+    return FiniteGroup(_Fresh(_extension_table(n, 1, 1)), 0, name=f"cyclic:{n}")
 
 
 def _combine_tables(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -897,7 +964,7 @@ def abelian(factors: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
     _check_cap(n, cap)
     table = functools.reduce(_combine_tables, [_extension_table(d, 1, 1) for d in factors])
     name = "abelian:" + "x".join(str(d) for d in factors)
-    return _with_labels(table, 0, name, _pair_labels, *factors)
+    return _with_labels(_Fresh(table), 0, name, _pair_labels, *factors)
 
 
 def dihedral(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -910,7 +977,7 @@ def dihedral(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if m < 1:
         raise ValueError("need m >= 1")
     _check_cap(2 * m, cap)
-    return _with_labels(_extension_table(m, 2, -1), 0, f"dihedral:{m}",
+    return _with_labels(_Fresh(_extension_table(m, 2, -1)), 0, f"dihedral:{m}",
                         _coset_labels, ("r", "sr"), m)
 
 
@@ -924,7 +991,7 @@ def dicyclic(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if m < 1:
         raise ValueError("need m >= 1")
     _check_cap(4 * m, cap)
-    return _with_labels(_extension_table(2 * m, 2, -1, c=m), 0, f"dicyclic:{m}",
+    return _with_labels(_Fresh(_extension_table(2 * m, 2, -1, c=m)), 0, f"dicyclic:{m}",
                         _coset_labels, ("a", "ba"), 2 * m)
 
 
@@ -974,7 +1041,7 @@ def direct_product(
     _check_cap(n, cap)
     table = _combine_tables(g1.table, g2.table)
     identity = g1.identity * g2.order + g2.identity
-    product = _with_labels(table, identity, f"prod:{g1.name},{g2.name}",
+    product = _with_labels(_Fresh(table), identity, f"prod:{g1.name},{g2.name}",
                            _product_labels, g1._labels, g2._labels)
     expected = np.lcm.outer(g1.element_orders(), g2.element_orders())
     failing = np.argwhere(np.reshape(product.element_orders(), expected.shape) != expected)
@@ -1025,7 +1092,7 @@ def semidirect_cyclic(spec: SemidirectSpec, cap: int = DEFAULT_ORDER_CAP) -> Fin
     """
     a, b = spec.a, spec.b
     _check_cap(a * b, cap)
-    return _with_labels(_extension_table(a, b, spec.r, t_major=False), 0,
+    return _with_labels(_Fresh(_extension_table(a, b, spec.r, t_major=False)), 0,
                         f"sdp:{a}:{b}:{spec.r}", _pair_labels, a, b)
 
 

@@ -252,6 +252,35 @@ def test_caller_table_is_not_aliased():
     assert group.element_orders() == (1, 5, 5, 5, 5)
 
 
+@pytest.mark.parametrize("layout", ["read-only int32", "Fortran order", "strided view", "int64"])
+def test_caller_table_of_any_layout_is_copied(layout):
+    # a caller's array is copied by every way in, in any layout, and then
+    # changed through the array the caller still holds
+    idx = np.arange(5)
+    expected = ((idx[:, None] + idx[None, :]) % 5).astype(np.int32)
+    builds = {
+        "FiniteGroup": lambda raw: gs.FiniteGroup(raw, 0),
+        "from_json_dict": lambda raw: gs.FiniteGroup.from_json_dict({"table": raw, "identity": 0}),
+        "_validate_table": lambda raw: gs.groups._validate_table(raw, 0)[0],
+    }
+    for way, build in builds.items():
+        if layout == "strided view":
+            owner = np.zeros((10, 15), dtype=np.int32)
+            raw = owner[::2, ::3]
+            raw[:] = expected
+        else:
+            owner = {"read-only int32": expected, "Fortran order": np.asfortranarray(expected),
+                     "int64": expected.astype(np.int64)}[layout].copy(order="K")
+            raw = owner.view()
+            raw.flags.writeable = layout != "read-only int32"
+        built = build(raw)
+        table = built if way == "_validate_table" else built.table
+        owner[...] = 0
+        assert np.array_equal(table, expected), way
+        assert table.dtype == np.int32 and table.flags.c_contiguous, way
+        assert not np.shares_memory(table, owner), way
+
+
 def test_non_integer_identity_rejected():
     for identity in ("0", 0.0, None, True, np.True_, np.float64(0.0)):
         with pytest.raises(gs.GroupValidationError):
@@ -1356,6 +1385,27 @@ def test_validation_matches_reference_on_drawn_tables_in_row_blocks(monkeypatch)
     check()
 
 
+def test_adopted_tables_match_reference_on_drawn_tables_in_row_blocks(monkeypatch):
+    # a constructor's fresh table is checked in place, its range block by
+    # block in the inverse pass: the same checks raise in the same order,
+    # naming the same witnesses, as on a copied table
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(drawn_tables(st), st.integers(1, 8))
+    def check(drawn, rows):
+        table, identity = drawn
+
+        def adopt(table, identity):
+            monkeypatch.setattr(gs.groups, "_BLOCK_CELLS", rows * len(table))
+            return gs.FiniteGroup(gs.groups._Fresh(np.array(table, dtype=np.int32)), identity)
+
+        assert validation_outcome(adopt, table, identity) == reference_validation(table, identity)
+
+    check()
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_missing_inverse_is_the_smallest_after_every_block(monkeypatch, rows):
     # in C_5 with 3*2 rewritten to 4, row 3 lacks the identity and so does
@@ -1387,13 +1437,32 @@ def test_validation_allocates_no_table_beyond_the_kept_copy(spec):
     assert peak <= 4 * n * n + 2 * 2**20, (spec, peak)
 
 
+@pytest.mark.parametrize("build, arg", [(gs.cyclic, 1920), (gs.dihedral, 960)])
+def test_constructed_group_holds_one_table(build, arg):
+    # the table a constructor builds is validated in place and kept, so the
+    # peak is that one int32 table (4n^2 bytes) and the construction's own
+    # scratch: an n^2 bool mask for cyclic, the u-part on half the cells for
+    # dihedral; a copy of the table would add another 4n^2
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        group = build(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = group.order
+    assert n == 1920 and not group.table.flags.writeable
+    assert peak <= 6 * n * n + 2 * 2**20, (build.__name__, peak)
+
+
 # --- the JSON reader against the json.loads path ---
 
 
-def reference_from_json(text):
+def reference_from_json(text, cap=gs.DEFAULT_ORDER_CAP):
     """The json.loads path, which `from_json` takes for any document its
     numpy read does not decide: the reference the read must agree with."""
-    return gs.FiniteGroup.from_json_dict(json.loads(text))
+    return gs.FiniteGroup.from_json_dict(json.loads(text), cap)
 
 
 def outcome(read, text):
@@ -1508,10 +1577,16 @@ def test_numpy_read_leaves_undecided_documents_to_json_loads():
     texts = {what: good.replace(old, new, 1) for what, (old, new) in edits.items()}
     texts["table not last"] = good.replace('"identity": 0, ', "").replace(
         "]]}", ']], "identity": 0}')
+    texts.update({f"{what}, compact": text.replace(", ", ",") for what, text in texts.items()})
     for what, text in texts.items():
         assert text != good, what
         assert gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP) is None, what
-        assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text), what
+        # below the cap too: the cap is checked only after json.loads has
+        # read the whole document, so json.loads' own errors come first
+        for cap in (gs.DEFAULT_ORDER_CAP, 5):
+            read = functools.partial(gs.FiniteGroup.from_json, cap=cap)
+            reference = functools.partial(reference_from_json, cap=cap)
+            assert outcome(read, text) == outcome(reference, text), (what, cap)
 
 
 # --- the JSON reader across the chunk cuts of its number read ---
@@ -1580,6 +1655,38 @@ def test_numpy_read_rejects_edits_right_at_a_chunk_cut(monkeypatch, side):
         read = gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP)
         assert (read is not None) == (what == "unedited"), what
         assert outcome(gs.FiniteGroup.from_json, text) == outcome(reference_from_json, text), what
+
+
+@pytest.mark.parametrize("layout", [", ", ","])
+def test_numpy_read_rejects_a_digit_moved_outside_its_slot(monkeypatch, layout):
+    # Each edit moves one number out of its slot: between "[[", between "]]",
+    # or to either side of the comma that joins two rows.  The slot it leaves
+    # is empty, so the text still holds n * n runs of digits and the same
+    # skeleton, and only the rule that no digit sits outside a slot rejects
+    # it; read in order, the numbers would still spell C_11's table.
+    group = gs.cyclic(11)
+    good = group.to_json().replace(", ", layout)
+    sep = layout
+    edits = {  # row 0 starts with 0, row 7 with 7, and row 10 ends with 9
+        "between [[": ("[[0" + sep, "[0[" + sep),
+        "between ]]": (sep + "9]]", sep + "]9]"),
+        "before a junction": ("]" + sep + "[7" + sep, "]7" + sep + "[" + sep),
+        "after a junction": ("]" + sep + "[7" + sep, "]" + sep + "7[" + sep),
+    }
+    for what, (old, new) in edits.items():
+        assert good.count(old) == 1, what
+        text = good.replace(old, new)
+        start = text.index("[", text.index('"table"'))
+        # the matrix offset of the comma in the edit: the read's first chunk
+        # ends there when _CHUNK_BYTES is set to it
+        cut = text.index(new) + new.index(",") - start
+        for chunk_bytes in (gs.groups._CHUNK_BYTES, cut):
+            monkeypatch.setattr(gs.groups, "_CHUNK_BYTES", chunk_bytes)
+            assert gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP) is None, what
+            assert outcome(gs.FiniteGroup.from_json, text) == outcome(
+                reference_from_json, text), what
+            with pytest.raises(json.JSONDecodeError):
+                gs.FiniteGroup.from_json(text)
 
 
 def relabelled(group, seed):
