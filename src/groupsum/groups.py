@@ -3,11 +3,10 @@
 A group of order n is an n x n table of element indices plus the index of
 the identity.  The table is held once, as one read-only C-contiguous int32
 array, and `FiniteGroup.table` returns it; subgroup queries (closure,
-conjugation) run on it with numpy.  A table that a constructor or the JSON
-read has just built is adopted: validated in place and kept, not copied.
-Any other table (a caller's, a pickle's) is copied once, after its range
-check.  Tables are validated on construction: closure, identity, inverses,
-and associativity.
+conjugation) run on it with numpy.  `_validate_table` checks every table:
+closure, identity, inverses and associativity.  A constructor's or the JSON
+read's new table comes as `_Fresh` and is kept in place; any other (a
+caller's, a pickle's) is copied block by block as its range is checked.
 Associativity is verified with the generator-translation test, a complete
 check at cost O(g * n^2) instead of O(n^3): take as the next generator g
 the smallest element outside the closure of those before it, check
@@ -15,15 +14,16 @@ the smallest element outside the closure of those before it, check
 the test are closed under the product and the table is associative on them
 (Light's test), and the inverse check gives each of them a bijective row
 and column, so the closure of the generators that passed is a group.  The
-inverse check (with an adopted table's range check) and the translation
-test run over blocks of whole rows of at most `_BLOCK_CELLS` cells, into
-scratch arrays made once per validation, so the group's table is the only
-n x n array validation holds.  The closure is grown by `_closure_of`, as
-is every subgroup, Sylow subgroups included: <H, g> starts as H*<g>, the
-cosets H*g^i up to the first power of g inside H, found by one walk down
-column g and added in one gather, and then grows by right cosets H*r
-(Dimino's algorithm) until the generators map it into itself.  A `Subgroup` is its read-only membership
-mask, built once when it is validated; its members are the mask's indices.
+range check with the copy, the inverse check and the translation test run
+over blocks of whole rows of at most `_BLOCK_CELLS` cells, into scratch
+arrays made once per validation, so beside `np.asarray`'s array of a list
+the group's table is the only n x n array validation holds.  The closure
+is grown by `_closure_of`, as is every subgroup, Sylow subgroups included:
+<H, g> starts as H*<g>, the cosets H*g^i up to the first power of g inside
+H, found by one walk down column g and added in one gather, and then grows
+by right cosets H*r (Dimino's algorithm) until the generators map it into
+itself.  A `Subgroup` is its read-only membership mask, built once when it
+is validated; its members are the mask's indices.
 The normalizer N(H) is found by conjugating a generating set of H by every
 element, one gather of n x |gens| cells: the Sylow search passes the
 generators it grew H from, and `normalizer` passes H's members.
@@ -61,12 +61,12 @@ Later queries (`phi`, `sylow_subgroup`, `count_sylow`, `normalizer` and
 is idempotent: two threads that race on one compute equal values, and either
 write may stand, so sharing a group across threads stays safe.
 
-`labels` is built from a rule (a module-level function and its arguments)
-each time it is read; only the rule is stored, so the many groups that are
-never exported never build their n label strings.  A pickle or deepcopy of
-a group goes back through the validating constructor, and of a subgroup
-through its own: a pickle is outside input, and its arrays come back
-read-only.
+`labels` is built each time it is read by the group's label rule, a
+`functools.partial` of a module-level function; only the rule is stored, so
+the many groups that are never exported never build their n label strings.
+A pickle or deepcopy of a group goes back through the validating
+constructor, and of a subgroup through its own: a pickle is outside input,
+and its arrays come back read-only.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def _member_mask(order: int, members: Sequence[int]) -> np.ndarray:
     return inside
 
 
-def _check_range(table: np.ndarray, n: int, start: int = 0) -> None:
+def _check_range(table: np.ndarray, n: int, start: int) -> None:
     """Raise NotClosedError naming the first entry outside [0, n) in
     row-major order; `table` holds the rows from row `start` on."""
     if table.min() < 0 or table.max() >= n:
@@ -206,12 +206,22 @@ def _check_range(table: np.ndarray, n: int, start: int = 0) -> None:
 
 
 def _validate_table(
-    raw: np.ndarray, identity: int, adopt: bool = False
+    table: Union[Sequence[Sequence[int]], np.ndarray, _Fresh], identity: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Check the group axioms and return the table as C-contiguous int32,
-    with the inverse table that the inverse check finds.  Entries are
-    range-checked before narrowing a copy, so none can wrap into range; an
-    `adopt`ed table is already int32 and is checked and returned in place."""
+    """Check the group axioms and return the table as C-contiguous int32, with
+    the inverse table that the inverse check finds.  A `_Fresh` table is kept
+    in place; any other is copied block by block, each block range-checked
+    on the caller's values before narrowing, so none can wrap into range."""
+    fresh = isinstance(table, _Fresh)
+    if fresh:
+        raw = table.table
+    else:
+        try:
+            raw = np.asarray(table)
+        except ValueError as exc:  # ragged rows: numpy's "inhomogeneous shape"
+            raise GroupValidationError(
+                "table must be a nonempty square, got rows of unequal length"
+            ) from exc
     if raw.ndim != 2 or raw.shape[0] == 0 or raw.shape[0] != raw.shape[1]:
         raise GroupValidationError(f"table must be a nonempty square, got shape {raw.shape}")
     if not np.issubdtype(raw.dtype, np.integer):
@@ -221,18 +231,12 @@ def _validate_table(
     n = raw.shape[0]
     if not (0 <= identity < n):
         raise NoIdentityError(identity, "index out of range")
-    if adopt:
-        if raw.dtype != np.int32 or not raw.flags.c_contiguous:
-            raise AssertionError("an adopted table must be C-contiguous int32")
-        arr = raw
-    else:
-        _check_range(raw, n)
-        arr = raw.astype(np.int32, order="C")
+    arr = raw if fresh else np.empty((n, n), dtype=np.int32)
 
     # The inverse check and the translation test run over blocks of rows of
     # at most _BLOCK_CELLS cells, writing into scratch arrays made once, so
     # the one n x n array validation holds is the group's table: the copy
-    # of a caller's table, or an adopted table itself.
+    # of a caller's table, or a fresh table itself.
     rows = min(n, max(1, _BLOCK_CELLS // n))
     left = np.empty((rows, n), dtype=np.int32)
     right = np.empty((rows, n), dtype=np.int32)
@@ -243,16 +247,18 @@ def _validate_table(
         blocks.append((start, arr[start:start + k], left[:k], right[:k], same[:k]))
 
     # Both masks cover every block before any x is named, so a missing
-    # inverse is the smallest x whose row or column lacks the identity.  An
-    # adopted table's range is checked here, in row order, before any entry
-    # is used as an index: the checks raise in the order range, identity,
-    # inverse, and name the same cells, as on a copied table.
+    # inverse is the smallest x whose row or column lacks the identity.  The
+    # range is checked here, a block at a time in row order, on the input's
+    # own values before a block is copied or any entry is used as an index:
+    # the checks raise in the order range, identity, inverse.
     inverses = np.zeros(n, dtype=np.intp)
     row_has = np.zeros(n, dtype=bool)
     col_has = np.zeros(n, dtype=bool)
     for start, block, _, _, is_identity in blocks:
-        if adopt:
-            _check_range(block, n, start)
+        given = raw[start:start + len(block)]
+        _check_range(given, n, start)
+        if not fresh:
+            block[...] = given
         np.equal(block, identity, out=is_identity)
         x, y = np.divmod(is_identity.ravel().nonzero()[0], n)
         x += start
@@ -298,6 +304,14 @@ def _validate_table(
         closed = _closure_of(arr, closed, gens, g)
         gens.append(g)
         g = int(closed.argmin())
+    if not isinstance(table, (np.ndarray, _Fresh)):
+        # numpy reads a list that mixes ints and bools as integers, so a
+        # bool can only have become a cell holding 0 or 1: 2n cells of a group
+        for i, j in np.argwhere(arr <= 1).tolist():  # arr >= 0 by the range check
+            if isinstance(table[i][j], (bool, np.bool_)):
+                raise GroupValidationError(
+                    f"table entries must be integers, got a bool at [{i}][{j}]"
+                )
     return arr, inverses
 
 
@@ -453,8 +467,8 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
 
 class _Fresh:
     """A C-contiguous int32 table that a constructor or the JSON read has
-    just built and nothing else holds: `FiniteGroup` validates it in place
-    and keeps it, where it copies any other table."""
+    just built and nothing else holds: `_validate_table` checks it in place
+    and the group keeps it, where any other table is copied."""
 
     __slots__ = ("table",)
 
@@ -465,9 +479,9 @@ class _Fresh:
 class FiniteGroup:
     """An immutable finite group given by its multiplication table.
 
-    The table is copied into a read-only int32 array, so the caller's
-    array is never aliased; a constructor's own table, passed as `_Fresh`,
-    is validated in place and kept instead."""
+    `_validate_table` checks the table and returns the array the group
+    keeps, read-only: a copy of the caller's table, so the caller's array is
+    never aliased, or a constructor's own table, passed as `_Fresh`."""
 
     __slots__ = (
         "name", "identity", "_labels", "_table", "_orders", "_classes", "_inverses",
@@ -481,24 +495,7 @@ class FiniteGroup:
         name: str = "G",
         labels: Optional[Sequence[str]] = None,
     ):
-        if isinstance(table, _Fresh):
-            arr, inverses = _validate_table(table.table, identity, adopt=True)
-        else:
-            try:
-                raw = np.asarray(table)
-            except ValueError as exc:  # ragged rows: numpy's "inhomogeneous shape"
-                raise GroupValidationError(
-                    "table must be a nonempty square, got rows of unequal length"
-                ) from exc
-            arr, inverses = _validate_table(raw, identity)
-        if not isinstance(table, (np.ndarray, _Fresh)):
-            # numpy reads a list that mixes ints and bools as integers, so a
-            # bool can only have become a cell holding 0 or 1: 2n cells of a group
-            for i, j in np.argwhere((arr == 0) | (arr == 1)).tolist():
-                if isinstance(table[i][j], (bool, np.bool_)):
-                    raise GroupValidationError(
-                        f"table entries must be integers, got a bool at [{i}][{j}]"
-                    )
+        arr, inverses = _validate_table(table, identity)
         arr.flags.writeable = False
         inverses.flags.writeable = False
         self._table = arr
@@ -506,13 +503,13 @@ class FiniteGroup:
         self.identity = int(identity)
         self.name = name
         n = arr.shape[0]
-        # (rule, args): `labels` is rule(*args), built when read
+        # a partial of a module-level rule: `labels` calls it when read
         if labels is not None:
             if len(labels) != n:
                 raise ValueError("need one label per element")
-            self._labels = (tuple, (tuple(str(s) for s in labels),))
+            self._labels = functools.partial(tuple, tuple(str(s) for s in labels))
         else:
-            self._labels = (_index_labels, (n,))
+            self._labels = functools.partial(_index_labels, n)
         # _cyclic_classes fills both; see there for (key, powers)
         self._orders: Optional[tuple[int, ...]] = None
         self._classes: Optional[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = None
@@ -521,14 +518,12 @@ class FiniteGroup:
 
     def __reduce__(self):
         # a pickle is outside input: unpickling validates the table again
-        rule, args = self._labels
-        return _with_labels, (self._table, self.identity, self.name, rule, *args)
+        return _with_labels, (self._table, self.identity, self.name, self._labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
         """One name per element, built from the group's label rule when read."""
-        rule, args = self._labels
-        return rule(*args)
+        return self._labels()
 
     @property
     def order(self) -> int:
@@ -846,11 +841,11 @@ def phi_of_group(group: FiniteGroup) -> int:
 # --- constructions ---
 
 
-def _with_labels(table, identity: int, name: str, rule, *args) -> FiniteGroup:
-    """The validated group of `table` whose labels are rule(*args), built
-    when read; rule is a module-level function, so the group pickles."""
+def _with_labels(table, identity: int, name: str, labels: functools.partial) -> FiniteGroup:
+    """The validated group of `table` whose labels are labels(), built when
+    read; a partial of a module-level function, so the group pickles."""
     group = FiniteGroup(table, identity, name=name)
-    group._labels = (rule, args)
+    group._labels = labels
     return group
 
 
@@ -878,10 +873,9 @@ def _perm_labels(perms: np.ndarray) -> tuple[str, ...]:
     return tuple("".join(map(str, p)) for p in perms.tolist())
 
 
-def _product_labels(first: tuple, second: tuple) -> tuple[str, ...]:
-    """"(a,b)" for the labels a, b of two factors, each given as its (rule, args)."""
-    (rule1, args1), (rule2, args2) = first, second
-    return tuple(f"({a},{b})" for a in rule1(*args1) for b in rule2(*args2))
+def _product_labels(first: functools.partial, second: functools.partial) -> tuple[str, ...]:
+    """"(a,b)" for the labels a, b of two factors, each given as its label rule."""
+    return tuple(f"({a},{b})" for a in first() for b in second())
 
 
 def _integer(value, what: str) -> int:
@@ -898,16 +892,16 @@ def _extension_table(a: int, b: int, r: int, c: int = 0, t_major: bool = True) -
     same index when a or b is 1).
 
     The broadcast computes the u-part on the int32 axes (t1, u1, ., u2), or
-    (u1, t1, u2, .), or all four when a carry c makes it depend on t2, and the
-    t-part on (t1, t2), so only the final sum is n^2; its inner loops run
-    along the last axis, a cells t-major and b cells u-major.  So a u-major
-    table (or a t-major one with b = 1) with a > b is built from its rows
-    (0, t1) instead, the broadcast on n*b cells: a cell there holds x*b + s
-    for a u-part x < a and a t-part s < b, and the same cell of row (u1, t1)
-    holds ((u1 + x) mod a)*b + s = (u1*b + x*b + s) mod n, one add along rows
-    of n cells and one subtraction of n where the sum reaches it.  No value
-    reaches a^2 + 2a or 2n, inside int32 for any a < 46000 and n < 2^30
-    (such tables would take 8 GiB and more).
+    (u1, t1, u2, .), with a carry c chosen in by (t1, t2), and the t-part on
+    (t1, t2), so only the carry's choice and the final sum are n^2; the sum's
+    inner loops run along the last axis, a cells t-major and b cells u-major.
+    So a u-major table (or a t-major one with b = 1) with a > b is built from
+    its rows (0, t1) instead, the broadcast on n*b cells: a cell there holds
+    x*b + s for a u-part x < a and a t-part s < b, and the same cell of row
+    (u1, t1) holds ((u1 + x) mod a)*b + s = (u1*b + x*b + s) mod n, one add
+    along rows of n cells and one subtraction of n where the sum reaches it.
+    No value reaches a^2 + 2a or 2n, inside int32 for any a < 46000 and
+    n < 2^30 (such tables would take 8 GiB and more).
     """
     n = a * b
     u = np.arange(a, dtype=np.int32)
@@ -921,12 +915,13 @@ def _extension_table(a: int, b: int, r: int, c: int = 0, t_major: bool = True) -
     else:
         u1, t1, u2, t2 = np.ix_(u, t, u, t)
     new_u = u1 + r_pow[t1] * u2
-    if c:
-        new_u = new_u + c * ((t1 + t2) // b)  # t1 + t2 < 2b: the carry is 0 or 1
     # new_u >= 0 (u, c and the residues in r_pow are), so this is new_u %= a;
     # numpy vectorizes int32 floor division by a scalar but not %, which took
     # 268 us against 30 us for // on a 300 x 300 table (numpy 2.4, 2 cores)
     new_u -= new_u // a * a
+    if c:  # where t1 + t2 >= b (t1 + t2 < 2b); new_u + c % a < 2a
+        new_u = np.where(t1 + t2 >= b, new_u + c % a, new_u)
+        np.subtract(new_u, a, out=new_u, where=new_u >= a)
     new_t = (t1 + t2) % b
     table = new_u + a * new_t if t_major else new_u * b + new_t
     if from_first_rows:  # the rows (0, t1) so far
@@ -964,7 +959,7 @@ def abelian(factors: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup
     _check_cap(n, cap)
     table = functools.reduce(_combine_tables, [_extension_table(d, 1, 1) for d in factors])
     name = "abelian:" + "x".join(str(d) for d in factors)
-    return _with_labels(_Fresh(table), 0, name, _pair_labels, *factors)
+    return _with_labels(_Fresh(table), 0, name, functools.partial(_pair_labels, *factors))
 
 
 def dihedral(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -978,7 +973,7 @@ def dihedral(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("need m >= 1")
     _check_cap(2 * m, cap)
     return _with_labels(_Fresh(_extension_table(m, 2, -1)), 0, f"dihedral:{m}",
-                        _coset_labels, ("r", "sr"), m)
+                        functools.partial(_coset_labels, ("r", "sr"), m))
 
 
 def dicyclic(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -992,7 +987,7 @@ def dicyclic(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("need m >= 1")
     _check_cap(4 * m, cap)
     return _with_labels(_Fresh(_extension_table(2 * m, 2, -1, c=m)), 0, f"dicyclic:{m}",
-                        _coset_labels, ("a", "ba"), 2 * m)
+                        functools.partial(_coset_labels, ("a", "ba"), 2 * m))
 
 
 def _perm_group(perms: np.ndarray, name: str, cap: int) -> FiniteGroup:
@@ -1006,7 +1001,8 @@ def _perm_group(perms: np.ndarray, name: str, cap: int) -> FiniteGroup:
         codes *= k
         codes += perms[:, perms[:, x]]  # [i, j] = p_i[p_j[x]]
     keys = codes[:, 0]  # p_i * identity = p_i
-    return _with_labels(np.searchsorted(keys, codes), 0, name, _perm_labels, perms)
+    codes[...] = np.searchsorted(keys, codes)
+    return _with_labels(_Fresh(codes), 0, name, functools.partial(_perm_labels, perms))
 
 
 def _all_permutations(k: int) -> np.ndarray:
@@ -1042,7 +1038,7 @@ def direct_product(
     table = _combine_tables(g1.table, g2.table)
     identity = g1.identity * g2.order + g2.identity
     product = _with_labels(_Fresh(table), identity, f"prod:{g1.name},{g2.name}",
-                           _product_labels, g1._labels, g2._labels)
+                           functools.partial(_product_labels, g1._labels, g2._labels))
     expected = np.lcm.outer(g1.element_orders(), g2.element_orders())
     failing = np.argwhere(np.reshape(product.element_orders(), expected.shape) != expected)
     if failing.size:
@@ -1093,7 +1089,7 @@ def semidirect_cyclic(spec: SemidirectSpec, cap: int = DEFAULT_ORDER_CAP) -> Fin
     a, b = spec.a, spec.b
     _check_cap(a * b, cap)
     return _with_labels(_Fresh(_extension_table(a, b, spec.r, t_major=False)), 0,
-                        f"sdp:{a}:{b}:{spec.r}", _pair_labels, a, b)
+                        f"sdp:{a}:{b}:{spec.r}", functools.partial(_pair_labels, a, b))
 
 
 def enumerate_semidirect_units(a: int, b: int) -> list[int]:

@@ -164,11 +164,22 @@ def test_nonsquare_rejected():
             gs.FiniteGroup(table, 0)
 
 
-def test_out_of_range_entries_rejected_before_narrowing():
-    # 2**32 + 1 wraps to 1 in 32 bits, which would make this table C2
-    for big in (2**32 + 1, -(2**32) + 1):
-        with pytest.raises(gs.NotClosedError):
-            gs.FiniteGroup([[0, big], [big, 0]], 0)
+def test_out_of_range_entries_rejected_before_narrowing(monkeypatch):
+    # 2**32 + k and -(2**32) + k wrap to k in 32 bits, which would give back
+    # C_5's own table; each block of rows is range-checked on the caller's
+    # values before it is narrowed, so in a later block too the first bad
+    # cell in row-major order is named with the value the caller wrote
+    table = gs.cyclic(5).table.astype(np.int64)
+    table[3, 4] += 2**32
+    table[3, 1] -= 2**32
+    table[4, 0] += 2**32
+    for rows in (1, 2):
+        monkeypatch.setattr(gs.groups, "_BLOCK_CELLS", rows * 5)
+        for raw in (table, table.tolist()):
+            with pytest.raises(gs.NotClosedError) as caught:
+                gs.FiniteGroup(raw, 0)
+            assert caught.value.witness == (3, 1), (rows, type(raw))
+            assert str(caught.value) == f"not closed: table[3][1] = {4 - 2**32} outside [0, 5)"
 
 
 def test_table_is_read_only():
@@ -1437,12 +1448,17 @@ def test_validation_allocates_no_table_beyond_the_kept_copy(spec):
     assert peak <= 4 * n * n + 2 * 2**20, (spec, peak)
 
 
-@pytest.mark.parametrize("build, arg", [(gs.cyclic, 1920), (gs.dihedral, 960)])
-def test_constructed_group_holds_one_table(build, arg):
+@pytest.mark.parametrize("build, arg, size, scratch", [
+    (gs.cyclic, 1920, 1920, 2), (gs.dihedral, 960, 1920, 2), (gs.dicyclic, 480, 1920, 4),
+    (gs.symmetric, 6, 720, 8),
+], ids=["cyclic-1920", "dihedral-960", "dicyclic-480", "symmetric-6"])
+def test_constructed_group_holds_one_table(build, arg, size, scratch):
     # the table a constructor builds is validated in place and kept, so the
     # peak is that one int32 table (4n^2 bytes) and the construction's own
-    # scratch: an n^2 bool mask for cyclic, the u-part on half the cells for
-    # dihedral; a copy of the table would add another 4n^2
+    # scratch of `scratch` bytes a cell: an n^2 bool mask for cyclic, the
+    # u-part on half the cells for dihedral, the u-part chosen with or
+    # without the carry and its two halves for dicyclic, searchsorted's intp
+    # lookup for symmetric; a copy of the table would add another 4n^2
     import tracemalloc
 
     tracemalloc.start()
@@ -1452,8 +1468,8 @@ def test_constructed_group_holds_one_table(build, arg):
     finally:
         tracemalloc.stop()
     n = group.order
-    assert n == 1920 and not group.table.flags.writeable
-    assert peak <= 6 * n * n + 2 * 2**20, (build.__name__, peak)
+    assert n == size and not group.table.flags.writeable
+    assert peak <= (4 + scratch) * n * n + 2 * 2**20, (build.__name__, peak)
 
 
 # --- the JSON reader against the json.loads path ---
