@@ -1456,9 +1456,9 @@ def test_constructed_group_holds_one_table(build, arg, size, scratch):
     # the table a constructor builds is validated in place and kept, so the
     # peak is that one int32 table (4n^2 bytes) and the construction's own
     # scratch of `scratch` bytes a cell: an n^2 bool mask for cyclic, the
-    # u-part on half the cells for dihedral, the u-part chosen with or
-    # without the carry and its two halves for dicyclic, searchsorted's intp
-    # lookup for symmetric; a copy of the table would add another 4n^2
+    # u-part on half the cells for dihedral, the n^2 u-part chosen with or
+    # without the carry from two such halves for dicyclic, searchsorted's
+    # intp lookup for symmetric; a copy of the table would add another 4n^2
     import tracemalloc
 
     tracemalloc.start()
