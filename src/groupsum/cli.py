@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Subcommands: phi, q, graph, verify-main, criterion, tables, sweep.
-Group specs: cyclic:N, abelian:d1xd2x..., dihedral:M, dicyclic:M, sym:K,
-alt:K, sdp:A:B:R, prod:<spec>,<spec>, file:<path.json>.  Every integer on
-the command line, in a spec, a range or a flag, is ASCII digits with an
-optional leading minus sign.
+`--group` takes a group spec, whose grammar `groups.FiniteGroup.from_spec`
+describes and parses.  Every integer on the command line, in a spec, a range
+or a flag, is ASCII digits with an optional leading minus sign.
 
 Exit status: 0 on success / all verdicts passing, 1 when any verdict
 fails (a counterexample is printed: on stderr for `verify-main --format
@@ -23,108 +22,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from functools import partial
-from itertools import islice
 
 from . import numtheory, powergraph, verify
-from .groups import (
-    DEFAULT_ORDER_CAP,
-    FiniteGroup,
-    OrderCapError,
-    SemidirectSpec,
-    abelian,
-    alternating,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    semidirect_cyclic,
-    symmetric,
-)
-
-
-class SpecError(ValueError):
-    """Malformed group spec (a usage error)."""
-
-
-def _ascii_int(text: str) -> int:
-    """An integer written as ASCII digits with an optional leading minus.
-
-    `int` also reads non-ASCII digits, surrounding spaces, underscores and
-    a plus sign; every integer on the command line goes through here
-    instead, so each of those is a usage error."""
-    if re.fullmatch("-?[0-9]+", text) is None:
-        raise SpecError(f"not an integer: {text!r}")
-    return int(text)
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, OrderCapError, SpecError, _ascii_int
 
 
 def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build a group from its spec string (see module docstring)."""
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "cyclic":
-            return cyclic(_ascii_int(rest), cap)
-        if kind == "abelian":
-            return abelian([_ascii_int(d) for d in rest.split("x")], cap)
-        if kind == "dihedral":
-            return dihedral(_ascii_int(rest), cap)
-        if kind == "dicyclic":
-            return dicyclic(_ascii_int(rest), cap)
-        if kind == "sym":
-            return symmetric(_ascii_int(rest), cap)
-        if kind == "alt":
-            return alternating(_ascii_int(rest), cap)
-        if kind == "sdp":
-            a, b, r = (_ascii_int(x) for x in rest.split(":"))
-            return semidirect_cyclic(SemidirectSpec(a, b, r), cap)
-        if kind == "prod":
-            left, right = _split_prod(rest)
-            return direct_product(
-                parse_group_spec(left, cap), parse_group_spec(right, cap), cap
-            )
-        if kind == "file":
-            # a to_json cell (digits below cap, then ", ") is under 16 characters;
-            # the MiB is room for the name and the other keys
-            limit = min(16 * max(cap, 1) ** 2 + 2**20, sys.maxsize - 1)
-            with open(rest, "r", encoding="utf-8") as handle:
-                # read(limit + 1) would allocate the whole limit for every file;
-                # whole pieces of 1 MiB reach past the limit just as surely
-                pieces = iter(partial(handle.read, 2**20), "")
-                text = "".join(islice(pieces, limit // 2**20 + 1))
-            if len(text) > limit:
-                raise ValueError(f"longer than {limit} characters")
-            return FiniteGroup.from_json(text, cap)
-    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deep JSON nesting
-        if isinstance(exc, (OrderCapError, SpecError)):
-            raise
-        raise SpecError(f"bad group spec {spec!r}: {exc}") from exc
-    raise SpecError(f"unknown group spec kind {kind!r}")
-
-
-def _split_prod(rest: str) -> tuple[str, str]:
-    # only prod specs contain commas, so try each split point
-    positions = [i for i, ch in enumerate(rest) if ch == ","]
-    if not positions:
-        raise SpecError("prod spec needs two comma-separated specs")
-    for pos in positions:
-        left, right = rest[:pos], rest[pos + 1 :]
-        if _looks_like_spec(left) and _looks_like_spec(right):
-            return left, right
-    return rest[: positions[0]], rest[positions[0] + 1 :]
-
-
-_KINDS = {"cyclic", "abelian", "dihedral", "dicyclic", "sym", "alt", "sdp", "prod", "file"}
-
-
-def _looks_like_spec(s: str) -> bool:
-    kind = s.partition(":")[0]
-    if kind not in _KINDS:
-        return False
-    if kind == "prod":
-        return "," in s
-    return True
+    """Build a group from its spec string: `FiniteGroup.from_spec`."""
+    return FiniteGroup.from_spec(spec, cap)
 
 
 def _parse_range(text: str) -> tuple[int, int]:

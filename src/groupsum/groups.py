@@ -61,6 +61,11 @@ Later queries (`phi`, `sylow_subgroup`, `count_sylow`, `normalizer` and
 is idempotent: two threads that race on one compute equal values, and either
 write may stand, so sharing a group across threads stays safe.
 
+A spec string names a group, and `FiniteGroup.from_spec` holds the grammar
+and builds it; each construction names its group by the spec that builds it.
+`catalog_specs(n)` lists the catalog's specs without building a table, and
+`catalog(n)` builds the group of each.
+
 `labels` is built each time it is read by the group's label rule, a
 `functools.partial` of a module-level function; only the rule is stored, so
 the many groups that are never exported never build their n label strings.
@@ -76,6 +81,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -123,6 +129,10 @@ class NotAssociativeError(GroupValidationError):
 class OrderCapError(ValueError):
     def __init__(self, order, cap):
         super().__init__(f"order {order} exceeds cap {cap}")
+
+
+class SpecError(ValueError):
+    """Malformed group spec (a usage error)."""
 
 
 def _check_cap(order: int, cap: int) -> None:
@@ -768,6 +778,54 @@ class FiniteGroup:
             data["table"] = _Fresh(data["table"])
         return cls.from_json_dict(data, cap)
 
+    @classmethod
+    def from_spec(cls, spec: str, cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
+        """The group a spec string names, of order at most `cap`: cyclic:N,
+        abelian:D1xD2x..., dihedral:M, dicyclic:M, sym:K, alt:K, sdp:A:B:R
+        (C_A twisted by C_B through the unit R), prod:<spec>,<spec>, nested
+        to any depth, or file:<path.json>, a document `from_json` reads, of
+        at most 16 cap^2 + 2^20 characters.  Every integer is ASCII digits
+        with an optional leading minus.  A malformed spec, or one whose
+        construction or file fails, raises `SpecError`; a group over the cap
+        raises `OrderCapError`."""
+        kind, _, rest = spec.partition(":")
+        try:
+            if kind == "cyclic":
+                return cyclic(_ascii_int(rest), cap)
+            if kind == "abelian":
+                return abelian([_ascii_int(d) for d in rest.split("x")], cap)
+            if kind == "dihedral":
+                return dihedral(_ascii_int(rest), cap)
+            if kind == "dicyclic":
+                return dicyclic(_ascii_int(rest), cap)
+            if kind == "sym":
+                return symmetric(_ascii_int(rest), cap)
+            if kind == "alt":
+                return alternating(_ascii_int(rest), cap)
+            if kind == "sdp":
+                a, b, r = (_ascii_int(x) for x in rest.split(":"))
+                return semidirect_cyclic(SemidirectSpec(a, b, r), cap)
+            if kind == "prod":
+                left, right = _split_prod(rest)
+                return direct_product(cls.from_spec(left, cap), cls.from_spec(right, cap), cap)
+            if kind == "file":
+                # a to_json cell (digits below cap, then ", ") is under 16 characters;
+                # the MiB is room for the name and the other keys
+                limit = min(16 * max(cap, 1) ** 2 + 2**20, sys.maxsize - 1)
+                with open(rest, "r", encoding="utf-8") as handle:
+                    # read(limit + 1) would allocate the whole limit for every file;
+                    # whole pieces of 1 MiB reach past the limit just as surely
+                    pieces = iter(functools.partial(handle.read, 2**20), "")
+                    text = "".join(itertools.islice(pieces, limit // 2**20 + 1))
+                if len(text) > limit:
+                    raise ValueError(f"longer than {limit} characters")
+                return cls.from_json(text, cap)
+        except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deep nesting
+            if isinstance(exc, (OrderCapError, SpecError)):
+                raise
+            raise SpecError(f"bad group spec {spec!r}: {exc}") from exc
+        raise SpecError(f"unknown group spec kind {kind!r}")
+
 
 class Subgroup:
     """A validated subgroup of a parent group: its read-only boolean `mask`
@@ -1000,8 +1058,9 @@ def _perm_group(perms: np.ndarray, name: str, cap: int) -> FiniteGroup:
     for x in range(k):
         codes *= k
         codes += perms[:, perms[:, x]]  # [i, j] = p_i[p_j[x]]
-    keys = codes[:, 0]  # p_i * identity = p_i
-    codes[...] = np.searchsorted(keys, codes)
+    keys = codes[:, 0].copy()  # p_i * identity = p_i; block 0 overwrites column 0
+    for block in np.array_split(codes, -(-n * n // _BLOCK_CELLS)):  # views of whole rows
+        block[...] = np.searchsorted(keys, block)  # an intp lookup of one block at a time
     return _with_labels(_Fresh(codes), 0, name, functools.partial(_perm_labels, perms))
 
 
@@ -1107,7 +1166,38 @@ def enumerate_semidirect_units(a: int, b: int) -> list[int]:
     ]
 
 
-# --- the construction catalog ---
+# --- specs and the construction catalog ---
+
+
+def _ascii_int(text: str) -> int:
+    """An integer written as ASCII digits with an optional leading minus.
+
+    `int` also reads non-ASCII digits, surrounding spaces, underscores and
+    a plus sign; every integer in a spec or a command line goes through
+    here instead, so each of those is a usage error."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise SpecError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_KINDS = frozenset({"cyclic", "abelian", "dihedral", "dicyclic", "sym", "alt", "sdp", "file"})
+
+
+def _split_prod(rest: str) -> tuple[str, str]:
+    """The two specs of "prod:" + rest, found by counting its comma-separated
+    pieces: each leading "prod:" of a piece opens one more spec, a piece that
+    then starts a kind closes one, and one that starts no kind continues a
+    file: path.  The left spec ends before the first piece that starts a
+    kind once every spec opened in it is closed."""
+    pieces = rest.split(",")
+    unclosed = 1
+    for i, piece in enumerate(pieces):
+        prods = re.match("(?:prod:)*", piece).end()
+        starts_kind = piece[prods:].partition(":")[0] in _KINDS
+        if starts_kind and not unclosed:
+            return ",".join(pieces[:i]), ",".join(pieces[i:])
+        unclosed += prods // len("prod:") - starts_kind
+    raise SpecError("prod spec needs two comma-separated specs")
 
 
 def _partitions(k: int, largest: Optional[int] = None):
@@ -1140,8 +1230,8 @@ def abelian_invariant_factor_lists(n: int) -> list[list[int]]:
     ]
 
 
-def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
-    """Constructible groups of order n, each construction once.
+def catalog_specs(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[str]:
+    """Specs of the constructible groups of order n, each once; builds no table.
 
     Covers every abelian group of order n, dihedral and dicyclic groups
     when the order permits, the symmetric and alternating groups on up to
@@ -1151,27 +1241,25 @@ def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
     exponent; each split takes a as the product of a proper, nonempty set
     of n's prime powers, in ascending order of a, with every valid action
     r.  This is catalog coverage, not a classification of all groups of
-    order n.
+    order n.  The order is checked against `cap` before it is factored.
     """
     n = _integer(n, "order")
     if n < 1:
         raise ValueError("order must be positive")
     _check_cap(n, cap)
-    groups: list[FiniteGroup] = []
-    for invariant in abelian_invariant_factor_lists(n):
-        if invariant == [n]:
-            groups.append(cyclic(n, cap))
-        else:
-            groups.append(abelian(invariant, cap))
+    specs = [
+        f"cyclic:{n}" if invariant == [n] else "abelian:" + "x".join(map(str, invariant))
+        for invariant in abelian_invariant_factor_lists(n)
+    ]
     if n % 2 == 0 and n >= 6:
-        groups.append(dihedral(n // 2, cap))
+        specs.append(f"dihedral:{n // 2}")
     if n % 4 == 0 and n >= 8:
-        groups.append(dicyclic(n // 4, cap))
+        specs.append(f"dicyclic:{n // 4}")
     for k in (3, 4, 5, 6):
         if math.factorial(k) == n:
-            groups.append(symmetric(k, cap))
+            specs.append(f"sym:{k}")
         if math.factorial(k) // 2 == n:
-            groups.append(alternating(k, cap))
+            specs.append(f"alt:{k}")
     powers = [p**e for p, e in numtheory.factorize(n).factors]
     splits = (
         math.prod(part)
@@ -1179,6 +1267,10 @@ def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
         for part in itertools.combinations(powers, size)
     )
     for a in sorted(splits):
-        for r in enumerate_semidirect_units(a, n // a):
-            groups.append(semidirect_cyclic(SemidirectSpec(a, n // a, r), cap))
-    return groups
+        specs += [f"sdp:{a}:{n // a}:{r}" for r in enumerate_semidirect_units(a, n // a)]
+    return specs
+
+
+def catalog(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[FiniteGroup]:
+    """The groups of `catalog_specs(n, cap)`, in its order, each built from its spec."""
+    return [FiniteGroup.from_spec(spec, cap) for spec in catalog_specs(n, cap)]

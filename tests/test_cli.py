@@ -127,6 +127,12 @@ def test_prod_spec(capsys):
 def test_nested_prod_spec(capsys):
     code, out, _ = run_cli(capsys, "phi", "--group", "prod:cyclic:2,prod:cyclic:3,cyclic:5")
     assert code == 0 and out == f"{gs.phi_cyclic_sum(30)}\n"
+    # names direct_product writes, with a product nested in the left factor
+    for spec in ["prod:prod:prod:cyclic:2,cyclic:3,cyclic:5,cyclic:7",
+                 "prod:prod:cyclic:2,prod:cyclic:3,cyclic:5,cyclic:7"]:
+        assert run_cli(capsys, "phi", "--group", spec) == (0, "6290\n", ""), spec
+        code, out, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
+        assert json.loads(out)["group"] == spec, spec
 
 
 def test_sdp_spec(capsys):

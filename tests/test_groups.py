@@ -1078,6 +1078,79 @@ def test_catalog_splits_past_order_300_follow_the_divisor_rule():
         assert names == expected, n
 
 
+# sha256 over the lines "n:spec,spec,..." for n = 1..N, joined by newlines,
+# recorded from the names of the built catalog before it was built from specs
+PINNED_CATALOG_SPECS = {
+    300: "f125d1305dda4c8fb2fe6fe212d2a1737063313f804e02b6e95973c2ea889399",
+    2000: "f1e37d9d86ee3528faafbb54abaabfe9164c25ece5a541148f76eaff49f68cd9",
+}
+
+
+def test_catalog_specs_are_the_catalog_names():
+    for n in range(1, 301):
+        assert gs.groups.catalog_specs(n) == [g.name for g in gs.catalog(n)], n
+    for limit, digest in PINNED_CATALOG_SPECS.items():
+        lines = "\n".join(f"{n}:{','.join(gs.groups.catalog_specs(n))}"
+                          for n in range(1, limit + 1))
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, limit
+
+
+def test_catalog_specs_build_no_table_and_check_the_order_as_catalog_does(monkeypatch):
+    def outcome(make, n):
+        try:
+            return [getattr(g, "name", g) for g in make(n)]
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    for n in (0, -1, True, 2.5, np.int64(4), 2001):
+        assert outcome(gs.groups.catalog_specs, n) == outcome(gs.catalog, n), n
+    assert outcome(gs.catalog, np.int64(4)) == ["cyclic:4", "abelian:2x2"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no table may be built or factored here")
+
+    monkeypatch.setattr(gs.groups, "_validate_table", refuse)
+    assert len(gs.groups.catalog_specs(1920)) == 34
+    monkeypatch.setattr(gs.groups.numtheory, "factorize", refuse)
+    for make in (gs.groups.catalog_specs, gs.catalog):
+        with pytest.raises(gs.OrderCapError, match="order 2001 exceeds cap 2000"):
+            make(2001)
+
+
+def test_product_names_build_their_group():
+    # every name direct_product writes, nested products included, is a
+    # spec that builds the same group
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    leaves = st.sampled_from([
+        gs.cyclic(1), gs.cyclic(2), gs.cyclic(3), gs.abelian([2, 2]), gs.dihedral(3),
+        gs.dicyclic(1), gs.symmetric(2), gs.alternating(3),
+        gs.semidirect_cyclic(gs.SemidirectSpec(3, 2, 2)),
+    ])
+
+    @st.composite
+    def trees(draw, size=4):
+        """A direct product tree of at most `size` leaves: of depth at most 3."""
+        if size == 1 or draw(st.booleans()):
+            return draw(leaves)
+        left = draw(st.integers(1, size - 1))
+        return gs.direct_product(draw(trees(left)), draw(trees(size - left)))
+
+    c2, c3, c5, c7 = (gs.cyclic(p) for p in (2, 3, 5, 7))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(trees())
+    @hypothesis.example(gs.direct_product(gs.direct_product(gs.direct_product(c2, c3), c5), c7))
+    @hypothesis.example(gs.direct_product(gs.direct_product(c2, gs.direct_product(c3, c5)), c7))
+    def check(group):
+        built = gs.FiniteGroup.from_spec(group.name)
+        assert built.name == group.name
+        assert built.identity == group.identity
+        assert np.array_equal(built.table, group.table)
+
+    check()
+
+
 # --- JSON wire format ---
 
 
@@ -1450,15 +1523,17 @@ def test_validation_allocates_no_table_beyond_the_kept_copy(spec):
 
 @pytest.mark.parametrize("build, arg, size, scratch", [
     (gs.cyclic, 1920, 1920, 2), (gs.dihedral, 960, 1920, 2), (gs.dicyclic, 480, 1920, 4),
-    (gs.symmetric, 6, 720, 8),
+    (gs.symmetric, 6, 720, 1),
 ], ids=["cyclic-1920", "dihedral-960", "dicyclic-480", "symmetric-6"])
 def test_constructed_group_holds_one_table(build, arg, size, scratch):
     # the table a constructor builds is validated in place and kept, so the
     # peak is that one int32 table (4n^2 bytes) and the construction's own
     # scratch of `scratch` bytes a cell: an n^2 bool mask for cyclic, the
     # u-part on half the cells for dihedral, the n^2 u-part chosen with or
-    # without the carry from two such halves for dicyclic, searchsorted's
-    # intp lookup for symmetric; a copy of the table would add another 4n^2
+    # without the carry from two such halves for dicyclic, the n^2 int8
+    # gather of the images of one point for symmetric (searchsorted's intp
+    # lookup runs a block of rows at a time); a copy of the table would add
+    # another 4n^2
     import tracemalloc
 
     tracemalloc.start()
