@@ -149,7 +149,9 @@ def _cmd_verify_main(args) -> tuple[str, int]:
         import multiprocessing  # here, not at the top: it costs every start-up ~10 ms
 
         with multiprocessing.Pool(jobs) as pool:
-            reports = pool.map(worker, ns)
+            # one order per task: consecutive chunks would hand one worker
+            # all of the dearest orders
+            reports = pool.map(worker, ns, chunksize=1)
     else:
         reports = [worker(n) for n in ns]
     status = 0 if all(r.passed for r in reports) else 1
@@ -179,10 +181,9 @@ def _cmd_verify_main(args) -> tuple[str, int]:
 
 def _cmd_criterion(args) -> tuple[str, int]:
     group = parse_group_spec(args.group, args.cap)
-    verdict, outcomes = verify.verify_criterion(group)
-    contra = verify.verify_contrapositive(group)
+    verdicts, outcomes = verify.verify_criterion(group)
     n = group.order
-    status = 0 if verdict.passed and contra.passed else 1
+    status = 0 if all(v.passed for v in verdicts.values()) else 1
 
     if args.format == "json":
         payload = {
@@ -202,10 +203,7 @@ def _cmd_criterion(args) -> tuple[str, int]:
                 }
                 for o in outcomes
             ],
-            "verdicts": {
-                "thm-overall": verdict.to_json_dict(),
-                "cor-contrapositive": contra.to_json_dict(),
-            },
+            "verdicts": {key: v.to_json_dict() for key, v in verdicts.items()},
         }
         return _json(payload), status
 
@@ -231,6 +229,7 @@ def _cmd_criterion(args) -> tuple[str, int]:
         else:
             comparison = f"max Q*phi(o(g)) = {best_str} < n = {n}"
         lines.append(f"no witness; {comparison}; Sylow-{p} count = {group.count_sylow(p)}")
+    contra = verdicts["cor-contrapositive"]
     lines.append(f"contrapositive: {contra.detail} [{'ok' if contra.passed else 'VIOLATED'}]")
     return "\n".join(lines) + "\n", status
 

@@ -129,10 +129,16 @@ class NotAssociativeError(GroupValidationError):
 class OrderCapError(ValueError):
     def __init__(self, order, cap):
         super().__init__(f"order {order} exceeds cap {cap}")
+        self.order = order
 
 
 class SpecError(ValueError):
-    """Malformed group spec (a usage error)."""
+    """Malformed group spec (a usage error).  `spec` is the piece of a
+    group spec at fault when `FiniteGroup.from_spec` raised it, else None."""
+
+    def __init__(self, message, spec: Optional[str] = None):
+        super().__init__(message if spec is None else f"bad group spec {spec!r}: {message}")
+        self.spec = spec
 
 
 def _check_cap(order: int, cap: int) -> None:
@@ -786,8 +792,10 @@ class FiniteGroup:
         to any depth, or file:<path.json>, a document `from_json` reads, of
         at most 16 cap^2 + 2^20 characters.  Every integer is ASCII digits
         with an optional leading minus.  A malformed spec, or one whose
-        construction or file fails, raises `SpecError`; a group over the cap
-        raises `OrderCapError`."""
+        construction or file fails, raises `SpecError` naming the innermost
+        spec at fault; a group over the cap raises `OrderCapError`.  The right
+        factor of a product is built under the cap its left factor leaves, so
+        a product over the cap never builds a right factor past it."""
         kind, _, rest = spec.partition(":")
         try:
             if kind == "cyclic":
@@ -807,7 +815,12 @@ class FiniteGroup:
                 return semidirect_cyclic(SemidirectSpec(a, b, r), cap)
             if kind == "prod":
                 left, right = _split_prod(rest)
-                return direct_product(cls.from_spec(left, cap), cls.from_spec(right, cap), cap)
+                first = cls.from_spec(left, cap)
+                try:
+                    second = cls.from_spec(right, cap // first.order)
+                except OrderCapError as exc:
+                    raise OrderCapError(first.order * exc.order, cap) from None
+                return direct_product(first, second, cap)
             if kind == "file":
                 # a to_json cell (digits below cap, then ", ") is under 16 characters;
                 # the MiB is room for the name and the other keys
@@ -820,11 +833,11 @@ class FiniteGroup:
                 if len(text) > limit:
                     raise ValueError(f"longer than {limit} characters")
                 return cls.from_json(text, cap)
+            raise SpecError(f"unknown group spec kind {kind!r}")
         except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deep nesting
-            if isinstance(exc, (OrderCapError, SpecError)):
-                raise
-            raise SpecError(f"bad group spec {spec!r}: {exc}") from exc
-        raise SpecError(f"unknown group spec kind {kind!r}")
+            if isinstance(exc, OrderCapError) or getattr(exc, "spec", None) is not None:
+                raise  # over the cap, or a factor's error that names its spec
+            raise SpecError(exc, spec) from exc
 
 
 class Subgroup:

@@ -234,17 +234,24 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     return outcomes
 
 
-def verify_criterion(group: FiniteGroup) -> tuple[Verdict, list[CriterionOutcome]]:
+def verify_criterion(
+    group: FiniteGroup,
+) -> tuple[dict[str, Verdict], list[CriterionOutcome]]:
+    """The criterion's verdicts on one group, by statement id, and the
+    outcome for each witness: "thm-overall" passes when every witness
+    satisfies the criterion, and "cor-contrapositive" is
+    `verify_contrapositive(group)`."""
     outcomes = check_witnesses(group)
     bad = next((o for o in outcomes if not o.satisfied), None)
-    verdict = Verdict(
-        bad is None,
-        f"{group.name}: {len(outcomes)} witness(es)",
-        None
-        if bad is None
-        else {"group": group.name, "witness": bad.witness},
-    )
-    return verdict, outcomes
+    verdicts = {
+        "thm-overall": Verdict(
+            bad is None,
+            f"{group.name}: {len(outcomes)} witness(es)",
+            None if bad is None else {"group": group.name, "witness": bad.witness},
+        ),
+        "cor-contrapositive": verify_contrapositive(group),
+    }
+    return verdicts, outcomes
 
 
 def verify_contrapositive(group: FiniteGroup) -> Verdict:
@@ -269,34 +276,25 @@ def verify_contrapositive(group: FiniteGroup) -> Verdict:
 
 
 def criterion_sweep(max_order: int) -> dict[str, Verdict]:
-    """Run the criterion and its contrapositive over every catalog group of
-    order up to max_order; aggregate first failures."""
+    """Run `verify_criterion` over every catalog group of order up to
+    max_order; keep the first counterexample for each statement id."""
     checked = 0
     witnesses_seen = 0
-    first_bad: Optional[dict] = None
-    first_bad_contra: Optional[dict] = None
+    first_bad: dict[str, Optional[dict]] = {}
     for n in range(1, max_order + 1):
         for group in catalog(n):
             checked += 1
-            verdict, outcomes = verify_criterion(group)
+            verdicts, outcomes = verify_criterion(group)
             witnesses_seen += len(outcomes)
-            if not verdict.passed and first_bad is None:
-                first_bad = verdict.counterexample
-            contra = verify_contrapositive(group)
-            if not contra.passed and first_bad_contra is None:
-                first_bad_contra = contra.counterexample
-    return {
-        "thm-overall": Verdict(
-            first_bad is None,
-            f"{checked} groups, {witnesses_seen} witnesses",
-            first_bad,
-        ),
-        "cor-contrapositive": Verdict(
-            first_bad_contra is None,
-            f"{checked} groups",
-            first_bad_contra,
-        ),
+            for key, verdict in verdicts.items():
+                if not verdict.passed:
+                    first_bad.setdefault(key, verdict.counterexample)
+    details = {
+        "thm-overall": f"{checked} groups, {witnesses_seen} witnesses",
+        "cor-contrapositive": f"{checked} groups",
     }
+    return {key: Verdict(key not in first_bad, detail, first_bad.get(key))
+            for key, detail in details.items()}
 
 
 # --- product lemmas ---

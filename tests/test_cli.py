@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -232,10 +233,15 @@ def test_malformed_specs(capsys):
     # spec integers are ASCII digits with an optional minus sign, nothing else
     for spec in ["nonsense:4", "cyclic:x", "sdp:3:2", "abelian:", "file:/no/such.json",
                  "cyclic:\u0663", "cyclic: 4", "cyclic:4 ", "cyclic:1_0", "cyclic:+4",
-                 "abelian:2x\uff13", "dihedral:1_0", "sdp:5:4:+1", "prod:cyclic:2,cyclic: 3"]:
+                 "abelian:2x\uff13", "dihedral:1_0", "sdp:5:4:+1", "prod:cyclic:2,cyclic: 3",
+                 "abelian:2x", "prod:cyclic:2", "prod:cyclic:2,abelian:2x", "prod:sym:3,sdp:3:2"]:
         code, out, err = run_cli(capsys, "phi", "--group", spec)
         assert code == 2, spec
         assert out == "" and "error" in err and "Traceback" not in err, spec
+        # every error names the innermost piece of the spec at fault
+        named = re.match(r"error: bad group spec ('.*?'): ", err)
+        assert named and err.count("\n") == 1, (spec, err)
+        assert ast.literal_eval(named.group(1)) in spec, (spec, err)
 
 
 def test_negative_spec_integer_stays_valid(capsys):
@@ -410,7 +416,10 @@ def test_verify_main_jobs_clamped_to_cpus_and_orders(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=None):
+            # one order per task: consecutive chunks would hand one worker
+            # all of the dearest orders
+            assert chunksize == 1
             return [fn(x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)

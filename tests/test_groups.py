@@ -628,7 +628,6 @@ def test_sylow_memo_matches_brute_force_conjugates():
         warm = gs.catalog(n)
         for group in warm:
             verify.verify_criterion(group)
-            verify.verify_contrapositive(group)
         for group, fresh in zip(warm, gs.catalog(n)):
             t = fresh.table
             inverse = np.nonzero(t == fresh.identity)[1]  # one identity per row
@@ -1115,6 +1114,24 @@ def test_catalog_specs_build_no_table_and_check_the_order_as_catalog_does(monkey
     for make in (gs.groups.catalog_specs, gs.catalog):
         with pytest.raises(gs.OrderCapError, match="order 2001 exceeds cap 2000"):
             make(2001)
+
+
+@pytest.mark.parametrize("spec, order, tables", [
+    ("prod:cyclic:2000,cyclic:2000", 4000000, 1),
+    ("prod:cyclic:400,dihedral:3", 2400, 1),
+    ("prod:cyclic:3,abelian:2x700", 4200, 1),
+    ("prod:cyclic:3,prod:cyclic:30,cyclic:30", 2700, 2),
+])
+def test_product_over_the_cap_builds_no_right_factor_past_it(monkeypatch, spec, order, tables):
+    # the right factor is built under what the left leaves of the cap, and
+    # the error still names the whole product's order
+    validated = []
+    validate = gs.groups._validate_table
+    monkeypatch.setattr(gs.groups, "_validate_table",
+                        lambda *args: validated.append(1) or validate(*args))
+    with pytest.raises(gs.OrderCapError, match=f"^order {order} exceeds cap 2000$") as info:
+        gs.FiniteGroup.from_spec(spec)
+    assert info.value.order == order and len(validated) == tables
 
 
 def test_product_names_build_their_group():

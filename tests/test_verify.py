@@ -120,9 +120,54 @@ def test_witness_never_identity_above_order_two():
 
 
 def test_verify_criterion_verdict():
-    verdict, outcomes = verify.verify_criterion(gs.cyclic(20))
-    assert verdict.passed
+    verdicts, outcomes = verify.verify_criterion(gs.cyclic(20))
+    assert verdicts["thm-overall"].passed and verdicts["cor-contrapositive"].passed
     assert all(o.satisfied for o in outcomes)
+
+
+def test_verify_criterion_returns_both_verdicts_by_id():
+    for group in (gs.cyclic(1), gs.cyclic(20), gs.alternating(4), gs.symmetric(4)):
+        verdicts, _ = verify.verify_criterion(group)
+        assert list(verdicts) == ["thm-overall", "cor-contrapositive"], group.name
+        assert verdicts["cor-contrapositive"] == verify.verify_contrapositive(group), group.name
+
+
+def count_criterion_calls(monkeypatch):
+    """Wrap `check_witnesses` and `verify_contrapositive` to count, by
+    group name, the calls each one gets."""
+    calls = {"check_witnesses": [], "verify_contrapositive": []}
+    for name, seen in calls.items():
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda group, real=real, seen=seen: seen.append(group.name)
+                            or real(group))
+    return calls
+
+
+def test_criterion_command_calls_each_check_once(monkeypatch, capsys):
+    for fmt in ("text", "json"):
+        calls = count_criterion_calls(monkeypatch)
+        assert cli.run(["criterion", "--group", "dihedral:6", "--format", fmt]) == 0
+        capsys.readouterr()
+        assert calls == {"check_witnesses": ["dihedral:6"],
+                         "verify_contrapositive": ["dihedral:6"]}, fmt
+
+
+def test_criterion_json_writes_the_verdicts_of_one_call(capsys):
+    for spec in ("dihedral:6", "alt:4", "cyclic:1"):
+        assert cli.run(["criterion", "--group", spec, "--format", "json"]) == 0
+        written = json.loads(capsys.readouterr().out)["verdicts"]
+        verdicts, _ = verify.verify_criterion(cli.parse_group_spec(spec))
+        assert written == {k: v.to_json_dict() for k, v in verdicts.items()}, spec
+
+
+def test_criterion_sweep_calls_each_check_once_per_group(monkeypatch):
+    calls = count_criterion_calls(monkeypatch)
+    verdicts = verify.criterion_sweep(12)
+    names = [g.name for n in range(1, 13) for g in gs.catalog(n)]
+    assert len(names) == 35
+    assert calls == {"check_witnesses": names, "verify_contrapositive": names}
+    assert verdicts["thm-overall"].passed and verdicts["cor-contrapositive"].passed
 
 
 def test_verification_records_store_the_verdicts_they_print():
@@ -174,7 +219,6 @@ def test_criterion_builds_each_sylow_subgroup_once(monkeypatch):
     for spec in ("cyclic:64", "dihedral:21", "sdp:7:3:2"):
         group = cli.parse_group_spec(spec)
         verify.verify_criterion(group)
-        verify.verify_contrapositive(group)
         p = gs.factorize(group.order).largest_prime
         sylow = group.sylow_subgroup(p)
         assert group.sylow_subgroup(p) is sylow, spec
@@ -184,9 +228,8 @@ def test_criterion_builds_each_sylow_subgroup_once(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(gs.groups, "_closure_of",
                           lambda *args, **kw: closures.append(args) or closure_of(*args, **kw))
-            verdict, _ = verify.verify_criterion(group)
-            contra = verify.verify_contrapositive(group)
-        assert verdict.passed and contra.passed and closures == [], spec
+            verdicts, _ = verify.verify_criterion(group)
+        assert all(v.passed for v in verdicts.values()) and closures == [], spec
 
 
 def test_verify_main_builds_one_totient_table_per_group(monkeypatch):
