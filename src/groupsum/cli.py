@@ -13,8 +13,11 @@ large to build in memory.
 `run(argv)` may be called many times in one process. It builds the
 argument parser once, on the first call, and reuses it on every later call:
 argparse returns a fresh namespace from every parse and parsing leaves the
-parser unchanged. Each command returns its text and exit status, and `run`
-writes the text once, to stdout or to `--out`.
+parser unchanged. Each subcommand's parser names its handler. A handler
+returns its text and the verdicts it decided, each with a `passed` flag
+(none for phi, q and graph); `run` dispatches to the handler, decides the
+exit status from those verdicts and writes the text once, to stdout or to
+`--out`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from functools import partial
 
 from . import numtheory, powergraph, verify
@@ -66,46 +70,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_choices):
-        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
+    def common(p, formats, handler):
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to a file")
         p.add_argument("--cap", type=_ascii_int, default=DEFAULT_ORDER_CAP,
                        help="maximum constructible group order")
+        p.set_defaults(handler=handler)
 
     p_phi = sub.add_parser("phi", help="totient sum of a group, or of C_n via --n")
     p_phi.add_argument("--group", default=None)
     p_phi.add_argument("--n", type=_ascii_int, default=None)
-    common(p_phi, ["text", "json"])
+    common(p_phi, ["text", "json"], _cmd_phi)
 
     p_q = sub.add_parser("q", help="the rational Q of n, reduced")
     p_q.add_argument("--n", type=_ascii_int, required=True)
-    common(p_q, ["text", "json"])
+    common(p_q, ["text", "json"], _cmd_q)
 
     p_graph = sub.add_parser("graph", help="directed power graph of a group")
     p_graph.add_argument("--group", required=True)
-    common(p_graph, ["dot", "json"])
+    common(p_graph, ["dot", "json"], _cmd_graph)
 
     p_vm = sub.add_parser("verify-main", help="maximality checks over the catalog")
     p_vm.add_argument("--n", type=_ascii_int, default=None)
     p_vm.add_argument("--range", dest="range_", default=None, metavar="A..B")
     p_vm.add_argument("--jobs", type=_ascii_int, default=1)
-    common(p_vm, ["text", "json", "csv"])
+    common(p_vm, ["text", "json", "csv"], _cmd_verify_main)
 
     p_cr = sub.add_parser("criterion", help="normal-Sylow witness criterion for a group")
     p_cr.add_argument("--group", required=True)
-    common(p_cr, ["text", "json"])
+    common(p_cr, ["text", "json"], _cmd_criterion)
 
     p_tb = sub.add_parser("tables", help="reproduce the tabulated Q values and spot checks")
-    common(p_tb, ["text", "json"])
+    common(p_tb, ["text", "json"], _cmd_tables)
 
     p_sw = sub.add_parser("sweep", help="exhaustive arithmetic invariants up to a limit")
     p_sw.add_argument("--limit", type=_ascii_int, default=10000)
-    common(p_sw, ["text", "json"])
+    common(p_sw, ["text", "json"], _cmd_sweep)
 
     return parser
 
 
-def _cmd_phi(args) -> tuple[str, int]:
+def _cmd_phi(args) -> tuple[str, Iterable]:
     if (args.group is None) == (args.n is None):
         raise SpecError("phi needs exactly one of --group or --n")
     if args.group is not None:
@@ -115,25 +120,25 @@ def _cmd_phi(args) -> tuple[str, int]:
         value = numtheory.phi_cyclic_sum(args.n)
         label = f"cyclic:{args.n}"
     if args.format == "json":
-        return _json({"group": label, "phi": value}), 0
-    return f"{value}\n", 0
+        return _json({"group": label, "phi": value}), ()
+    return f"{value}\n", ()
 
 
-def _cmd_q(args) -> tuple[str, int]:
+def _cmd_q(args) -> tuple[str, Iterable]:
     value = numtheory.format_rational(numtheory.q_of(args.n))
     if args.format == "json":
-        return _json({"n": args.n, "Q": value}), 0
-    return value + "\n", 0
+        return _json({"n": args.n, "Q": value}), ()
+    return value + "\n", ()
 
 
-def _cmd_graph(args) -> tuple[str, int]:
+def _cmd_graph(args) -> tuple[str, Iterable]:
     graph = powergraph.build(parse_group_spec(args.group, args.cap))
     if args.format == "json":
-        return powergraph.export_json(graph) + "\n", 0
-    return powergraph.export_dot(graph), 0
+        return powergraph.export_json(graph) + "\n", ()
+    return powergraph.export_dot(graph), ()
 
 
-def _cmd_verify_main(args) -> tuple[str, int]:
+def _cmd_verify_main(args) -> tuple[str, Iterable]:
     if (args.n is None) == (args.range_ is None):
         raise SpecError("verify-main needs exactly one of --n or --range")
     if args.jobs < 1:
@@ -154,7 +159,6 @@ def _cmd_verify_main(args) -> tuple[str, int]:
             reports = pool.map(worker, ns, chunksize=1)
     else:
         reports = [worker(n) for n in ns]
-    status = 0 if all(r.passed for r in reports) else 1
 
     if args.format == "csv":
         # the CSV has no verdict column, so a failing verdict (a report-level
@@ -164,9 +168,9 @@ def _cmd_verify_main(args) -> tuple[str, int]:
                 if not verdict.passed:
                     print(f"n={report.n}  {key}: {verdict.detail} {verdict.counterexample}",
                           file=sys.stderr)
-        return verify.reports_to_csv(reports), status
+        return verify.reports_to_csv(reports), reports
     if args.format == "json":
-        return verify.reports_to_json(reports) + "\n", status
+        return verify.reports_to_json(reports) + "\n", reports
     lines = []
     for report in reports:
         lines.append(
@@ -176,14 +180,13 @@ def _cmd_verify_main(args) -> tuple[str, int]:
         for key, verdict in report.verdicts.items():
             if not verdict.passed:
                 lines.append(f"  {key}: {verdict.detail} {verdict.counterexample}")
-    return "\n".join(lines) + "\n", status
+    return "\n".join(lines) + "\n", reports
 
 
-def _cmd_criterion(args) -> tuple[str, int]:
+def _cmd_criterion(args) -> tuple[str, Iterable]:
     group = parse_group_spec(args.group, args.cap)
     verdicts, outcomes = verify.verify_criterion(group)
     n = group.order
-    status = 0 if all(v.passed for v in verdicts.values()) else 1
 
     if args.format == "json":
         payload = {
@@ -205,10 +208,10 @@ def _cmd_criterion(args) -> tuple[str, int]:
             ],
             "verdicts": {key: v.to_json_dict() for key, v in verdicts.items()},
         }
-        return _json(payload), status
+        return _json(payload), verdicts.values()
 
     if n == 1:
-        return "no witness; trivial group\n", status
+        return "no witness; trivial group\n", verdicts.values()
     lines = []
     for o in outcomes:
         tag = "ok" if o.satisfied else "VIOLATED"
@@ -231,13 +234,12 @@ def _cmd_criterion(args) -> tuple[str, int]:
         lines.append(f"no witness; {comparison}; Sylow-{p} count = {group.count_sylow(p)}")
     contra = verdicts["cor-contrapositive"]
     lines.append(f"contrapositive: {contra.detail} [{'ok' if contra.passed else 'VIOLATED'}]")
-    return "\n".join(lines) + "\n", status
+    return "\n".join(lines) + "\n", verdicts.values()
 
 
-def _cmd_tables(args) -> tuple[str, int]:
+def _cmd_tables(args) -> tuple[str, Iterable]:
     rows = numtheory.table1()
     spot = verify.table2_spot_check()
-    status = 0 if all(v.passed for v in spot.values()) else 1
 
     if args.format == "json":
         payload = {
@@ -252,7 +254,7 @@ def _cmd_tables(args) -> tuple[str, int]:
             ],
             "table2": {key: v.to_json_dict() for key, v in sorted(spot.items())},
         }
-        return _json(payload), status
+        return _json(payload), spot.values()
 
     lines = ["special values of Q:", "  ell  prime  Q(first)  Q(skip)"]
     for r in rows:
@@ -272,31 +274,19 @@ def _cmd_tables(args) -> tuple[str, int]:
         )
         for note in v.notes:
             lines.append(f"      note: {note}")
-    return "\n".join(lines) + "\n", status
+    return "\n".join(lines) + "\n", spot.values()
 
 
-def _cmd_sweep(args) -> tuple[str, int]:
+def _cmd_sweep(args) -> tuple[str, Iterable]:
     verdicts = verify.verify_numtheory_sweep(args.limit)
-    status = 0 if all(v.passed for v in verdicts.values()) else 1
     if args.format == "json":
-        return verify.verdicts_to_json(verdicts) + "\n", status
+        return _json({key: v.to_json_dict() for key, v in verdicts.items()}), verdicts.values()
     lines = []
     for key in sorted(verdicts):
         v = verdicts[key]
         suffix = "" if v.counterexample is None else f" counterexample: {v.counterexample}"
         lines.append(f"{key}: {'pass' if v.passed else 'FAIL'} ({v.detail}){suffix}")
-    return "\n".join(lines) + "\n", status
-
-
-_COMMANDS = {
-    "phi": _cmd_phi,
-    "q": _cmd_q,
-    "graph": _cmd_graph,
-    "verify-main": _cmd_verify_main,
-    "criterion": _cmd_criterion,
-    "tables": _cmd_tables,
-    "sweep": _cmd_sweep,
-}
+    return "\n".join(lines) + "\n", verdicts.values()
 
 
 _parser: argparse.ArgumentParser | None = None  # built by the first `run`
@@ -311,13 +301,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text, status = _COMMANDS[args.command](args)
+        text, checked = args.handler(args)
         _emit(text, args.out)
     except (ValueError, MemoryError) as exc:  # every usage error is a ValueError
         message = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    return status
+    return 0 if all(v.passed for v in checked) else 1
 
 
 def main() -> None:

@@ -76,6 +76,7 @@ and its arrays come back read-only.
 
 from __future__ import annotations
 
+import copyreg
 import functools
 import itertools
 import json
@@ -88,11 +89,21 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import numtheory
+from .numtheory import _integer
 
 DEFAULT_ORDER_CAP = 2000
 
 
-class GroupValidationError(ValueError):
+class _Error(ValueError):
+    """An error that pickles as its type, its message and its attributes, as a
+    `--jobs` worker hands it back: the subclasses take other arguments than
+    the message, so re-raising through `__init__` would fail or reword it."""
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), str(self)), self.__dict__
+
+
+class GroupValidationError(_Error):
     """A Cayley table failed one of the group axioms."""
 
 
@@ -126,13 +137,13 @@ class NotAssociativeError(GroupValidationError):
         )
 
 
-class OrderCapError(ValueError):
+class OrderCapError(_Error):
     def __init__(self, order, cap):
         super().__init__(f"order {order} exceeds cap {cap}")
         self.order = order
 
 
-class SpecError(ValueError):
+class SpecError(_Error):
     """Malformed group spec (a usage error).  `spec` is the piece of a
     group spec at fault when `FiniteGroup.from_spec` raised it, else None."""
 
@@ -949,13 +960,6 @@ def _product_labels(first: functools.partial, second: functools.partial) -> tupl
     return tuple(f"({a},{b})" for a in first() for b in second())
 
 
-def _integer(value, what: str) -> int:
-    """`value` as an int; numpy integers pass, bools and non-integers raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _extension_table(a: int, b: int, r: int, c: int = 0, t_major: bool = True) -> np.ndarray:
     """The int32 table of the n = a*b pairs (u, t) under
     (u1, t1)(u2, t2) = (u1 + r^t1 u2 + c [t1 + t2 >= b] mod a, t1 + t2 mod b),
@@ -1198,18 +1202,23 @@ _KINDS = frozenset({"cyclic", "abelian", "dihedral", "dicyclic", "sym", "alt", "
 
 def _split_prod(rest: str) -> tuple[str, str]:
     """The two specs of "prod:" + rest, found by counting its comma-separated
-    pieces: each leading "prod:" of a piece opens one more spec, a piece that
-    then starts a kind closes one, and one that starts no kind continues a
-    file: path.  The left spec ends before the first piece that starts a
-    kind once every spec opened in it is closed."""
+    pieces.  Every piece starts a spec, except that a piece which starts no
+    kind continues the path of an open file: spec.  Each leading "prod:" of
+    a piece opens one more spec and the spec after them closes one; the left
+    spec ends before the first piece that starts a spec once every spec
+    opened in it is closed.  A spec of an unknown kind is then left for
+    `from_spec` to name."""
     pieces = rest.split(",")
-    unclosed = 1
+    unclosed, in_file = 1, False
     for i, piece in enumerate(pieces):
         prods = re.match("(?:prod:)*", piece).end()
-        starts_kind = piece[prods:].partition(":")[0] in _KINDS
-        if starts_kind and not unclosed:
+        kind = piece[prods:].partition(":")[0]
+        if in_file and not prods and kind not in _KINDS:
+            continue  # more of the file: path
+        if not unclosed:
             return ",".join(pieces[:i]), ",".join(pieces[i:])
-        unclosed += prods // len("prod:") - starts_kind
+        unclosed += prods // len("prod:") - 1
+        in_file = kind == "file"
     raise SpecError("prod spec needs two comma-separated specs")
 
 

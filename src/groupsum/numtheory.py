@@ -10,7 +10,10 @@ from the prime factorization, and every inequality is decided exactly,
 with `fractions.Fraction` or by cross-multiplying integers (never floats).
 All integers are arbitrary precision, so products of many prime powers
 cannot overflow.  The module holds no state: nothing is cached, and every
-value is computed from the arguments on each call.
+value is computed from the arguments on each call.  Every integer argument
+is a Python or numpy integer, never a bool, and is held as an `int`;
+anything else raises `ValueError` naming the argument.  `_integer` holds
+this rule for `groups` too.
 """
 
 from __future__ import annotations
@@ -22,9 +25,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
+import numpy as np
+
 
 class HypothesisViolation(ValueError):
     """The input falls outside the hypothesis of the requested check."""
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int; numpy integers pass, bools and non-integers raise."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # --- primes ---
@@ -45,6 +59,7 @@ def is_prime(n: int) -> bool:
     that passes every base is prime; at or above it, a number that passes
     is confirmed by trial division up to its square root, which is slow.
     """
+    n = _integer(n, "n")
     if n < 2:
         return False
     for p in _BASES:
@@ -81,7 +96,7 @@ def _is_prime_by_trial_division(n: int) -> bool:
 
 def nth_prime(i: int) -> int:
     """Return the i-th prime, 1-indexed (nth_prime(1) == 2)."""
-    if i < 1:
+    if _integer(i, "i") < 1:
         raise ValueError("prime index must be >= 1")
     return first_primes(i)[-1]
 
@@ -92,6 +107,7 @@ def first_primes(ell: int) -> tuple[int, ...]:
     The first 13 are `_BASES`; any past those are found with `is_prime`
     on each call.
     """
+    ell = _integer(ell, "ell")
     primes = _BASES[: max(ell, 0)]
     candidate = _BASES[-1]
     while len(primes) < ell:
@@ -107,6 +123,7 @@ def skip_primes(ell: int) -> tuple[int, ...]:
     This is the "skip one prime" family used alongside `first_primes` in
     the tabulated special values of the rational invariant Q.
     """
+    ell = _integer(ell, "ell")
     return first_primes(ell - 1) + (nth_prime(ell + 1),)
 
 
@@ -129,8 +146,15 @@ class Factorization:
     primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # numpy integers are held as ints
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"not a positive integer: {self.n}")
+        for p, a in self.factors:
+            if type(p) is not int or type(a) is not int:
+                object.__setattr__(self, "factors", tuple(
+                    (_integer(p, "prime"), _integer(a, "exponent")) for p, a in self.factors))
+                break
         prod = 1
         last = 1
         for p, a in self.factors:
@@ -172,6 +196,7 @@ def factorize(n: int) -> Factorization:
     factor below 1000 is tested with `is_prime` and, if composite, split by
     Brent's rho, recursively.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     m = n
@@ -243,6 +268,7 @@ def smallest_prime_factors(limit: int) -> list[int]:
     Used to factor every n in a range sweep in O(log n) each, where one
     sieve serves the whole range; a single n goes to `factorize`.
     """
+    limit = _integer(limit, "limit")
     spf = list(range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == p:
@@ -254,6 +280,7 @@ def smallest_prime_factors(limit: int) -> list[int]:
 
 def factorization_from_spf(n: int, spf: list[int]) -> Factorization:
     """Rebuild a Factorization for n using a smallest-prime-factor sieve."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     m = n

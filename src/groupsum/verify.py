@@ -746,8 +746,3 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     payload = {"reports": [r.to_json_dict() for r in reports]}
     return json.dumps(payload, sort_keys=True)
 
-
-def verdicts_to_json(verdicts: dict[str, Verdict]) -> str:
-    return json.dumps(
-        {k: v.to_json_dict() for k, v in sorted(verdicts.items())}, sort_keys=True
-    )

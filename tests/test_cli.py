@@ -136,6 +136,24 @@ def test_nested_prod_spec(capsys):
         assert json.loads(out)["group"] == spec, spec
 
 
+def test_file_path_with_a_comma_inside_a_product(tmp_path, capsys):
+    # a piece that starts no kind continues the path of the file: spec before it
+    folder = tmp_path / "x"
+    folder.mkdir()
+    path = folder / "a,b.json"
+    path.write_text(gs.cyclic(3).to_json())
+    for spec, phi in [(f"prod:file:{path},cyclic:2", 10),
+                      (f"prod:prod:file:{path},cyclic:2,cyclic:5", 170)]:
+        assert run_cli(capsys, "phi", "--group", spec) == (0, f"{phi}\n", ""), spec
+
+
+def test_unknown_kind_inside_a_product_is_named(capsys):
+    for spec in ["prod:cyclic:2,nonsense:4", "prod:nonsense:4,cyclic:2"]:
+        assert run_cli(capsys, "phi", "--group", spec) == (
+            2, "", "error: bad group spec 'nonsense:4': unknown group spec kind 'nonsense'\n"
+        ), spec
+
+
 def test_sdp_spec(capsys):
     code, out, _ = run_cli(capsys, "phi", "--group", "sdp:3:2:2")
     assert code == 0 and out == "8\n"

@@ -158,6 +158,27 @@ def test_nonassociative_loop_rejected():
         gs.FiniteGroup(loop, 0)
 
 
+def test_every_error_survives_pickle():
+    # a --jobs worker hands its error to the parent by pickle
+    errors = [
+        gs.GroupValidationError("order must be an integer, got True"),
+        gs.NotClosedError(0, 1, 7, 2),
+        gs.NoIdentityError(1, (0, 1)),
+        gs.NoInverseError(3),
+        gs.NotAssociativeError(1, 1, 2),
+        gs.OrderCapError(4000, 2000),
+        gs.groups.SpecError("unknown group spec kind 'nonsense'", "nonsense:4"),
+        gs.groups.SpecError("phi needs exactly one of --group or --n"),
+        gs.HypothesisViolation("n=8: powers of two are excluded"),
+    ]
+    missing = object()
+    for error in errors:
+        twin = pickle.loads(pickle.dumps(error))
+        assert type(twin) is type(error) and str(twin) == str(error), repr(error)
+        for attr in ("witness", "order", "spec"):
+            assert getattr(twin, attr, missing) == getattr(error, attr, missing), (error, attr)
+
+
 def test_nonsquare_rejected():
     for table in ([[0, 1]], [[0, 1], [1]], [[0], [1, 0]]):  # the last two are ragged
         with pytest.raises(gs.GroupValidationError, match="table must be a nonempty square"):
@@ -432,8 +453,11 @@ def test_subgroup_validation():
         gs.Subgroup(gs.cyclic(8), [-8, -4, 0, 4])  # negative indices alias 0 and 4
     with pytest.raises(IndexError):
         gs.Subgroup(c6, [-1, 0, 1, 2, 3, 4])  # |G| members, one out of range: not G
+    with pytest.raises(ValueError, match="a subgroup cannot be empty"):
+        gs.Subgroup(c6, [])
     sub = gs.Subgroup(c6, [0, 2, 4])
     assert c6.order // len(sub) == 2 and 2 in sub
+    assert repr(sub) == "Subgroup(order=3 of 'cyclic:6')"
     assert gs.Subgroup(c6, [5, *range(6)]).members == tuple(range(6))
 
 
@@ -603,6 +627,8 @@ def test_sylow_nondivisor_and_errors():
         c12.sylow_subgroup(4)
     with pytest.raises(ValueError):
         c12.count_sylow(5)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        c12.count_sylow(4)
 
 
 def test_sylow_orders_and_counts_over_catalog():
@@ -669,11 +695,15 @@ def test_named_groups_match_sympy_oracle():
 
 def test_cyclic_trivial():
     assert gs.cyclic(1).order == 1
+    with pytest.raises(ValueError, match="order must be positive"):
+        gs.cyclic(0)
 
 
 def test_dihedral_census():
     census = Counter(gs.dihedral(4).element_orders())
     assert census[2] == 5  # four reflections plus the half turn
+    with pytest.raises(ValueError, match="need m >= 1"):
+        gs.dihedral(0)
 
 
 def test_dihedral_and_dicyclic_match_presentations():
@@ -976,6 +1006,8 @@ def test_semidirect_spec_validation():
         gs.SemidirectSpec(5, 2, 2)  # 2^2 = 4 != 1 mod 5
     with pytest.raises(ValueError):
         gs.SemidirectSpec(0, 2, 1)
+    with pytest.raises(ValueError, match=re.escape("need a, b >= 1")):
+        gs.enumerate_semidirect_units(0, 2)
 
 
 def test_enumerate_semidirect_units():
@@ -1695,6 +1727,13 @@ def test_numpy_read_leaves_undecided_documents_to_json_loads():
             read = functools.partial(gs.FiniteGroup.from_json, cap=cap)
             reference = functools.partial(reference_from_json, cap=cap)
             assert outcome(read, text) == outcome(reference, text), (what, cap)
+    # under the cap, whitespace inside a number gives one more run of digits
+    # than the n * n slots: the read stops at the run past them
+    text = '{"identity": 0, "table": [[0, 1], [1, 0 0]]}'
+    assert gs.groups._read_square_table(text, gs.DEFAULT_ORDER_CAP) is None
+    error = outcome(gs.FiniteGroup.from_json, text)
+    assert error == outcome(reference_from_json, text)
+    assert error[1].startswith("Expecting ',' delimiter"), error
 
 
 # --- the JSON reader across the chunk cuts of its number read ---

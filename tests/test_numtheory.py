@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from groupsum import numtheory as nt
@@ -78,12 +79,49 @@ def test_factorization_properties():
     assert fact == fresh and hash(fact) == hash(fresh)
     assert fact.k == 3
     assert fact.largest_prime == 5
+    with pytest.raises(ValueError, match="1 has no prime factors"):
+        nt.factorize(1).largest_prime
+
+
+def test_integer_arguments_are_checked_at_the_boundary():
+    # ints and numpy integers are accepted, held as int; bools, floats and
+    # strings raise, naming the argument
+    bad = [2.5, 6.0, True, False, "6", None, np.float64(6.0), np.bool_(True)]
+    spf = nt.smallest_prime_factors(10)
+    calls = {
+        "n": [nt.is_prime, nt.factorize, nt.totient, nt.phi_cyclic_sum,
+              nt.phi_cyclic_product, nt.q_of, nt.lemma_Q_bounds, nt.lemma_n_geq_check,
+              lambda x: nt.factorization_from_spf(x, spf), lambda x: nt.Factorization(x, ())],
+        "prime": [lambda x: nt.Factorization(6, ((x, 1), (3, 1)))],
+        "exponent": [lambda x: nt.Factorization(6, ((2, x), (3, 1)))],
+        "i": [nt.nth_prime],
+        "ell": [nt.first_primes, nt.skip_primes],
+        "limit": [nt.smallest_prime_factors],
+    }
+    for what, functions in calls.items():
+        for call in functions:
+            for value in bad:
+                with pytest.raises(ValueError, match=f"^{what} must be an integer, got "):
+                    call(value)
+    assert nt.is_prime(np.int64(7)) and not nt.is_prime(np.uint8(1))
+    fact = nt.factorize(np.int64(12))
+    assert fact == nt.factorize(12) == nt.Factorization(np.int16(12), ((np.int8(2), 2), (3, 1)))
+    assert fact == nt.factorization_from_spf(np.int32(12), nt.smallest_prime_factors(12))
+    for held in (fact, nt.Factorization(np.int16(12), ((np.int8(2), np.int64(2)), (3, 1)))):
+        assert type(held.n) is int
+        assert {type(x) for pair in held.factors for x in pair} | {type(held.primes[0])} == {int}
+    assert nt.totient(np.int64(12)) == 4 and nt.phi_cyclic_sum(np.int32(6)) == 10
+    assert nt.nth_prime(np.int64(3)) == 5 and nt.first_primes(np.int8(2)) == (2, 3)
+    assert nt.skip_primes(np.int64(2)) == (2, 5)
+    assert nt.smallest_prime_factors(np.int64(6)) == [0, 1, 2, 3, 2, 5, 2]
 
 
 def test_spf_sieve_matches_factorize():
     spf = nt.smallest_prime_factors(500)
     for n in range(1, 501):
         assert nt.factorization_from_spf(n, spf) == nt.factorize(n)
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        nt.factorization_from_spf(0, spf)
 
 
 def test_spf_sieve_entry_that_is_no_prime_factor_raises():

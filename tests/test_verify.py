@@ -327,6 +327,25 @@ def test_semidirect_sweep_small():
     assert all(v.passed for v in verdicts.values())
 
 
+def test_semidirect_sweep_keeps_the_first_failing_verdict_per_id(monkeypatch):
+    # to 12 the sweep checks sdp:2:3:1, sdp:2:5:1, sdp:3:2:1, ... (9 in all)
+    def lemmas(spec):
+        name = f"sdp:{spec.a}:{spec.b}:{spec.r}"
+        return {
+            "lem-3.2": verify.Verdict(False, f"{name} fails", {"group": name}),
+            "cor-3.3": verify.Verdict(spec.a == 2, f"{name} checked", {"group": name}),
+            "lem-3.5": verify.Verdict(True, f"{name} holds"),
+        }
+
+    monkeypatch.setattr(verify, "verify_semidirect_lemmas", lemmas)
+    verdicts = verify.semidirect_sweep(12)
+    assert {k: (v.passed, v.detail, v.counterexample) for k, v in verdicts.items()} == {
+        "lem-3.2": (False, "sdp:2:3:1 fails", {"group": "sdp:2:3:1"}),
+        "cor-3.3": (False, "sdp:3:2:1 checked", {"group": "sdp:3:2:1"}),
+        "lem-3.5": (True, "9 twisted products checked", None),
+    }
+
+
 # sdp:7:3:2 against prod:cyclic:7,cyclic:3: every statement holds, with
 # totient sums 65 < 185.  Each test below makes one ingredient false for
 # the twisted group and checks that only its own verdict fails.
