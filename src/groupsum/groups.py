@@ -63,6 +63,12 @@ write may stand, so sharing a group across threads stays safe.
 
 A spec string names a group, and `FiniteGroup.from_spec` holds the grammar
 and builds it; each construction names its group by the spec that builds it.
+`_KINDS` is the one table of spec kinds: each kind but prod: maps to its
+builder and to the orders its text names, and `from_spec` and `_split_prod`
+read its keys.  A spec's order is read from its text only on the way out of
+a product one of whose factors met the cap, so the error names the whole
+product's order, not the part of it met so far; a file: factor, or a piece
+whose order the text does not give, leaves the part met so far.
 `catalog_specs(n)` lists the catalog's specs without building a table, and
 `catalog(n)` builds the group of each.
 
@@ -253,8 +259,11 @@ def _validate_table(
         raise GroupValidationError(f"table must be a nonempty square, got shape {raw.shape}")
     if not np.issubdtype(raw.dtype, np.integer):
         raise GroupValidationError(f"table entries must be integers, got {raw.dtype}")
-    if isinstance(identity, bool) or not isinstance(identity, (int, np.integer)):  # as `_integer`
-        raise GroupValidationError(f"identity must be an integer index, got {identity!r}")
+    try:
+        identity = _integer(identity, "identity")
+    except ValueError:
+        raise GroupValidationError(
+            f"identity must be an integer index, got {identity!r}") from None
     n = raw.shape[0]
     if not (0 <= identity < n):
         raise NoIdentityError(identity, "index out of range")
@@ -333,12 +342,15 @@ def _validate_table(
         g = int(closed.argmin())
     if not isinstance(table, (np.ndarray, _Fresh)):
         # numpy reads a list that mixes ints and bools as integers, so a
-        # bool can only have become a cell holding 0 or 1: 2n cells of a group
+        # bool can only have become a cell holding 0 or 1: 2n cells of a group.
+        # Of the cells of an integer array, only a bool fails `_integer`.
         for i, j in np.argwhere(arr <= 1).tolist():  # arr >= 0 by the range check
-            if isinstance(table[i][j], (bool, np.bool_)):
+            try:
+                _integer(table[i][j], "table entry")
+            except ValueError:
                 raise GroupValidationError(
                     f"table entries must be integers, got a bool at [{i}][{j}]"
-                )
+                ) from None
     return arr, inverses
 
 
@@ -778,9 +790,10 @@ class FiniteGroup:
         if not isinstance(name, str):
             raise GroupValidationError(f"group name must be a string, got {name!r}")
         if "order" in data:
-            declared = data["order"]
-            if isinstance(declared, bool) or not isinstance(declared, int):
-                raise GroupValidationError(f"declared order must be an integer, got {declared!r}")
+            try:
+                _integer(data["order"], "declared order")
+            except ValueError as exc:
+                raise GroupValidationError(str(exc)) from None
         group = cls(table, identity, name=name)
         if group.order != data.get("order", group.order):
             raise GroupValidationError("declared order does not match the table")
@@ -806,45 +819,27 @@ class FiniteGroup:
         construction or file fails, raises `SpecError` naming the innermost
         spec at fault; a group over the cap raises `OrderCapError`.  The right
         factor of a product is built under the cap its left factor leaves, so
-        a product over the cap never builds a right factor past it."""
+        a product over the cap never builds a right factor past it; its error
+        names the product's order, read from the spec's text where
+        `_spec_order` can, else the product of the orders met so far."""
         kind, _, rest = spec.partition(":")
         try:
-            if kind == "cyclic":
-                return cyclic(_ascii_int(rest), cap)
-            if kind == "abelian":
-                return abelian([_ascii_int(d) for d in rest.split("x")], cap)
-            if kind == "dihedral":
-                return dihedral(_ascii_int(rest), cap)
-            if kind == "dicyclic":
-                return dicyclic(_ascii_int(rest), cap)
-            if kind == "sym":
-                return symmetric(_ascii_int(rest), cap)
-            if kind == "alt":
-                return alternating(_ascii_int(rest), cap)
-            if kind == "sdp":
-                a, b, r = (_ascii_int(x) for x in rest.split(":"))
-                return semidirect_cyclic(SemidirectSpec(a, b, r), cap)
             if kind == "prod":
                 left, right = _split_prod(rest)
-                first = cls.from_spec(left, cap)
+                first = None
                 try:
+                    first = cls.from_spec(left, cap)
                     second = cls.from_spec(right, cap // first.order)
                 except OrderCapError as exc:
-                    raise OrderCapError(first.order * exc.order, cap) from None
+                    order = _spec_order(spec)
+                    if order is None:  # the order met so far
+                        order = exc.order if first is None else first.order * exc.order
+                    raise OrderCapError(order, cap) from None
                 return direct_product(first, second, cap)
-            if kind == "file":
-                # a to_json cell (digits below cap, then ", ") is under 16 characters;
-                # the MiB is room for the name and the other keys
-                limit = min(16 * max(cap, 1) ** 2 + 2**20, sys.maxsize - 1)
-                with open(rest, "r", encoding="utf-8") as handle:
-                    # read(limit + 1) would allocate the whole limit for every file;
-                    # whole pieces of 1 MiB reach past the limit just as surely
-                    pieces = iter(functools.partial(handle.read, 2**20), "")
-                    text = "".join(itertools.islice(pieces, limit // 2**20 + 1))
-                if len(text) > limit:
-                    raise ValueError(f"longer than {limit} characters")
-                return cls.from_json(text, cap)
-            raise SpecError(f"unknown group spec kind {kind!r}")
+            if kind not in _KINDS:
+                raise SpecError(f"unknown group spec kind {kind!r}")
+            build, _ = _KINDS[kind]
+            return build(rest, cap)
         except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deep nesting
             if isinstance(exc, OrderCapError) or getattr(exc, "spec", None) is not None:
                 raise  # over the cap, or a factor's error that names its spec
@@ -1081,12 +1076,17 @@ def _perm_group(perms: np.ndarray, name: str, cap: int) -> FiniteGroup:
     return _with_labels(_Fresh(codes), 0, name, functools.partial(_perm_labels, perms))
 
 
-def _all_permutations(k: int) -> np.ndarray:
-    """The permutations of k points (1 <= k <= 6) as int8 rows, sorted."""
+def _points(k: int) -> int:
+    """k as the point count of a symmetric or alternating group: 1 <= k <= 6."""
     k = _integer(k, "k")
     if not 1 <= k <= 6:
         raise ValueError("supported for 1 <= k <= 6")
-    return np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    return k
+
+
+def _all_permutations(k: int) -> np.ndarray:
+    """The permutations of k points (1 <= k <= 6) as int8 rows, sorted."""
+    return np.array(list(itertools.permutations(range(_points(k)))), dtype=np.int8)
 
 
 def symmetric(k: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -1197,7 +1197,58 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-_KINDS = frozenset({"cyclic", "abelian", "dihedral", "dicyclic", "sym", "alt", "sdp", "file"})
+def _sdp_values(rest: str) -> tuple[int, int, int]:
+    """A, B and R of the spec sdp:A:B:R."""
+    a, b, r = (_ascii_int(x) for x in rest.split(":"))
+    return a, b, r
+
+
+def _read_spec_file(path: str, cap: int) -> str:
+    """The text of the file a file: spec names, of at most 16 cap^2 + 2^20
+    characters."""
+    # a to_json cell (digits below cap, then ", ") is under 16 characters;
+    # the MiB is room for the name and the other keys
+    limit = min(16 * max(cap, 1) ** 2 + 2**20, sys.maxsize - 1)
+    with open(path, "r", encoding="utf-8") as handle:
+        # read(limit + 1) would allocate the whole limit for every file;
+        # whole pieces of 1 MiB reach past the limit just as surely
+        pieces = iter(functools.partial(handle.read, 2**20), "")
+        text = "".join(itertools.islice(pieces, limit // 2**20 + 1))
+    if len(text) > limit:
+        raise ValueError(f"longer than {limit} characters")
+    return text
+
+
+# Each spec kind but prod, as kind: (build, orders).  build(rest, cap) is the
+# group of the spec kind:rest; orders(rest) reads from the text alone the
+# orders whose product is that group's order, and is None for file:.  Each
+# entry calls its constructor by its module-level name when it runs.
+_KINDS = {
+    "cyclic": (lambda rest, cap: cyclic(_ascii_int(rest), cap),
+               lambda rest: [_ascii_int(rest)]),
+    "abelian": (lambda rest, cap: abelian([_ascii_int(d) for d in rest.split("x")], cap),
+                lambda rest: [_ascii_int(d) for d in rest.split("x")]),
+    "dihedral": (lambda rest, cap: dihedral(_ascii_int(rest), cap),
+                 lambda rest: [2, _ascii_int(rest)]),
+    "dicyclic": (lambda rest, cap: dicyclic(_ascii_int(rest), cap),
+                 lambda rest: [4, _ascii_int(rest)]),
+    "sym": (lambda rest, cap: symmetric(_ascii_int(rest), cap),
+            lambda rest: [math.factorial(_points(_ascii_int(rest)))]),
+    "alt": (lambda rest, cap: alternating(_ascii_int(rest), cap),
+            lambda rest: [max(1, math.factorial(_points(_ascii_int(rest))) // 2)]),
+    "sdp": (lambda rest, cap: semidirect_cyclic(SemidirectSpec(*_sdp_values(rest)), cap),
+            lambda rest: _sdp_values(rest)[:2]),
+    "file": (lambda rest, cap: FiniteGroup.from_json(_read_spec_file(rest, cap), cap), None),
+}
+
+
+def _piece(piece: str) -> tuple[int, str, str]:
+    """(opened, kind, rest) of a comma-separated piece of a spec: the number
+    of specs its leading "prod:"s open, and the kind and rest of the spec
+    after them."""
+    prods = re.match("(?:prod:)*", piece).end()
+    kind, _, rest = piece[prods:].partition(":")
+    return prods // len("prod:"), kind, rest
 
 
 def _split_prod(rest: str) -> tuple[str, str]:
@@ -1211,15 +1262,40 @@ def _split_prod(rest: str) -> tuple[str, str]:
     pieces = rest.split(",")
     unclosed, in_file = 1, False
     for i, piece in enumerate(pieces):
-        prods = re.match("(?:prod:)*", piece).end()
-        kind = piece[prods:].partition(":")[0]
-        if in_file and not prods and kind not in _KINDS:
+        opened, kind, _ = _piece(piece)
+        if in_file and not opened and kind not in _KINDS:
             continue  # more of the file: path
         if not unclosed:
             return ",".join(pieces[:i]), ",".join(pieces[i:])
-        unclosed += prods // len("prod:") - 1
+        unclosed += opened - 1
         in_file = kind == "file"
     raise SpecError("prod spec needs two comma-separated specs")
+
+
+def _spec_order(spec: str) -> Optional[int]:
+    """The order of the group `spec` names, read from its text alone, with no
+    table built: the product of the orders each of its pieces' `_KINDS`
+    entry reads.  None where the text does not give it: a file: piece, an
+    integer that does not parse, K outside 1..6 for sym or alt, an order
+    below 1, or pieces that do not nest into one spec.  With no file: piece
+    every piece is one spec, so the pieces nest as `_split_prod` splits them
+    exactly when each but the last leaves a spec open and the last closes
+    the whole."""
+    order, unclosed = 1, 1
+    for piece in spec.split(","):
+        opened, kind, rest = _piece(piece)
+        orders = _KINDS[kind][1] if kind in _KINDS and unclosed else None
+        if orders is None:
+            return None
+        try:
+            parts = orders(rest)
+        except ValueError:
+            return None
+        if min(parts) < 1:
+            return None
+        order *= math.prod(parts)
+        unclosed += opened - 1
+    return order if not unclosed else None
 
 
 def _partitions(k: int, largest: Optional[int] = None):

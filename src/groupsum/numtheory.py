@@ -146,25 +146,31 @@ class Factorization:
     primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # numpy integers are held as ints
+        """One pass over all-int factors checks the order, the exponents and
+        the product, and collects the primes.  Each entry's type is checked
+        before any order: an entry that is not an int sends every entry
+        through `_integer`, which holds numpy integers as ints and raises on
+        anything else, and the pass runs again."""
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"not a positive integer: {self.n}")
+        primes = []
+        prod = last = 1
         for p, a in self.factors:
             if type(p) is not int or type(a) is not int:
                 object.__setattr__(self, "factors", tuple(
                     (_integer(p, "prime"), _integer(a, "exponent")) for p, a in self.factors))
-                break
-        prod = 1
-        last = 1
-        for p, a in self.factors:
+                return self.__post_init__()
             if p <= last or a < 1:
+                for q, b in self.factors:  # a later entry that is no integer raises first
+                    _integer(q, "prime"), _integer(b, "exponent")
                 raise ValueError(f"malformed factorization of {self.n}")
             prod *= p**a
             last = p
+            primes.append(p)
         if prod != self.n:
             raise ValueError(f"factors multiply to {prod}, not {self.n}")
-        object.__setattr__(self, "primes", tuple(p for p, _ in self.factors))
+        object.__setattr__(self, "primes", tuple(primes))
 
     @property
     def k(self) -> int:

@@ -262,6 +262,74 @@ def test_malformed_specs(capsys):
         assert ast.literal_eval(named.group(1)) in spec, (spec, err)
 
 
+def test_each_spec_kind_error_line(capsys):
+    # one malformed spec per kind, and its whole error line
+    lines = {
+        "cyclic:x": "bad group spec 'cyclic:x': not an integer: 'x'",
+        "cyclic:0": "bad group spec 'cyclic:0': order must be positive",
+        "abelian:2x": "bad group spec 'abelian:2x': not an integer: ''",
+        "abelian:0x2": "bad group spec 'abelian:0x2': need positive cyclic factors",
+        "dihedral:0": "bad group spec 'dihedral:0': need m >= 1",
+        "dicyclic:-1": "bad group spec 'dicyclic:-1': need m >= 1",
+        "sym:7": "bad group spec 'sym:7': supported for 1 <= k <= 6",
+        "alt:0": "bad group spec 'alt:0': supported for 1 <= k <= 6",
+        "sdp:1:2": "bad group spec 'sdp:1:2': not enough values to unpack (expected 3, got 2)",
+        "sdp:4:2:2": "bad group spec 'sdp:4:2:2': r=2 is not a unit modulo 4",
+        "file:/nonexistent.json": "bad group spec 'file:/nonexistent.json': "
+                                  "[Errno 2] No such file or directory: '/nonexistent.json'",
+        "nonsense:4": "bad group spec 'nonsense:4': unknown group spec kind 'nonsense'",
+        "prod:cyclic:2": "bad group spec 'prod:cyclic:2': prod spec needs two comma-separated specs",
+        "cyclic:3000": "order 3000 exceeds cap 2000",
+    }
+    for spec, line in lines.items():
+        assert run_cli(capsys, "phi", "--group", spec) == (2, "", f"error: {line}\n"), spec
+
+
+@pytest.mark.parametrize("spec", [
+    "prod:cyclic:3,prod:cyclic:1000,cyclic:2",
+    "prod:cyclic:3000,cyclic:2",
+    "prod:prod:cyclic:3,cyclic:1000,cyclic:2",
+])
+def test_product_over_the_cap_names_its_whole_order(capsys, spec):
+    # whichever factor meets the cap, the error names the product's order
+    with pytest.raises(gs.OrderCapError) as info:
+        gs.FiniteGroup.from_spec(spec)
+    assert info.value.order == 6000
+    assert run_cli(capsys, "phi", "--group", spec) == (
+        2, "", "error: order 6000 exceeds cap 2000\n")
+
+
+def test_product_over_the_cap_reads_each_kind_order_from_its_text(tmp_path, capsys):
+    # the left factor meets the cap, so the right one is never built: its
+    # order is read from its text, which must give the order of its group
+    for spec in ["cyclic:5", "abelian:2x3x3", "dihedral:4", "dicyclic:3", "sym:1", "sym:4",
+                 "alt:1", "alt:2", "alt:4", "sdp:7:3:2", "sdp:1:1:5", "prod:cyclic:2,dihedral:3",
+                 "prod:prod:cyclic:2,cyclic:3,sdp:5:4:-1"]:
+        order = 3000 * gs.FiniteGroup.from_spec(spec).order
+        with pytest.raises(gs.OrderCapError) as info:
+            gs.FiniteGroup.from_spec(f"prod:cyclic:3000,{spec}")
+        assert info.value.order == order, spec
+    # where the text gives no order, the error names the order met so far;
+    # sym:1000000000 is never factorialled
+    path = tmp_path / "c2.json"
+    path.write_text(gs.cyclic(2).to_json())
+    for spec in ["sdp:x", "cyclic:0", "abelian:-2x-3", "dihedral:-1", "sdp:-2:-3:1",
+                 "sym:1000000000", "alt:7", "nonsense:4", f"file:{path}",
+                 "prod:cyclic:2", "prod:cyclic:2,cyclic:x", f"prod:file:{path},cyclic:2"]:
+        with pytest.raises(gs.OrderCapError) as info:
+            gs.FiniteGroup.from_spec(f"prod:cyclic:3000,{spec}")
+        assert info.value.order == 3000, spec
+        assert run_cli(capsys, "phi", "--group", f"prod:cyclic:3000,{spec}") == (
+            2, "", "error: order 3000 exceeds cap 2000\n"), spec
+    # a right factor past what the left leaves: the product of the left
+    # factor's order and the right factor's, read from its text where it can be
+    for spec, order in [(f"prod:file:{path},cyclic:1000", 3 * 2 * 1000),
+                        ("prod:cyclic:1000,cyclic:1000", 3 * 1000 * 1000)]:
+        with pytest.raises(gs.OrderCapError) as info:
+            gs.FiniteGroup.from_spec(f"prod:cyclic:3,{spec}")
+        assert info.value.order == order, spec
+
+
 def test_negative_spec_integer_stays_valid(capsys):
     code, out, _ = run_cli(capsys, "phi", "--group", "sdp:5:4:-1")
     assert code == 0 and out == run_cli(capsys, "phi", "--group", "sdp:5:4:4")[1]

@@ -1243,6 +1243,19 @@ def test_json_import_validates():
             )
 
 
+def test_json_numpy_integers_pass_as_identity_and_declared_order():
+    # one integer rule for both fields: numpy integers pass, as they do everywhere
+    group = gs.FiniteGroup.from_json_dict(
+        {"table": [[0]], "identity": np.int64(0), "order": np.int64(1)})
+    assert (group.order, group.identity) == (1, 0)
+    for field, value, message in [
+        ("identity", np.float64(0), "identity must be an integer index, got"),
+        ("order", np.float64(1), "declared order must be an integer, got"),
+    ]:
+        with pytest.raises(gs.GroupValidationError, match=message):
+            gs.FiniteGroup.from_json_dict({"table": [[0]], "identity": 0, field: value})
+
+
 def test_non_integer_table_rejected():
     with pytest.raises(gs.GroupValidationError):
         gs.FiniteGroup([[0.5, 1.0], [1.0, 0.0]], 0)

@@ -211,11 +211,15 @@ def test_edge_count_identity_over_catalog():
 
 
 def test_directed_count_is_sum_of_orders_minus_one():
-    for group in [gs.cyclic(12), gs.symmetric(3), gs.dicyclic(3), gs.alternating(4)]:
-        graph = pg.build(group)
-        assert len(graph.directed_edges) == sum(
-            o - 1 for o in group.element_orders()
-        )
+    groups = [gs.cyclic(12), gs.symmetric(3), gs.dicyclic(3), gs.alternating(4)]
+    for group in groups + [g for n in range(1, 61) for g in gs.catalog(n)]:
+        directed = pg.build(group).directed_edges
+        n, psi = group.order, sum(group.element_orders())
+        assert len(directed) == psi - n, group.name
+        # the paper's application: an undirected edge is two opposite directed
+        # ones, so the pairs {x, y} joined either way number psi - n - (phi - n)/2
+        pairs = {frozenset(edge) for edge in directed}
+        assert len(pairs) == psi - n - (gs.phi_of_group(group) - n) // 2, group.name
 
 
 def test_degree_law_over_catalog():
