@@ -64,11 +64,11 @@ write may stand, so sharing a group across threads stays safe.
 A spec string names a group, and `FiniteGroup.from_spec` holds the grammar
 and builds it; each construction names its group by the spec that builds it.
 `_KINDS` is the one table of spec kinds: each kind but prod: maps to its
-builder and to the orders its text names, and `from_spec` and `_split_prod`
-read its keys.  A spec's order is read from its text only on the way out of
-a product one of whose factors met the cap, so the error names the whole
-product's order, not the part of it met so far; a file: factor, or a piece
-whose order the text does not give, leaves the part met so far.
+builder, and `from_spec` and `_split_prod` read its keys.  A group's order
+is computed in one place, its constructor's cap check, which runs before
+any table is built.  A product learns its factors' orders from those
+checks: once a factor has met the cap, the factors after it are checked
+under cap 0, so each names its exact order and builds no table.
 `catalog_specs(n)` lists the catalog's specs without building a table, and
 `catalog(n)` builds the group of each.
 
@@ -144,8 +144,18 @@ class NotAssociativeError(GroupValidationError):
 
 
 class OrderCapError(_Error):
+    """A group over the order cap; `order` is its exact order.  An order that
+    Python will not write as a decimal string (more than 4300 digits by
+    default) is named by its digit count."""
+
     def __init__(self, order, cap):
-        super().__init__(f"order {order} exceeds cap {cap}")
+        try:
+            named = str(order)
+        except ValueError:
+            # 2^(b-1) <= order < 2^b puts its digit count at `digits` or one more
+            digits = 1 + int((order.bit_length() - 1) * math.log10(2))
+            named = f"of {digits + (order >= 10**digits)} digits"
+        super().__init__(f"order {named} exceeds cap {cap}")
         self.order = order
 
 
@@ -817,29 +827,36 @@ class FiniteGroup:
         at most 16 cap^2 + 2^20 characters.  Every integer is ASCII digits
         with an optional leading minus.  A malformed spec, or one whose
         construction or file fails, raises `SpecError` naming the innermost
-        spec at fault; a group over the cap raises `OrderCapError`.  The right
-        factor of a product is built under the cap its left factor leaves, so
-        a product over the cap never builds a right factor past it; its error
-        names the product's order, read from the spec's text where
-        `_spec_order` can, else the product of the orders met so far."""
+        spec at fault; a group over the cap raises `OrderCapError`.  Each
+        other kind is built by its `_KINDS` builder.  The right factor of a
+        product is built under the cap its left factor leaves, cap // order,
+        so a product over the cap never builds a right factor past it.  A
+        left factor that meets the cap leaves 0, and its order is then its
+        `OrderCapError`'s: a well-formed right factor checked under cap 0
+        names its own order, so the error names the product's.  A malformed
+        right factor after a left one that met the cap leaves the left's
+        error, the order met so far."""
         kind, _, rest = spec.partition(":")
         try:
             if kind == "prod":
                 left, right = _split_prod(rest)
-                first = None
                 try:
                     first = cls.from_spec(left, cap)
-                    second = cls.from_spec(right, cap // first.order)
+                    order = first.order
                 except OrderCapError as exc:
-                    order = _spec_order(spec)
-                    if order is None:  # the order met so far
-                        order = exc.order if first is None else first.order * exc.order
-                    raise OrderCapError(order, cap) from None
+                    first, order = None, exc.order
+                try:
+                    second = cls.from_spec(right, cap // order)
+                except OrderCapError as exc:
+                    raise OrderCapError(order * exc.order, cap) from None
+                except (ValueError, RecursionError):  # from_spec wraps an OSError
+                    if first is None:  # malformed, after the left met the cap
+                        raise OrderCapError(order, cap) from None
+                    raise
                 return direct_product(first, second, cap)
             if kind not in _KINDS:
                 raise SpecError(f"unknown group spec kind {kind!r}")
-            build, _ = _KINDS[kind]
-            return build(rest, cap)
+            return _KINDS[kind](rest, cap)
         except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deep nesting
             if isinstance(exc, OrderCapError) or getattr(exc, "spec", None) is not None:
                 raise  # over the cap, or a factor's error that names its spec
@@ -1219,36 +1236,19 @@ def _read_spec_file(path: str, cap: int) -> str:
     return text
 
 
-# Each spec kind but prod, as kind: (build, orders).  build(rest, cap) is the
-# group of the spec kind:rest; orders(rest) reads from the text alone the
-# orders whose product is that group's order, and is None for file:.  Each
-# entry calls its constructor by its module-level name when it runs.
+# Each spec kind but prod, as kind: build, where build(rest, cap) is the
+# group of the spec kind:rest.  Each entry calls its constructor by its
+# module-level name when it runs.
 _KINDS = {
-    "cyclic": (lambda rest, cap: cyclic(_ascii_int(rest), cap),
-               lambda rest: [_ascii_int(rest)]),
-    "abelian": (lambda rest, cap: abelian([_ascii_int(d) for d in rest.split("x")], cap),
-                lambda rest: [_ascii_int(d) for d in rest.split("x")]),
-    "dihedral": (lambda rest, cap: dihedral(_ascii_int(rest), cap),
-                 lambda rest: [2, _ascii_int(rest)]),
-    "dicyclic": (lambda rest, cap: dicyclic(_ascii_int(rest), cap),
-                 lambda rest: [4, _ascii_int(rest)]),
-    "sym": (lambda rest, cap: symmetric(_ascii_int(rest), cap),
-            lambda rest: [math.factorial(_points(_ascii_int(rest)))]),
-    "alt": (lambda rest, cap: alternating(_ascii_int(rest), cap),
-            lambda rest: [max(1, math.factorial(_points(_ascii_int(rest))) // 2)]),
-    "sdp": (lambda rest, cap: semidirect_cyclic(SemidirectSpec(*_sdp_values(rest)), cap),
-            lambda rest: _sdp_values(rest)[:2]),
-    "file": (lambda rest, cap: FiniteGroup.from_json(_read_spec_file(rest, cap), cap), None),
+    "cyclic": lambda rest, cap: cyclic(_ascii_int(rest), cap),
+    "abelian": lambda rest, cap: abelian([_ascii_int(d) for d in rest.split("x")], cap),
+    "dihedral": lambda rest, cap: dihedral(_ascii_int(rest), cap),
+    "dicyclic": lambda rest, cap: dicyclic(_ascii_int(rest), cap),
+    "sym": lambda rest, cap: symmetric(_ascii_int(rest), cap),
+    "alt": lambda rest, cap: alternating(_ascii_int(rest), cap),
+    "sdp": lambda rest, cap: semidirect_cyclic(SemidirectSpec(*_sdp_values(rest)), cap),
+    "file": lambda rest, cap: FiniteGroup.from_json(_read_spec_file(rest, cap), cap),
 }
-
-
-def _piece(piece: str) -> tuple[int, str, str]:
-    """(opened, kind, rest) of a comma-separated piece of a spec: the number
-    of specs its leading "prod:"s open, and the kind and rest of the spec
-    after them."""
-    prods = re.match("(?:prod:)*", piece).end()
-    kind, _, rest = piece[prods:].partition(":")
-    return prods // len("prod:"), kind, rest
 
 
 def _split_prod(rest: str) -> tuple[str, str]:
@@ -1262,7 +1262,8 @@ def _split_prod(rest: str) -> tuple[str, str]:
     pieces = rest.split(",")
     unclosed, in_file = 1, False
     for i, piece in enumerate(pieces):
-        opened, kind, _ = _piece(piece)
+        prods = re.match("(?:prod:)*", piece).end()
+        opened, kind = prods // len("prod:"), piece[prods:].partition(":")[0]
         if in_file and not opened and kind not in _KINDS:
             continue  # more of the file: path
         if not unclosed:
@@ -1270,32 +1271,6 @@ def _split_prod(rest: str) -> tuple[str, str]:
         unclosed += opened - 1
         in_file = kind == "file"
     raise SpecError("prod spec needs two comma-separated specs")
-
-
-def _spec_order(spec: str) -> Optional[int]:
-    """The order of the group `spec` names, read from its text alone, with no
-    table built: the product of the orders each of its pieces' `_KINDS`
-    entry reads.  None where the text does not give it: a file: piece, an
-    integer that does not parse, K outside 1..6 for sym or alt, an order
-    below 1, or pieces that do not nest into one spec.  With no file: piece
-    every piece is one spec, so the pieces nest as `_split_prod` splits them
-    exactly when each but the last leaves a spec open and the last closes
-    the whole."""
-    order, unclosed = 1, 1
-    for piece in spec.split(","):
-        opened, kind, rest = _piece(piece)
-        orders = _KINDS[kind][1] if kind in _KINDS and unclosed else None
-        if orders is None:
-            return None
-        try:
-            parts = orders(rest)
-        except ValueError:
-            return None
-        if min(parts) < 1:
-            return None
-        order *= math.prod(parts)
-        unclosed += opened - 1
-    return order if not unclosed else None
 
 
 def _partitions(k: int, largest: Optional[int] = None):

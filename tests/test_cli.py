@@ -300,8 +300,10 @@ def test_product_over_the_cap_names_its_whole_order(capsys, spec):
 
 
 def test_product_over_the_cap_reads_each_kind_order_from_its_text(tmp_path, capsys):
-    # the left factor meets the cap, so the right one is never built: its
-    # order is read from its text, which must give the order of its group
+    # the left factor meets the cap, so the right one is checked under cap 0:
+    # its own cap check names its group's exact order before any table is built
+    path = tmp_path / "c2.json"
+    path.write_text(gs.cyclic(2).to_json())
     for spec in ["cyclic:5", "abelian:2x3x3", "dihedral:4", "dicyclic:3", "sym:1", "sym:4",
                  "alt:1", "alt:2", "alt:4", "sdp:7:3:2", "sdp:1:1:5", "prod:cyclic:2,dihedral:3",
                  "prod:prod:cyclic:2,cyclic:3,sdp:5:4:-1"]:
@@ -309,25 +311,52 @@ def test_product_over_the_cap_reads_each_kind_order_from_its_text(tmp_path, caps
         with pytest.raises(gs.OrderCapError) as info:
             gs.FiniteGroup.from_spec(f"prod:cyclic:3000,{spec}")
         assert info.value.order == order, spec
-    # where the text gives no order, the error names the order met so far;
-    # sym:1000000000 is never factorialled
-    path = tmp_path / "c2.json"
-    path.write_text(gs.cyclic(2).to_json())
+    # a file: factor is read under cap 0, and a product reads its factors left
+    # to right up to its first malformed one
+    for spec, order in [(f"file:{path}", 6000), ("prod:cyclic:2,cyclic:x", 6000),
+                        (f"prod:file:{path},cyclic:2", 12000)]:
+        with pytest.raises(gs.OrderCapError) as info:
+            gs.FiniteGroup.from_spec(f"prod:cyclic:3000,{spec}")
+        assert info.value.order == order, spec
+        assert run_cli(capsys, "phi", "--group", f"prod:cyclic:3000,{spec}") == (
+            2, "", f"error: order {order} exceeds cap 2000\n"), spec
+    # a malformed right factor names no order: the error names the order met
+    # so far; sym:1000000000 is never factorialled
     for spec in ["sdp:x", "cyclic:0", "abelian:-2x-3", "dihedral:-1", "sdp:-2:-3:1",
-                 "sym:1000000000", "alt:7", "nonsense:4", f"file:{path}",
-                 "prod:cyclic:2", "prod:cyclic:2,cyclic:x", f"prod:file:{path},cyclic:2"]:
+                 "sym:1000000000", "alt:7", "nonsense:4", "sdp:4:2:2", "prod:cyclic:2"]:
         with pytest.raises(gs.OrderCapError) as info:
             gs.FiniteGroup.from_spec(f"prod:cyclic:3000,{spec}")
         assert info.value.order == 3000, spec
         assert run_cli(capsys, "phi", "--group", f"prod:cyclic:3000,{spec}") == (
             2, "", "error: order 3000 exceeds cap 2000\n"), spec
     # a right factor past what the left leaves: the product of the left
-    # factor's order and the right factor's, read from its text where it can be
+    # factor's order and the right factor's, from the right factor's cap check
     for spec, order in [(f"prod:file:{path},cyclic:1000", 3 * 2 * 1000),
                         ("prod:cyclic:1000,cyclic:1000", 3 * 1000 * 1000)]:
         with pytest.raises(gs.OrderCapError) as info:
             gs.FiniteGroup.from_spec(f"prod:cyclic:3,{spec}")
         assert info.value.order == order, spec
+
+
+def test_order_past_the_int_string_limit_is_named_by_its_digit_count(capsys):
+    # Python turns no int of more than 4300 digits into a string, so such an
+    # order is named by its digit count; a well-formed spec stays a cap error
+    nines = "9" * 3000
+    for spec, order, digits in [
+        (f"abelian:{nines}x{nines}", (10**3000 - 1) ** 2, 6000),
+        ("dihedral:" + "9" * 4300, 2 * (10**4300 - 1), 4301),
+        (f"prod:cyclic:{'9' * 4000},cyclic:{'9' * 4000}", (10**4000 - 1) ** 2, 8000),
+    ]:
+        with pytest.raises(gs.OrderCapError) as info:
+            gs.FiniteGroup.from_spec(spec)
+        assert info.value.order == order
+        assert run_cli(capsys, "phi", "--group", spec) == (
+            2, "", f"error: order of {digits} digits exceeds cap 2000\n")
+    # an order that prints keeps its digits
+    assert run_cli(capsys, "phi", "--group", "cyclic:" + "9" * 4300) == (
+        2, "", f"error: order {'9' * 4300} exceeds cap 2000\n")
+    for order, digits in [(10**4300, 4301), (10**4301 - 1, 4301), (10**5000 + 1, 5001)]:
+        assert str(gs.OrderCapError(order, 7)) == f"order of {digits} digits exceeds cap 7"
 
 
 def test_negative_spec_integer_stays_valid(capsys):

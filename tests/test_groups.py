@@ -1200,6 +1200,56 @@ def test_product_names_build_their_group():
     check()
 
 
+def test_product_over_the_cap_names_its_exact_order(tmp_path, monkeypatch):
+    # a well-formed product over the cap, of leaves of every kind, names the
+    # product of its leaves' orders and validates no table past the cap
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cap = 100
+    small, large = tmp_path / "d3.json", tmp_path / "c120.json"
+    small.write_text(gs.dihedral(3).to_json())
+    large.write_text(gs.cyclic(120).to_json())
+    leaves = ["cyclic:1", "cyclic:7", "cyclic:101", "abelian:2x3", "abelian:4x40",
+              "dihedral:3", "dihedral:60", "dicyclic:2", "dicyclic:30", "sym:3", "sym:5",
+              "alt:4", "alt:6", "sdp:7:3:2", "sdp:11:10:2", f"file:{small}", f"file:{large}"]
+    orders = {leaf: gs.FiniteGroup.from_spec(leaf, 10**6).order for leaf in leaves}
+    assert any(order > cap for order in orders.values())
+
+    @st.composite
+    def trees(draw, size=4):
+        """(spec, order) of a product tree of at most `size` leaves: of depth at most 3."""
+        if size == 1 or draw(st.booleans()):
+            leaf = draw(st.sampled_from(leaves))
+            return leaf, orders[leaf]
+        left = draw(st.integers(1, size - 1))
+        (first, m), (second, n) = draw(trees(left)), draw(trees(size - left))
+        return f"prod:{first},{second}", m * n
+
+    validated = []
+    validate = gs.groups._validate_table
+
+    def counted(table, identity):
+        validated.append(len(table.table if isinstance(table, gs.groups._Fresh) else table))
+        return validate(table, identity)
+
+    monkeypatch.setattr(gs.groups, "_validate_table", counted)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(trees().filter(lambda tree: tree[1] > cap))
+    @hypothesis.example((f"prod:prod:cyclic:7,file:{large},prod:sym:3,alt:4", 7 * 120 * 6 * 12))
+    @hypothesis.example((f"prod:sdp:7:3:2,prod:file:{small},dicyclic:30", 21 * 6 * 120))
+    def check(tree):
+        spec, order = tree
+        validated.clear()
+        with pytest.raises(gs.OrderCapError) as info:
+            gs.FiniteGroup.from_spec(spec, cap)
+        assert info.value.order == order, spec
+        assert str(info.value) == f"order {order} exceeds cap {cap}"
+        assert max(validated, default=0) <= cap, (spec, validated)
+
+    check()
+
+
 # --- JSON wire format ---
 
 
