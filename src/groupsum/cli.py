@@ -38,6 +38,15 @@ def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return FiniteGroup.from_spec(spec, cap)
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value, read by `_ascii_int`; argparse names the flag
+    and the fault of a bad one, not the function that read it."""
+    try:
+        return _ascii_int(text)
+    except SpecError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -73,17 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats, handler):
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--cap", type=_ascii_int, default=DEFAULT_ORDER_CAP,
+        p.add_argument("--cap", type=_int_flag, default=DEFAULT_ORDER_CAP,
                        help="maximum constructible group order")
         p.set_defaults(handler=handler)
 
     p_phi = sub.add_parser("phi", help="totient sum of a group, or of C_n via --n")
     p_phi.add_argument("--group", default=None)
-    p_phi.add_argument("--n", type=_ascii_int, default=None)
+    p_phi.add_argument("--n", type=_int_flag, default=None)
     common(p_phi, ["text", "json"], _cmd_phi)
 
     p_q = sub.add_parser("q", help="the rational Q of n, reduced")
-    p_q.add_argument("--n", type=_ascii_int, required=True)
+    p_q.add_argument("--n", type=_int_flag, required=True)
     common(p_q, ["text", "json"], _cmd_q)
 
     p_graph = sub.add_parser("graph", help="directed power graph of a group")
@@ -91,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_graph, ["dot", "json"], _cmd_graph)
 
     p_vm = sub.add_parser("verify-main", help="maximality checks over the catalog")
-    p_vm.add_argument("--n", type=_ascii_int, default=None)
+    p_vm.add_argument("--n", type=_int_flag, default=None)
     p_vm.add_argument("--range", dest="range_", default=None, metavar="A..B")
-    p_vm.add_argument("--jobs", type=_ascii_int, default=1)
+    p_vm.add_argument("--jobs", type=_int_flag, default=1)
     common(p_vm, ["text", "json", "csv"], _cmd_verify_main)
 
     p_cr = sub.add_parser("criterion", help="normal-Sylow witness criterion for a group")
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_tb, ["text", "json"], _cmd_tables)
 
     p_sw = sub.add_parser("sweep", help="exhaustive arithmetic invariants up to a limit")
-    p_sw.add_argument("--limit", type=_ascii_int, default=10000)
+    p_sw.add_argument("--limit", type=_int_flag, default=10000)
     common(p_sw, ["text", "json"], _cmd_sweep)
 
     return parser

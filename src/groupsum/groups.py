@@ -206,11 +206,10 @@ def _closure_of(
     gather table[H, reps].  Then each new representative r is multiplied
     by the generators, and each product outside the members so far adds
     its coset, one gather table[H, r].  From the trivial group the seed is
-    <g> and no product falls outside it.
+    <g> and no product falls outside it; a g already in H is its own least
+    power inside H, so the seed is H*g = H and the mask comes back unchanged.
     """
     members = inside.copy()
-    if members[g]:
-        return members
     walk = [g]
     x = arr.item(g, g)
     while not inside[x]:  # the cycle of x -> x*g through g passes the identity
@@ -238,14 +237,6 @@ def _member_mask(order: int, members: Sequence[int]) -> np.ndarray:
     inside = np.zeros(order, dtype=bool)
     inside[np.asarray(members, dtype=np.intp)] = True
     return inside
-
-
-def _check_range(table: np.ndarray, n: int, start: int) -> None:
-    """Raise NotClosedError naming the first entry outside [0, n) in
-    row-major order; `table` holds the rows from row `start` on."""
-    if table.min() < 0 or table.max() >= n:
-        i, j = map(int, np.argwhere((table < 0) | (table >= n))[0])
-        raise NotClosedError(start + i, j, int(table[i, j]), n)
 
 
 def _validate_table(
@@ -302,7 +293,9 @@ def _validate_table(
     col_has = np.zeros(n, dtype=bool)
     for start, block, _, _, is_identity in blocks:
         given = raw[start:start + len(block)]
-        _check_range(given, n, start)
+        if given.min() < 0 or given.max() >= n:  # name the first such entry, row-major
+            i, j = map(int, np.argwhere((given < 0) | (given >= n))[0])
+            raise NotClosedError(start + i, j, int(given[i, j]), n)
         if not fresh:
             block[...] = given
         np.equal(block, identity, out=is_identity)
@@ -672,7 +665,8 @@ class FiniteGroup:
         """Elements g with g * sub * g^-1 == sub, found by conjugating sub's
         members, the one generating set known here.  For a Sylow subgroup
         that `sylow_subgroup` returned, this is its stored normalizer."""
-        self._own(sub)
+        if sub.parent is not self:
+            raise ValueError("subgroup belongs to a different group")
         for p_subgroup, normalizer in self._sylow.values():
             if sub == p_subgroup:
                 return normalizer
@@ -689,10 +683,6 @@ class FiniteGroup:
 
     def is_normal(self, sub: "Subgroup") -> bool:
         return len(self.normalizer(sub)) == self.order
-
-    def _own(self, sub: "Subgroup") -> None:
-        if sub.parent is not self:
-            raise ValueError("subgroup belongs to a different group")
 
     # --- Sylow machinery ---
 
@@ -1208,10 +1198,15 @@ def _ascii_int(text: str) -> int:
 
     `int` also reads non-ASCII digits, surrounding spaces, underscores and
     a plus sign; every integer in a spec or a command line goes through
-    here instead, so each of those is a usage error."""
+    here instead, so each of those is a usage error.  So is an integer of
+    more digits than Python reads from a string, named by its digit
+    count."""
     if re.fullmatch("-?[0-9]+", text) is None:
         raise SpecError(f"not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python reads from a string
+        raise SpecError(f"integer of {len(text.lstrip('-'))} digits is too long") from None
 
 
 def _sdp_values(rest: str) -> tuple[int, int, int]:

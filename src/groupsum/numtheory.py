@@ -146,24 +146,21 @@ class Factorization:
     primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """One pass over all-int factors checks the order, the exponents and
-        the product, and collects the primes.  Each entry's type is checked
-        before any order: an entry that is not an int sends every entry
+        """Every entry is held as an int first, so a type error comes before
+        any order error: an entry that is not an int sends every entry
         through `_integer`, which holds numpy integers as ints and raises on
-        anything else, and the pass runs again."""
+        anything else.  Then one pass checks the order, the exponents and the
+        product, and collects the primes."""
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"not a positive integer: {self.n}")
+        if any(type(p) is not int or type(a) is not int for p, a in self.factors):
+            object.__setattr__(self, "factors", tuple(
+                (_integer(p, "prime"), _integer(a, "exponent")) for p, a in self.factors))
         primes = []
         prod = last = 1
         for p, a in self.factors:
-            if type(p) is not int or type(a) is not int:
-                object.__setattr__(self, "factors", tuple(
-                    (_integer(p, "prime"), _integer(a, "exponent")) for p, a in self.factors))
-                return self.__post_init__()
             if p <= last or a < 1:
-                for q, b in self.factors:  # a later entry that is no integer raises first
-                    _integer(q, "prime"), _integer(b, "exponent")
                 raise ValueError(f"malformed factorization of {self.n}")
             prod *= p**a
             last = p

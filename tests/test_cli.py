@@ -381,8 +381,33 @@ def test_range_bounds_and_integer_flags_are_ascii_digits(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "Traceback" not in err, argv
+        assert "_ascii_int" not in err, argv  # the error names the flag, not a function
     code, out, _ = run_cli(capsys, "q", "--n", "1000")
     assert code == 0 and out == "9/2\n"
+    assert run_cli(capsys, "phi", "--n", "+5")[2].endswith(
+        "groupsum phi: error: argument --n: not an integer: '+5'\n")
+
+
+def test_integer_past_the_int_string_limit_is_named_by_its_digit_count(capsys):
+    # Python reads no int of more than 4300 digits from a string by default;
+    # such an integer is a usage error named by its digit count, whose own
+    # message neither repeats the digits nor names Python's settings
+    nines = "9" * 4301
+    message = "integer of 4301 digits is too long"
+    for text in (nines, "-" + nines):
+        with pytest.raises(gs.groups.SpecError, match=f"^{message}$"):
+            gs.groups._ascii_int(text)
+    assert gs.groups._ascii_int("9" * 4300) == 10**4300 - 1
+    spec_error = f"error: bad group spec 'cyclic:{nines}': {message}\n"  # names its piece
+    for argv, err in [(("phi", "--group", f"cyclic:{nines}"), spec_error),
+                      (("phi", "--group", f"prod:cyclic:2,cyclic:{nines}"), spec_error),
+                      (("verify-main", "--range", f"1..{nines}"), f"error: {message}\n")]:
+        assert run_cli(capsys, *argv) == (2, "", err), argv[:2]
+    for flag, argv in [("--cap", ("phi", "--n", "5")), ("--n", ("q",)),
+                       ("--jobs", ("verify-main", "--n", "4")), ("--limit", ("sweep",))]:
+        code, out, err = run_cli(capsys, *argv, flag, nines)
+        assert (code, out) == (2, "") and nines not in err, flag
+        assert err.endswith(f": error: argument {flag}: {message}\n"), flag
 
 
 def test_cap_exceeded_is_usage_error(capsys):

@@ -1333,6 +1333,9 @@ def test_generated_subgroup_matches_naive_closure():
         for gens in one_or_two_generators(group):
             assert set(group.generated_subgroup(gens)) == naive_closure(group, gens), (
                 group.name, gens)
+    c6 = gs.cyclic(6)
+    for gens in ([2, 4], [3, 3], [0, 1]):  # a generator inside what the earlier ones generate
+        assert set(c6.generated_subgroup(gens)) == naive_closure(c6, gens), gens
 
 
 def test_closure_extends_a_closed_mask():

@@ -92,8 +92,12 @@ def test_integer_arguments_are_checked_at_the_boundary():
         "n": [nt.is_prime, nt.factorize, nt.totient, nt.phi_cyclic_sum,
               nt.phi_cyclic_product, nt.q_of, nt.lemma_Q_bounds, nt.lemma_n_geq_check,
               lambda x: nt.factorization_from_spf(x, spf), lambda x: nt.Factorization(x, ())],
-        "prime": [lambda x: nt.Factorization(6, ((x, 1), (3, 1)))],
-        "exponent": [lambda x: nt.Factorization(6, ((2, x), (3, 1)))],
+        # a type error comes before an order error, even at a later entry
+        "prime": [lambda x: nt.Factorization(6, ((x, 1), (3, 1))),
+                  lambda x: nt.Factorization(6, ((3, 1), (x, 1))),
+                  lambda x: nt.Factorization(6, ((3, 1), (2, 1), (x, 1)))],
+        "exponent": [lambda x: nt.Factorization(6, ((2, x), (3, 1))),
+                     lambda x: nt.Factorization(6, ((3, 1), (2, 1), (5, x)))],
         "i": [nt.nth_prime],
         "ell": [nt.first_primes, nt.skip_primes],
         "limit": [nt.smallest_prime_factors],
