@@ -87,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p_phi = sub.add_parser("phi", help="totient sum of a group, or of C_n via --n")
-    p_phi.add_argument("--group", default=None)
-    p_phi.add_argument("--n", type=_int_flag, default=None)
+    source = p_phi.add_mutually_exclusive_group(required=True)
+    source.add_argument("--group")
+    source.add_argument("--n", type=_int_flag)
     common(p_phi, ["text", "json"], _cmd_phi)
 
     p_q = sub.add_parser("q", help="the rational Q of n, reduced")
@@ -100,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_graph, ["dot", "json"], _cmd_graph)
 
     p_vm = sub.add_parser("verify-main", help="maximality checks over the catalog")
-    p_vm.add_argument("--n", type=_int_flag, default=None)
-    p_vm.add_argument("--range", dest="range_", default=None, metavar="A..B")
+    orders = p_vm.add_mutually_exclusive_group(required=True)
+    orders.add_argument("--n", type=_int_flag)
+    orders.add_argument("--range", dest="range_", metavar="A..B")
     p_vm.add_argument("--jobs", type=_int_flag, default=1)
     common(p_vm, ["text", "json", "csv"], _cmd_verify_main)
 
@@ -120,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_phi(args) -> tuple[str, Iterable]:
-    if (args.group is None) == (args.n is None):
-        raise SpecError("phi needs exactly one of --group or --n")
     if args.group is not None:
         value = parse_group_spec(args.group, args.cap).phi()
         label = args.group
@@ -148,8 +148,6 @@ def _cmd_graph(args) -> tuple[str, Iterable]:
 
 
 def _cmd_verify_main(args) -> tuple[str, Iterable]:
-    if (args.n is None) == (args.range_ is None):
-        raise SpecError("verify-main needs exactly one of --n or --range")
     if args.jobs < 1:
         raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
     lo, hi = (args.n, args.n) if args.n is not None else _parse_range(args.range_)

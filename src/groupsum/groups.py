@@ -218,8 +218,6 @@ def _closure_of(
     reps = np.array(walk, dtype=np.intp)
     subgroup = np.flatnonzero(inside)
     members[arr[subgroup[:, None], reps]] = True
-    if not gens:
-        return members
     mult = [*gens, g]
     products = arr[reps[:, None], gens].ravel()  # each g^i * g is in H*<g>
     while products.size:
@@ -1211,7 +1209,10 @@ def _ascii_int(text: str) -> int:
 
 def _sdp_values(rest: str) -> tuple[int, int, int]:
     """A, B and R of the spec sdp:A:B:R."""
-    a, b, r = (_ascii_int(x) for x in rest.split(":"))
+    parts = rest.split(":")
+    if len(parts) != 3:
+        raise SpecError("sdp spec needs A:B:R")
+    a, b, r = map(_ascii_int, parts)
     return a, b, r
 
 

@@ -462,7 +462,4 @@ def table1() -> list[Table1Row]:
 
 def format_rational(x: Union[int, Fraction]) -> str:
     """Reduced "a/b", or plain "a" for integers (no "/1")."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,11 +43,7 @@ class Verdict:
     counterexample: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "detail": self.detail,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -141,10 +137,10 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
             None if bad is None else {"group": bad.name, "phi_G": bad.phi_g},
         )
     }
-    max_edges = max(r.undirected_edges for r in rows)
+    worst = max(rows, key=lambda r: r.undirected_edges)
+    max_edges = worst.undirected_edges
     expected_edges = (phi_cn - n) // 2
     edge_ok = cyclic_row.undirected_edges == max_edges == expected_edges
-    worst = max(rows, key=lambda r: r.undirected_edges)
     verdicts["thm-edge-max"] = Verdict(
         edge_ok,
         f"cyclic entry has {cyclic_row.undirected_edges} undirected edges, "
@@ -196,16 +192,13 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     generator of <g>, and those are witnesses together with g.
     """
     n = group.order
-    if n == 1:
-        return []
     fact = numtheory.factorize(n)
-    q = numtheory.q_of(fact)
+    witnesses = _witnesses(group, numtheory.q_of(fact))
+    if not witnesses:
+        return []
     p, alpha = fact.factors[-1]
     p_alpha = p**alpha
     prime_power = fact.k == 1
-    witnesses = _witnesses(group, q)
-    if not witnesses:
-        return []
     orders = group.element_orders()
     sylow = group.sylow_subgroup(p)
     unique = group.count_sylow(p) == 1
@@ -575,22 +568,12 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
         raise ValueError(f"sweep limit must be >= 0, got {limit}")
     if limit > 10**6:
         raise ValueError("sweep limit capped at 10^6")
-    verdicts: dict[str, Verdict] = {}
-
-    def record(key: str, passed: bool, detail: str, counterexample=None):
-        verdicts[key] = Verdict(passed, detail, counterexample)
-
-    table_ok = True
-    table_bad = None
-    for row, expected in zip(numtheory.table1(), _TABLE1_EXPECTED):
-        if (row.ell, row.prime, row.q_first, row.q_skip) != expected:
-            table_ok = False
-            table_bad = {"ell": row.ell}
-            break
-    record("table-1", table_ok, "9 rows compared exactly", table_bad)
-
+    table_bad = next((row for row, expected in zip(numtheory.table1(), _TABLE1_EXPECTED)
+                      if row != expected), None)
+    verdicts = {"table-1": Verdict(table_bad is None, "9 rows compared exactly",
+                                   None if table_bad is None else {"ell": table_bad.ell})}
     if limit < 1:
-        record("eq5-two-forms", True, "empty range")
+        verdicts["eq5-two-forms"] = Verdict(True, "empty range")
         return verdicts
 
     spf = numtheory.smallest_prime_factors(limit)
@@ -640,11 +623,8 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
     counts = {"eq5-two-forms": limit, "eq6-lower-bound": limit - 1,
               "lem-2.4i": n_24i, "lem-2.4ii": n_24ii, "lem-2.6": n_26}
     for key, count in counts.items():
-        record(
-            key,
-            key not in failures,
-            f"{count} values checked up to {limit}",
-            failures.get(key),
+        verdicts[key] = Verdict(
+            key not in failures, f"{count} values checked up to {limit}", failures.get(key)
         )
 
     div_limit = min(limit, 10**4)
@@ -659,11 +639,8 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
                 break
         if div_bad:
             break
-    record(
-        "phi-divisibility",
-        div_bad is None,
-        f"{pairs} divisor pairs up to {div_limit}",
-        div_bad,
+    verdicts["phi-divisibility"] = Verdict(
+        div_bad is None, f"{pairs} divisor pairs up to {div_limit}", div_bad
     )
 
     # An independent sieve is checked against totient() up to 10^4, then
@@ -696,11 +673,8 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
             i = int(bad[0])
             mul_bad = {"m": int(m[i]), "n": int(n2[i])}
             pairs = i + 1
-    record(
-        "phi-multiplicativity",
-        mul_bad is None,
-        f"{pairs} coprime pairs up to {mul_limit}",
-        mul_bad,
+    verdicts["phi-multiplicativity"] = Verdict(
+        mul_bad is None, f"{pairs} coprime pairs up to {mul_limit}", mul_bad
     )
     return verdicts
 

@@ -60,10 +60,16 @@ def test_phi_json(capsys):
 
 
 def test_phi_needs_exactly_one_source(capsys):
-    code, _, err = run_cli(capsys, "phi", "--group", "cyclic:4", "--n", "4")
+    code, out, err = run_cli(capsys, "phi", "--group", "cyclic:4", "--n", "4")
     assert code == 2 and "error" in err
-    code, _, err = run_cli(capsys, "phi")
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "groupsum phi: error: argument --n: not allowed with argument --group")
+    code, out, err = run_cli(capsys, "phi")
     assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "groupsum phi: error: one of the arguments --group --n is required")
 
 
 # --- q ---
@@ -273,7 +279,8 @@ def test_each_spec_kind_error_line(capsys):
         "dicyclic:-1": "bad group spec 'dicyclic:-1': need m >= 1",
         "sym:7": "bad group spec 'sym:7': supported for 1 <= k <= 6",
         "alt:0": "bad group spec 'alt:0': supported for 1 <= k <= 6",
-        "sdp:1:2": "bad group spec 'sdp:1:2': not enough values to unpack (expected 3, got 2)",
+        "sdp:1:2": "bad group spec 'sdp:1:2': sdp spec needs A:B:R",
+        "sdp:4:2:3:1": "bad group spec 'sdp:4:2:3:1': sdp spec needs A:B:R",
         "sdp:4:2:2": "bad group spec 'sdp:4:2:2': r=2 is not a unit modulo 4",
         "file:/nonexistent.json": "bad group spec 'file:/nonexistent.json': "
                                   "[Errno 2] No such file or directory: '/nonexistent.json'",
@@ -506,10 +513,16 @@ def test_verify_main_single(capsys):
 
 
 def test_verify_main_requires_one_selector(capsys):
-    code, _, _ = run_cli(capsys, "verify-main")
+    code, out, err = run_cli(capsys, "verify-main")
     assert code == 2
-    code, _, _ = run_cli(capsys, "verify-main", "--n", "4", "--range", "1..5")
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "groupsum verify-main: error: one of the arguments --n --range is required")
+    code, out, err = run_cli(capsys, "verify-main", "--n", "4", "--range", "1..5")
     assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "groupsum verify-main: error: argument --range: not allowed with argument --n")
 
 
 def test_verify_main_csv(capsys):

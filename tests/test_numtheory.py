@@ -443,3 +443,18 @@ def test_format_rational():
     assert nt.format_rational(Fraction(6)) == "6"
     assert nt.format_rational(Fraction(72, 5)) == "72/5"
     assert nt.format_rational(7) == "7"
+    assert nt.format_rational(Fraction(-3, 6)) == "-1/2"
+    assert nt.format_rational(Fraction(0)) == "0"
+    assert nt.format_rational(-4) == "-4"
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # against the numerator/denominator formula it replaced
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(st.fractions(), st.integers().map(Fraction), st.integers()))
+    def check(x):
+        f = Fraction(x)
+        want = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        assert nt.format_rational(x) == want
+
+    check()

@@ -130,6 +130,14 @@ def test_verify_criterion_returns_both_verdicts_by_id():
         verdicts, _ = verify.verify_criterion(group)
         assert list(verdicts) == ["thm-overall", "cor-contrapositive"], group.name
         assert verdicts["cor-contrapositive"] == verify.verify_contrapositive(group), group.name
+    # the trivial group has no witness: Q = 1 and phi(1) = 1
+    for spec in ("cyclic:1", "abelian:1"):
+        group = cli.parse_group_spec(spec)
+        assert verify.check_witnesses(group) == []
+        assert verify.verify_criterion(group) == ({
+            "thm-overall": verify.Verdict(True, f"{spec}: 0 witness(es)"),
+            "cor-contrapositive": verify.Verdict(True, f"{spec}: trivial group"),
+        }, [])
 
 
 def count_criterion_calls(monkeypatch):
@@ -185,6 +193,11 @@ def test_verification_records_store_the_verdicts_they_print():
     assert "passed" not in vars(verify.Table2Verdict)
     assert "relation_holds" not in names(verify.Table2Verdict)
     assert "case_label" not in names(verify.Table2Case)
+    nested = {"group": "cyclic:12", "witness": {"element": 1, "orders": [12, 6]}}
+    assert verify.Verdict(True).to_json_dict() == {
+        "passed": True, "detail": "", "counterexample": None}
+    assert verify.Verdict(False, "cyclic:12 fails", nested).to_json_dict() == {
+        "passed": False, "detail": "cyclic:12 fails", "counterexample": nested}
 
 
 def test_contrapositive_a4():
