@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from functools import partial
 
 from . import numtheory, powergraph, verify
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, OrderCapError, SpecError, _ascii_int
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, OrderCapError, SpecError, _ascii_int, _shown
 
 
 def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -50,10 +50,10 @@ def _int_flag(text: str) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise SpecError(f"bad range {text!r}: expected A..B")
+        raise SpecError(f"bad range {_shown(text)}: expected A..B")
     start, stop = _ascii_int(lo), _ascii_int(hi)
     if stop < start:
-        raise SpecError(f"empty range {text!r}")
+        raise SpecError(f"empty range {_shown(text)}")
     return start, stop
 
 

@@ -18,14 +18,16 @@ range check with the copy, the inverse check and the translation test run
 over blocks of whole rows of at most `_BLOCK_CELLS` cells, into scratch
 arrays made once per validation, so beside `np.asarray`'s array of a list
 the group's table is the only n x n array validation holds.  The closure
-is grown by `_closure_of`, as is every subgroup, Sylow subgroups included:
+is grown by `_closure_of`, as is every generated subgroup and every Sylow
+q-subgroup that is not the set of all q-elements (a Sylow q-subgroup that
+is, is the only one and is taken without growth):
 <H, g> starts as H*<g>, the cosets H*g^i up to the first power of g inside
 H, found by one walk down column g and added in one gather, and then grows
 by right cosets H*r (Dimino's algorithm) until the generators map it into
 itself.  A `Subgroup` is its read-only membership mask, built once when it
 is validated; its members are the mask's indices.
 The normalizer N(H) is found by conjugating a generating set of H by every
-element, one gather of n x |gens| cells: the Sylow search passes the
+element, one gather of n x |gens| cells: the Sylow growth passes the
 generators it grew H from, and `normalizer` passes H's members.
 
 `FiniteGroup.from_json` reads a document whose last key is "table" and whose
@@ -159,12 +161,21 @@ class OrderCapError(_Error):
         self.order = order
 
 
+def _shown(text: str) -> str:
+    """`text` quoted for an error line: whole up to 120 characters, else its
+    first 60 characters, "..." and its length."""
+    if len(text) <= 120:
+        return repr(text)
+    return f"{text[:60] + '...'!r} ({len(text)} characters)"
+
+
 class SpecError(_Error):
     """Malformed group spec (a usage error).  `spec` is the piece of a
-    group spec at fault when `FiniteGroup.from_spec` raised it, else None."""
+    group spec at fault when `FiniteGroup.from_spec` raised it, else None.
+    The message shows the piece by `_shown`; `spec` holds all of it."""
 
     def __init__(self, message, spec: Optional[str] = None):
-        super().__init__(message if spec is None else f"bad group spec {spec!r}: {message}")
+        super().__init__(message if spec is None else f"bad group spec {_shown(spec)}: {message}")
         self.spec = spec
 
 
@@ -687,14 +698,18 @@ class FiniteGroup:
     def sylow_subgroup(self, q: int) -> "Subgroup":
         """A Sylow q-subgroup: full q-part of the order.
 
-        Found by normalizer-guided growth: start from the cyclic subgroup
-        of the first q-element of maximal order; while the current
-        q-subgroup H is too small, the smallest q-element of N(H) outside H
-        extends H to a strictly larger q-subgroup (one is guaranteed to
-        exist, so the loop terminates at the full q-part).  <H, x> is grown
-        by `_closure_of` on membership masks.  The first call for q stores P
-        and N(P) in the group's memo; later calls return the same P.
-        Returns the trivial subgroup when q does not divide the order.
+        When exactly q^a elements, q^a the q-part of the order, have an
+        order dividing q^a, they are the only Sylow q-subgroup, since every
+        Sylow q-subgroup is q^a such elements; it is normal, and is taken
+        as it stands.  Otherwise it is found by normalizer-guided growth:
+        start from the cyclic subgroup of the first q-element of maximal
+        order; while the current q-subgroup H is too small, the smallest
+        q-element of N(H) outside H extends H to a strictly larger
+        q-subgroup (one is guaranteed to exist, so the loop terminates at
+        the full q-part).  <H, x> is grown by `_closure_of` on membership
+        masks.  The first call for q stores P and N(P) in the group's memo;
+        later calls return the same P.  Returns the trivial subgroup when q
+        does not divide the order.
         """
         if not numtheory.is_prime(q):
             raise ValueError(f"{q} is not prime")
@@ -703,18 +718,37 @@ class FiniteGroup:
         return self._sylow_pair(q)[0]
 
     def _sylow_pair(self, q: int) -> tuple["Subgroup", "Subgroup"]:
-        """(P, N(P)) for the Sylow q-subgroup P; q is a prime dividing the order.
+        """(P, N(P)) for the Sylow q-subgroup P; q is a prime dividing the
+        order.  A P that is the set of all q-elements is normal, so N(P) is
+        the whole group; any other P is grown."""
+        pair = self._sylow.get(q)
+        if pair is not None:
+            return pair
+        q_part, q_orders = self._q_orders(q)
+        if np.count_nonzero(q_orders) == q_part:
+            pair = (Subgroup(self, np.flatnonzero(q_orders)),
+                    Subgroup(self, np.arange(self.order)))
+        else:
+            pair = self._grown_sylow_pair(q)
+        self._sylow[q] = pair
+        return pair
+
+    def _q_orders(self, q: int) -> tuple[int, np.ndarray]:
+        """q^a, the q-part of the order, and each element's order where it
+        divides q^a (the q-elements), else 0."""
+        q_part = math.gcd(self.order, q ** self.order.bit_length())  # q^bitlen(n) > n
+        orders = np.asarray(self.element_orders())
+        return q_part, np.where(q_part % orders == 0, orders, 0)
+
+    def _grown_sylow_pair(self, q: int) -> tuple["Subgroup", "Subgroup"]:
+        """(P, N(P)) by normalizer-guided growth; reads and fills no memo.
 
         `gens` holds the seed and each growth element, so it generates the
         current q-subgroup, and each N(H) is found by conjugating those few
         generators rather than every member of H."""
-        pair = self._sylow.get(q)
-        if pair is not None:
-            return pair
-        q_part = math.gcd(self.order, q ** self.order.bit_length())  # q^bitlen(n) > n
-        orders = np.asarray(self.element_orders())
-        q_elements = q_part % orders == 0  # orders divide n, so these are the q-powers
-        seed = int(np.argmax(np.where(q_elements, orders, 0)))
+        q_part, q_orders = self._q_orders(q)
+        q_elements = q_orders > 0
+        seed = int(np.argmax(q_orders))
 
         seed_subgroup = self.generated_subgroup([seed])
         inside = seed_subgroup.mask
@@ -735,9 +769,7 @@ class FiniteGroup:
             normalizer_mask = self._normalizer_mask(inside, gens)
         # with no growth step, <seed> is P and is validated already
         p_subgroup = seed_subgroup if len(gens) == 1 else Subgroup(self, np.flatnonzero(inside))
-        pair = (p_subgroup, Subgroup(self, np.flatnonzero(normalizer_mask)))
-        self._sylow[q] = pair
-        return pair
+        return p_subgroup, Subgroup(self, np.flatnonzero(normalizer_mask))
 
     def count_sylow(self, q: int) -> int:
         """Number of Sylow q-subgroups, as the index of one's normalizer,
@@ -843,7 +875,7 @@ class FiniteGroup:
                     raise
                 return direct_product(first, second, cap)
             if kind not in _KINDS:
-                raise SpecError(f"unknown group spec kind {kind!r}")
+                raise SpecError(f"unknown group spec kind {_shown(kind)}")
             return _KINDS[kind](rest, cap)
         except (ValueError, OSError, RecursionError) as exc:  # RecursionError: deep nesting
             if isinstance(exc, OrderCapError) or getattr(exc, "spec", None) is not None:
@@ -1200,7 +1232,7 @@ def _ascii_int(text: str) -> int:
     more digits than Python reads from a string, named by its digit
     count."""
     if re.fullmatch("-?[0-9]+", text) is None:
-        raise SpecError(f"not an integer: {text!r}")
+        raise SpecError(f"not an integer: {_shown(text)}")
     try:
         return int(text)
     except ValueError:  # more digits than Python reads from a string

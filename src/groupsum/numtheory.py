@@ -1,19 +1,22 @@
 """Exact integer and rational arithmetic for totient-sum computations.
 
 Everything here is deterministic and exact.  Primality is a strong
-probable-prime test on the first 13 prime bases, which is a proof below
-psi_13 (Sorenson & Webster 2015) and is confirmed by trial division at or
-above it.  Factorization divides out the primes below 1000 and splits what
-is left with Pollard's rho in Brent's form, using fixed constants, so both
-the factors and the running time repeat from run to run.  Totients come
-from the prime factorization, and every inequality is decided exactly,
-with `fractions.Fraction` or by cross-multiplying integers (never floats).
-All integers are arbitrary precision, so products of many prime powers
-cannot overflow.  The module holds no state: nothing is cached, and every
-value is computed from the arguments on each call.  Every integer argument
-is a Python or numpy integer, never a bool, and is held as an `int`;
-anything else raises `ValueError` naming the argument.  `_integer` holds
-this rule for `groups` too.
+probable-prime test on the first k prime bases, k <= 13, stopped at the
+first k with n < psi_k, the least odd composite that passes those k bases
+(the published table, OEIS A014233).  Below psi_13 (Sorenson & Webster
+2015) that is a proof; at or above it a pass is confirmed by trial
+division.  Factorization trial-divides by the 168 primes below 1000 and
+splits what is left with Pollard's rho in Brent's form, using fixed
+constants, so both the factors and the running time repeat from run to
+run.  Totients come from the prime factorization, and every inequality is
+decided exactly, with `fractions.Fraction` or by cross-multiplying
+integers (never floats).  All integers are arbitrary precision, so
+products of many prime powers cannot overflow.  The module holds no
+state: nothing is cached, every value is computed from the arguments on
+each call, and its tables (`_BASES`, `_PSI`, `_TRIAL_PRIMES`) are
+constants.  Every integer argument is a Python or numpy integer, never a
+bool, and is held as an `int`; anything else raises `ValueError` naming
+the argument.  `_integer` holds this rule for `groups` too.
 """
 
 from __future__ import annotations
@@ -46,8 +49,15 @@ def _integer(value, what: str) -> int:
 
 # The first 13 primes: for trial division and as strong-probable-prime bases.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# The least odd composite that is a strong probable prime to every base in
-# _BASES (Sorenson & Webster, Math. Comp. 2015); below it the test is a proof.
+# psi_k for k = 1..12: the least odd composite that is a strong probable
+# prime to each of the first k bases (OEIS A014233; Jaeschke, Math. Comp.
+# 1993, for k <= 8; Jiang & Deng, Math. Comp. 2014, for k = 9..11; Sorenson &
+# Webster, Math. Comp. 2015, for k = 12).  An odd n below psi_k that passes
+# the first k bases is prime.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461)
+# psi_13, the same bound for every base in _BASES (Sorenson & Webster 2015).
 _PSI_13 = 3317044064679887385961981
 
 
@@ -55,9 +65,10 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for every integer.
 
     Divides by the primes up to 41, then runs a strong-probable-prime test
-    on those 13 bases.  Below psi_13 = 3317044064679887385961981 a number
-    that passes every base is prime; at or above it, a number that passes
-    is confirmed by trial division up to its square root, which is slow.
+    on those 13 bases, in order, and returns True as soon as the bases
+    passed so far prove n prime: after the k-th base when n < psi_k.  A
+    number at or above psi_13 = 3317044064679887385961981 that passes every
+    base is confirmed by trial division up to its square root, which is slow.
     """
     n = _integer(n, "n")
     if n < 2:
@@ -71,17 +82,18 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _BASES:
+    for a, psi in zip(_BASES, _PSI + (_PSI_13,)):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return n < _PSI_13 or _is_prime_by_trial_division(n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    return _is_prime_by_trial_division(n)
 
 
 def _is_prime_by_trial_division(n: int) -> bool:
@@ -184,36 +196,39 @@ class Factorization:
 IntLike = Union[int, Factorization]
 
 
-# factorize divides by 2 and the odd numbers below this bound; a cofactor
-# left above the bound's square goes to is_prime and Pollard's rho.
+# factorize divides by the primes below this bound, built here once; a
+# cofactor left at or above the bound's square goes to is_prime and rho.
 _TRIAL_BOUND = 1000
+_TRIAL_PRIMES = tuple(p for p in range(_TRIAL_BOUND) if is_prime(p))
 # Brent's rho multiplies this many differences together between gcds.
 _RHO_BATCH = 128
 
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization: trial division below 1000, then Pollard-Brent rho.
+    """Prime factorization: trial division by the primes below 1000, then
+    Pollard-Brent rho.
 
-    n == 1 yields an empty factor list; n < 1 is rejected.  Every n below
-    10^6 is factored by trial division alone.  A cofactor with no prime
-    factor below 1000 is tested with `is_prime` and, if composite, split by
-    Brent's rho, recursively.
+    n == 1 yields an empty factor list; n < 1 is rejected.  Trial division
+    stops at the first prime p with p^2 above what is left, which is then 1
+    or prime, so every n below 10^6 is factored by trial division alone.  A
+    cofactor of at least 10^6 with no prime factor below 1000 is tested with
+    `is_prime` and, if composite, split by Brent's rho, recursively.
     """
     n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
     m = n
     factors = []
-    p = 2
-    while p * p <= m and p < _TRIAL_BOUND:
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
         if m % p == 0:
             a = 0
             while m % p == 0:
                 m //= p
                 a += 1
             factors.append((p, a))
-        p += 1 if p == 2 else 2
-    if p * p <= m:
+    if m >= _TRIAL_BOUND * _TRIAL_BOUND:
         factors.extend(sorted(Counter(_large_prime_factors(m)).items()))
     elif m > 1:
         factors.append((m, 1))
@@ -408,7 +423,7 @@ def lemma_Q_bounds(n: IntLike) -> QBounds:
     p = fact.largest_prime
     num, den = _q_terms(fact.primes)
     part_one = None
-    if fact.k >= 9 or fact.primes != first_primes(fact.k):
+    if fact.k >= 9 or fact.primes != _BASES[: fact.k]:
         part_one = num <= (p + 1) * den
     part_two = None
     if fact.n % 2 == 1:

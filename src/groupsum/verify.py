@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,7 +43,7 @@ class Verdict:
     counterexample: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -532,23 +532,38 @@ def table2_spot_check() -> dict[str, Table2Verdict]:
 def _totient_sieve(bound: int) -> np.ndarray:
     """phi(0..bound) from a sieve of its own, never from `numtheory.totient`.
 
-    Each prime p <= sqrt(bound) takes the factor (1 - 1/p) off its
-    multiples, and its powers are divided out of `rest`.  What is left in
-    `rest` is 1 or the one prime factor above sqrt(bound), which divides t;
-    one pass over the whole array takes it off.  Every division is exact;
-    phi(0) is left at 0.  The sweep's bound is at most 10^6, so int32 holds
-    every value and every product phi(m) phi(n) its check forms.
+    2 and each odd prime p <= sqrt(bound) take the factor (1 - 1/p) off
+    their multiples, and their powers are divided out of `rest`.  What is
+    left in `rest` is 1 or the one prime factor above sqrt(bound), which
+    divides t; one pass over the whole array takes it off.  phi(0) is left
+    at 0.
+
+    Every quotient by p is exact: an entry of t at a multiple m of p is m
+    times (q - 1)/q over the smaller primes q dividing m, and p divides
+    neither q nor q - 1 < p; an entry of rest at a multiple of p^j has lost
+    only j - 1 factors p so far.  So x // p is taken as x times the inverse
+    of p modulo 2^32 (x >> 1 for p = 2), which uint32 arithmetic wraps to
+    exactly.  The sweep's bound is at most 10^6, so every value and every
+    product phi(m) phi(n) its check forms is below 2^31.
     """
-    t = np.arange(bound + 1, dtype=np.int32)
+    t = np.arange(bound + 1, dtype=np.uint32)
     rest = t.copy()
-    for p in range(2, math.isqrt(bound) + 1):
+    evens = t[2::2]  # views, updated in place
+    evens -= evens >> 1
+    power = 2
+    while power <= bound:
+        powers = rest[power::power]
+        powers >>= 1
+        power *= 2
+    for p in range(3, math.isqrt(bound) + 1, 2):
         if t[p] == p:  # no smaller prime divides p
-            multiples = t[p::p]  # views, updated in place
-            multiples -= multiples // p
+            inverse = np.uint32(pow(p, -1, 1 << 32))
+            multiples = t[p::p]
+            multiples -= multiples * inverse
             power = p
             while power <= bound:
                 powers = rest[power::power]
-                powers //= p
+                powers *= inverse
                 power *= p
     rest[0] = 1  # t[0] = 0 stays 0; no division by zero
     t -= t // rest * (rest > 1)

@@ -405,16 +405,41 @@ def test_integer_past_the_int_string_limit_is_named_by_its_digit_count(capsys):
         with pytest.raises(gs.groups.SpecError, match=f"^{message}$"):
             gs.groups._ascii_int(text)
     assert gs.groups._ascii_int("9" * 4300) == 10**4300 - 1
-    spec_error = f"error: bad group spec 'cyclic:{nines}': {message}\n"  # names its piece
+    # names its piece by its first 60 characters and its length
+    spec_error = f"error: bad group spec 'cyclic:{nines[:53]}...' (4308 characters): {message}\n"
     for argv, err in [(("phi", "--group", f"cyclic:{nines}"), spec_error),
                       (("phi", "--group", f"prod:cyclic:2,cyclic:{nines}"), spec_error),
                       (("verify-main", "--range", f"1..{nines}"), f"error: {message}\n")]:
         assert run_cli(capsys, *argv) == (2, "", err), argv[:2]
+        assert len(err) < 200, argv[:2]
     for flag, argv in [("--cap", ("phi", "--n", "5")), ("--n", ("q",)),
                        ("--jobs", ("verify-main", "--n", "4")), ("--limit", ("sweep",))]:
         code, out, err = run_cli(capsys, *argv, flag, nines)
         assert (code, out) == (2, "") and nines not in err, flag
         assert err.endswith(f": error: argument {flag}: {message}\n"), flag
+
+
+def test_spec_error_shows_a_long_piece_by_its_start_and_length(capsys):
+    # a piece of up to 120 characters is shown whole; a longer one by its
+    # first 60 characters and its length, while SpecError.spec keeps it all
+    for piece in ("sdp:" + "1" * 116, "sdp:" + "1" * 117):
+        with pytest.raises(gs.groups.SpecError) as info:
+            gs.FiniteGroup.from_spec(piece)
+        assert info.value.spec == piece
+        shown = repr(piece) if len(piece) <= 120 else f"'{piece[:60]}...' ({len(piece)} characters)"
+        assert run_cli(capsys, "phi", "--group", f"prod:cyclic:2,{piece}") == (
+            2, "", f"error: bad group spec {shown}: sdp spec needs A:B:R\n"), len(piece)
+    # so is every text the message after it echoes
+    x = "x" * 5000
+    long_x = f"'{x[:60]}...' (5000 characters)"
+    for argv, err in [
+        (("phi", "--group", f"cyclic:{x}"), f"error: bad group spec 'cyclic:{x[:53]}...' "
+                                            f"(5007 characters): not an integer: {long_x}\n"),
+        (("phi", "--group", f"{x}:4"), f"error: bad group spec '{x[:60]}...' (5002 characters): "
+                                       f"unknown group spec kind {long_x}\n"),
+        (("verify-main", "--range", x), f"error: bad range {long_x}: expected A..B\n"),
+    ]:
+        assert run_cli(capsys, *argv) == (2, "", err), argv[:2]
 
 
 def test_cap_exceeded_is_usage_error(capsys):

@@ -529,12 +529,13 @@ def recorded_normalizer_masks(monkeypatch):
 
 
 def test_generator_normalizer_matches_all_members_on_every_sylow_step(monkeypatch):
+    # the growth runs here for every (group, q), also where counting suffices
     calls = recorded_normalizer_masks(monkeypatch)
     pairs = 0
     for n in range(2, 61):
         for group in gs.catalog(n):
             for q, _ in nt.factorize(n).factors:
-                sylow, normalizer = group._sylow_pair(q)
+                sylow, normalizer = group._grown_sylow_pair(q)
                 assert set(normalizer) == naive_normalizer(group, sylow.members), (group.name, q)
                 pairs += 1
     assert pairs and len(calls) >= pairs
@@ -549,7 +550,7 @@ def test_generator_normalizer_matches_all_members_on_every_sylow_step(monkeypatc
 def test_generator_normalizer_matches_all_members_on_large_prime_powers(monkeypatch, spec):
     group = cli.parse_group_spec(spec)
     calls = recorded_normalizer_masks(monkeypatch)
-    group._sylow_pair(2)
+    group._grown_sylow_pair(2)
     assert calls
     for _, inside, gens, mask in calls:
         assert np.array_equal(group.generated_subgroup(gens).mask, inside), (spec, gens)
@@ -667,6 +668,42 @@ def test_sylow_memo_matches_brute_force_conjugates():
                 }
                 assert count == len(conjugates), (group.name, p)
                 assert normal == (count == 1), (group.name, p)
+
+
+def test_sylow_by_counting_exactly_when_the_sylow_subgroup_is_unique(monkeypatch):
+    # counting the q-elements decides P without growth exactly when brute-force
+    # conjugation finds one Sylow q-subgroup; the answers are the growth's
+    rng = random.Random(45)
+    groups = [cli.parse_group_spec(spec) for spec in ("sym:4", "alt:4", "alt:5",
+                                                      "prod:alt:4,cyclic:2")]
+    for n in range(2, 61):
+        for base in gs.catalog(n):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            groups += [base, relabel(base, sigma)]
+    grown = []
+    real = gs.FiniteGroup._grown_sylow_pair
+
+    def record(self, q):
+        grown.append((self, q))
+        return real(self, q)
+
+    monkeypatch.setattr(gs.FiniteGroup, "_grown_sylow_pair", record)
+    counted = 0
+    for group in groups:
+        n, t = group.order, group.table
+        inverse = np.nonzero(t == group.identity)[1]  # one identity per row
+        for q, _ in nt.factorize(n).factors:
+            grown.clear()
+            answers = sylow_answers(group, q)
+            by_growth = gs.FiniteGroup(t, group.identity)
+            by_growth._sylow[q] = real(by_growth, q)
+            assert sylow_answers(by_growth, q) == answers, (group.name, q)
+            conjugates = {frozenset(int(t[t[g, h], inverse[g]]) for h in answers[0])
+                          for g in range(n)}
+            assert (not grown) == (len(conjugates) == 1), (group.name, q)
+            counted += not grown
+    assert 0 < counted < sum(len(nt.factorize(g.order).factors) for g in groups)
 
 
 def test_named_groups_match_sympy_oracle():

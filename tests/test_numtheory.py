@@ -215,12 +215,62 @@ def test_is_prime_needs_base_41():
     assert nt.is_prime(PSI_12) is False
 
 
+# psi_k for k = 1..12 (OEIS A014233): the least odd composite that is a
+# strong probable prime to each of the first k primes
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, PSI_12)
+FIRST_12_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**i, n) == n - 1 for i in range(s))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_stops_at_psi_k(k):
+    # psi_k is composite and passes the first k bases, so is_prime may stop
+    # after base k only below it; at and beside it is_prime matches sympy
+    sympy = pytest.importorskip("sympy")
+    psi = PSI[k - 1]
+    assert nt._PSI[k - 1] == psi
+    assert not sympy.isprime(psi)
+    assert all(_strong_probable_prime(psi, a) for a in FIRST_12_PRIMES[:k])
+    for n in (psi - 2, psi, psi + 2):
+        assert nt.is_prime(n) == sympy.isprime(n), n
+
+
+def test_factorize_matches_sympy_around_the_trial_division_bound():
+    sympy = pytest.importorskip("sympy")
+    for n in (997**2, 997 * 1009, 1009**2, 999983, 10**6, 2**40, *PSI[:9]):
+        assert nt.factorize(n).factors == _sympy_factors(sympy, n), n
+
+
+def test_factorize_matches_sympy_on_drawn_integers_below_10_to_15():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(hypothesis.strategies.integers(min_value=1, max_value=10**15 - 1))
+    def check(n):
+        assert nt.factorize(n).factors == _sympy_factors(sympy, n)
+
+    check()
+
+
 def test_is_prime_certifies_by_trial_division_at_or_above_psi_13(monkeypatch):
-    # With base 2 alone and the boundary moved to 0, every base-2 strong
-    # probable prime takes the certification path of numbers at or above
-    # psi_13, and the base-2 strong pseudoprimes must be rejected there.
+    # With base 2 alone, no psi_k table and the boundary moved to 0, every
+    # base-2 strong probable prime takes the certification path of numbers
+    # at or above psi_13, and the base-2 strong pseudoprimes must be
+    # rejected there.
     sympy = pytest.importorskip("sympy")
     monkeypatch.setattr(nt, "_BASES", (2,))
+    monkeypatch.setattr(nt, "_PSI", ())
     monkeypatch.setattr(nt, "_PSI_13", 0)
     candidates = [*range(1, 5000), *CARMICHAEL, *STRONG_PSEUDOPRIMES_BASE_2, 10**9 + 7]
     for n in candidates:

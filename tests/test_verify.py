@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import groupsum as gs
@@ -533,6 +534,18 @@ def _multiplicativity(verdicts):
 def test_totient_sieve_matches_the_old_sieve():
     for bound in range(200):
         assert verify._totient_sieve(bound).tolist() == _old_totient_sieve(bound), bound
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 62500, 10**6])
+def test_totient_sieve_matches_an_int64_sieve_with_floor_division(bound):
+    # the sieve's quotients are products by inverses modulo 2^32; this
+    # reference divides every multiple of every prime by floor division
+    reference = np.arange(bound + 1, dtype=np.int64)
+    for p in range(2, bound + 1):
+        if reference[p] == p:
+            multiples = reference[p::p]
+            multiples -= multiples // p
+    assert np.array_equal(verify._totient_sieve(bound), reference)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 7, 31, 250, 1000])
