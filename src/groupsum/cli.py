@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from collections.abc import Iterable
@@ -190,32 +191,45 @@ def _cmd_verify_main(args) -> tuple[str, Iterable]:
     return "\n".join(lines) + "\n", reports
 
 
+# The fields of a witness record but its element, which its template holds.
+_WITNESS_SHAPE = operator.attrgetter(
+    "contained_in_gen", "cyclic", "normal", "witness_order", "satisfied", "sylow_order",
+    "sylow_prime", "unique")
+
+
+def _criterion_json(group: FiniteGroup, verdicts: dict, outcomes: list) -> str:
+    """The text of `json.dumps(payload, sort_keys=True) + "\n"` for the
+    criterion's payload, written directly: a group may have hundreds of
+    witnesses whose records differ only in the element, so each record is
+    its shape's template with the element written in."""
+    templates = {}  # shape -> the record's text before and after the element
+    records = []
+    for o in outcomes:
+        shape = _WITNESS_SHAPE(o)
+        if shape not in templates:
+            contained, cyclic, normal, order, satisfied, sylow_order, sylow_prime, unique = (
+                map(json.dumps, shape))
+            templates[shape] = (
+                f'{{"contained_in_gen": {contained}, "cyclic": {cyclic}, "element": ',
+                f', "normal": {normal}, "order": {order}, "satisfied": {satisfied}, '
+                f'"sylow_order": {sylow_order}, "sylow_prime": {sylow_prime}, '
+                f'"unique": {unique}}}',
+            )
+        head, tail = templates[shape]
+        records.append(f"{head}{o.witness}{tail}")
+    verdict_text = json.dumps({key: v.to_json_dict() for key, v in verdicts.items()},
+                              sort_keys=True)
+    return (f'{{"group": {json.dumps(group.name)}, "n": {group.order}, '
+            f'"verdicts": {verdict_text}, "witnesses": [{", ".join(records)}]}}\n')
+
+
 def _cmd_criterion(args) -> tuple[str, Iterable]:
     group = parse_group_spec(args.group, args.cap)
     verdicts, outcomes = verify.verify_criterion(group)
     n = group.order
 
     if args.format == "json":
-        payload = {
-            "group": group.name,
-            "n": n,
-            "witnesses": [
-                {
-                    "element": o.witness,
-                    "order": o.witness_order,
-                    "sylow_prime": o.sylow_prime,
-                    "sylow_order": o.sylow_order,
-                    "unique": o.unique,
-                    "normal": o.normal,
-                    "cyclic": o.cyclic,
-                    "contained_in_gen": o.contained_in_gen,
-                    "satisfied": o.satisfied,
-                }
-                for o in outcomes
-            ],
-            "verdicts": {key: v.to_json_dict() for key, v in verdicts.items()},
-        }
-        return _json(payload), verdicts.values()
+        return _criterion_json(group, verdicts, outcomes), verdicts.values()
 
     if n == 1:
         return "no witness; trivial group\n", verdicts.values()
@@ -230,7 +244,7 @@ def _cmd_criterion(args) -> tuple[str, Iterable]:
             f"in <g>={o.contained_in_gen} [{tag}]{extra}"
         )
     if not outcomes:
-        fact = numtheory.factorize(n)
+        fact = group._order_factorization()
         p = fact.largest_prime
         best = numtheory.q_of(fact) * max(group.order_totients().values())
         best_str = numtheory.format_rational(best)

@@ -51,17 +51,22 @@ The inverses are not a memo: the inverse check finds each element's inverse
 as the column of the identity in its row, and the group keeps that read-only
 array from construction on.  A group fills a few private memos lazily, each
 on first use: its cyclic subgroups, each keyed by its smallest generator
-with its members ascending, and with them the element orders; the totient
-of each element order; and, per prime q dividing the order, one Sylow
-q-subgroup P with its normalizer N(P).  The cyclic subgroups are found in
-one pass that walks each of them once, from its smallest generator, and the
-element orders, the power graph and the witness check all read that pass;
-which positions of a walk of length m generate it, the phi(m) exponents
-coprime to m, is worked out once per distinct m in that pass.
-Later queries (`phi`, `sylow_subgroup`, `count_sylow`, `normalizer` and
-`is_normal` on that P) read the memo instead of recomputing.  Filling a memo
-is idempotent: two threads that race on one compute equal values, and either
-write may stand, so sharing a group across threads stays safe.
+with its members ascending; the element orders; the totient of each element
+order; the factorization of its order; and, per prime q dividing the order,
+one Sylow q-subgroup P with its normalizer N(P).  The cyclic subgroups are
+found in one pass that walks each of them once, from its smallest
+generator, which the power graph needs for its keys; which positions of a
+walk of length m generate it, the phi(m) exponents coprime to m, is worked
+out once per distinct m in that pass.  The element orders have two sources:
+when that pass has run, they are the lengths of its walks (so `verify_main`,
+which builds the power graph first, takes them from there); otherwise they
+are computed by whole-array powers on the table, without walking a cyclic
+subgroup (so the criterion, which needs no keys, walks only the cyclic
+subgroups of its witnesses).  Later queries (`phi`, `sylow_subgroup`,
+`count_sylow`, `normalizer` and `is_normal` on that P) read the memo instead
+of recomputing.  Filling a memo is idempotent: two threads that race on one
+compute equal values, and either write may stand, so sharing a group across
+threads stays safe.
 
 A spec string names a group, and `FiniteGroup.from_spec` holds the grammar
 and builds it; each construction names its group by the spec that builds it.
@@ -200,6 +205,19 @@ def _powers(arr: np.ndarray, g: int) -> list[int]:
         out.append(x)
         x = arr.item(x, g)
     return out
+
+
+def _power_all(arr: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """x[i]^k for every i at once (k >= 1), by square-and-multiply: one
+    gather of len(x) cells per squaring and per multiplication."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else arr[result, x]
+        k >>= 1
+        if not k:
+            return result
+        x = arr[x, x]
 
 
 def _closure_of(
@@ -422,6 +440,8 @@ def _read_square_table(text: str, cap: int) -> Optional[dict]:
         return None
     start = found.end() - 1
     matrix = text[start:end].encode("ascii")
+    # translate, not bytes.replace(b" ", b""): replace pays per space, 1.2
+    # against 0.27 ms on an order-307 matrix in the to_json layout
     spaced = any(c in matrix for c in (b" ", b"\t", b"\n", b"\r"))
     dense = matrix.translate(None, b" \t\n\r") if spaced else matrix
     # With digits deleted, n rows of n slots leave (n + 1)^2 bytes.
@@ -536,7 +556,7 @@ class FiniteGroup:
 
     __slots__ = (
         "name", "identity", "_labels", "_table", "_orders", "_classes", "_inverses",
-        "_totients", "_sylow",
+        "_totients", "_factorization", "_sylow",
     )
 
     def __init__(
@@ -561,10 +581,11 @@ class FiniteGroup:
             self._labels = functools.partial(tuple, tuple(str(s) for s in labels))
         else:
             self._labels = functools.partial(_index_labels, n)
-        # _cyclic_classes fills both; see there for (key, powers)
         self._orders: Optional[tuple[int, ...]] = None
+        # (key, powers); see _cyclic_classes
         self._classes: Optional[tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = None
         self._totients: Optional[dict[int, int]] = None
+        self._factorization: Optional[numtheory.Factorization] = None
         self._sylow: dict[int, tuple[Subgroup, Subgroup]] = {}  # q -> (P, N(P))
 
     def __reduce__(self):
@@ -602,10 +623,42 @@ class FiniteGroup:
         return self.element_orders()[g]
 
     def element_orders(self) -> tuple[int, ...]:
-        """Orders of all elements (computed once, then cached): o(g) = |<g>|,
-        filled with the memo of the one walk of each cyclic subgroup."""
-        self._cyclic_classes()
+        """Orders of all elements (computed once, then cached): o(g) = |<g>|.
+
+        When the cyclic subgroups have been walked (`_cyclic_classes`, which
+        the power graph needs), o(h) is the length of the walk of h's key.
+        Otherwise `_orders_by_powers` computes them without walking, so a
+        caller that needs no keys, such as the criterion, walks none."""
+        if self._orders is None:
+            if self._classes is None:
+                self._orders = self._orders_by_powers()
+            else:
+                key, powers = self._classes
+                self._orders = tuple(map(len, map(powers.__getitem__, key)))
         return self._orders
+
+    def _orders_by_powers(self) -> tuple[int, ...]:
+        """o(g) for every g by whole-array powers: for each p^a exactly
+        dividing the order n, h = g^(n/p^a) is the p-part of g, and the
+        p-part of o(g) is the least p^j with h^(p^j) = identity (j <= a)."""
+        n = self.order
+        orders = np.ones(n, dtype=np.int64)
+        for p, a in self._order_factorization().factors:
+            h = _power_all(self._table, np.arange(n), n // p**a)
+            for j in range(a):
+                outside = h != self.identity  # where o(h) > p^j
+                if not outside.any():
+                    break
+                orders[outside] *= p
+                if j + 1 < a:
+                    h = _power_all(self._table, h, p)
+        return tuple(orders.tolist())
+
+    def _order_factorization(self) -> numtheory.Factorization:
+        """The factorization of the group's order (computed once, then cached)."""
+        if self._factorization is None:
+            self._factorization = numtheory.factorize(self.order)
+        return self._factorization
 
     def _cyclic_classes(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
         """(key, powers): key[g] is the smallest generator of <g>, and
@@ -615,8 +668,7 @@ class FiniteGroup:
         key yet, so each cyclic subgroup is walked once, from its smallest
         generator.  In the walk g, g^2, ..., g^m = identity, g^i generates
         <g> exactly when gcd(i, m) = 1; those phi(m) positions depend only
-        on m, so they are found once per distinct walk length in the pass.
-        The pass also fills the element orders: o(h) = |<h>| = |<key[h]>|."""
+        on m, so they are found once per distinct walk length in the pass."""
         if self._classes is None:
             key = [-1] * self.order
             powers = {}
@@ -632,7 +684,6 @@ class FiniteGroup:
                     for i in positions:
                         key[cycle[i]] = g
                     powers[g] = tuple(sorted(cycle))
-            self._orders = tuple(map(len, map(powers.__getitem__, key)))
             self._classes = (tuple(key), powers)
         return self._classes
 
@@ -729,7 +780,7 @@ class FiniteGroup:
             pair = (Subgroup(self, np.flatnonzero(q_orders)),
                     Subgroup(self, np.arange(self.order)))
         else:
-            pair = self._grown_sylow_pair(q)
+            pair = self._grown_sylow_pair(q_part, q_orders)
         self._sylow[q] = pair
         return pair
 
@@ -740,13 +791,15 @@ class FiniteGroup:
         orders = np.asarray(self.element_orders())
         return q_part, np.where(q_part % orders == 0, orders, 0)
 
-    def _grown_sylow_pair(self, q: int) -> tuple["Subgroup", "Subgroup"]:
-        """(P, N(P)) by normalizer-guided growth; reads and fills no memo.
+    def _grown_sylow_pair(
+        self, q_part: int, q_orders: np.ndarray
+    ) -> tuple["Subgroup", "Subgroup"]:
+        """(P, N(P)) by normalizer-guided growth, from `_q_orders(q)`; reads
+        and fills no memo.
 
         `gens` holds the seed and each growth element, so it generates the
         current q-subgroup, and each N(H) is found by conjugating those few
         generators rather than every member of H."""
-        q_part, q_orders = self._q_orders(q)
         q_elements = q_orders > 0
         seed = int(np.argmax(q_orders))
 

@@ -6,7 +6,8 @@ exactly two distinct elements generating the same cyclic subgroup, so a
 graph is held as one key per element, the smallest generator of its cyclic
 subgroup; edges, counts, degrees and exports are derived from the keys.
 The keys and each key's subgroup come from the group's memo of its cyclic
-subgroups, which walks each of them once and also gives the element orders.
+subgroups, which walks each of them once; a group whose orders are not yet
+known reads them off that walk.
 The exports write one block of text per element: the decimal name of each
 element is made once per graph, and an element's out-neighbours (its cyclic
 subgroup without it) or its undirected partners above it (the rest of its
@@ -79,11 +80,12 @@ def build(group: FiniteGroup) -> PowerGraph:
     key k.  Every element lies in its key's subgroup, so two clauses check
     this once per key class, at cost the sum of |<k>| over the keys: every
     element has the order of its key, and every power of a key k with the
-    order of k has key k."""
+    order of k has key k.  A third checks the walk against the orders when
+    they were computed without it: each key's subgroup has the key's order."""
     graph = PowerGraph(group)
     orders, key = group.element_orders(), graph.key
     if tuple(map(orders.__getitem__, key)) != orders or any(
-        key[h] != k
+        key[h] != k or len(powers) != orders[k]
         for k, powers in graph.powers.items()
         for h in powers
         if orders[h] == orders[k]

@@ -112,9 +112,10 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     q = numtheory.q_of(n)
     rows = []
     for group in catalog(n, cap):
+        # the graph first: its walk of the cyclic subgroups gives the orders
+        edges = powergraph.undirected_edge_count(powergraph.build(group))
         phi_g = group.phi()
         cyclic_flag = group.is_cyclic()
-        edges = powergraph.undirected_edge_count(powergraph.build(group))
         max_phi = max(group.order_totients().values())
         witnesses = _witnesses(group, q)
         ok = phi_cn >= phi_g and (phi_g == phi_cn) == cyclic_flag
@@ -187,12 +188,13 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     witness generates; the full largest-prime power divides the witness
     order when the order exceeds 2; and an even-order witness g has
     |G|/order(g) below the largest prime.  Whether the Sylow subgroup lies
-    in <g> is decided once per key, the smallest generator of <g>, from the
-    group's memo of its cyclic subgroups: the answer holds for every
-    generator of <g>, and those are witnesses together with g.
+    in <g> is decided once per witness subgroup, by walking <g> with
+    `cyclic_subgroup`: the answer holds for every generator of <g>, the
+    elements of the walk of order o(g), and those are witnesses together
+    with g.  A walk whose length is not o(g) raises AssertionError.
     """
     n = group.order
-    fact = numtheory.factorize(n)
+    fact = group._order_factorization()
     witnesses = _witnesses(group, numtheory.q_of(fact))
     if not witnesses:
         return []
@@ -204,25 +206,33 @@ def check_witnesses(group: FiniteGroup) -> list[CriterionOutcome]:
     unique = group.count_sylow(p) == 1
     normal = group.is_normal(sylow)
     cyc = sylow.is_cyclic()
-    key, powers = group._cyclic_classes()
-    contained: dict[int, bool] = {}  # key -> whether <key> holds the Sylow subgroup
+    size = len(sylow)
+    contained: dict[int, bool] = {}  # generator of a walked <g> -> whether <g> holds P
     outcomes = []
     for g in witnesses:
         og = orders[g]
-        k = key[g]
-        if k not in contained:
-            contained[k] = int(np.count_nonzero(sylow.mask[list(powers[k])])) == len(sylow)
+        if g not in contained:
+            walk = group.cyclic_subgroup(g)
+            if len(walk) != og:
+                raise AssertionError(
+                    f"the walk from {g} in {group.name} has length {len(walk)}, "
+                    f"not its order {og}"
+                )
+            held = int(np.count_nonzero(sylow.mask[list(walk)])) == size
+            for h in walk:
+                if orders[h] == og:
+                    contained[h] = held
         exception = g == group.identity and n == 2
         satisfied = (
             unique and normal and cyc
             and (g != group.identity or n == 2)
-            and (contained[k] or exception)
+            and (contained[g] or exception)
             and (n <= 2 or og % p_alpha == 0)
             and (not prime_power or n <= 2 or og == n)
             and (og % 2 == 1 or n // og < p)
         )
         outcomes.append(CriterionOutcome(
-            g, og, p, len(sylow), unique, normal, cyc, contained[k], exception, satisfied
+            g, og, p, size, unique, normal, cyc, contained[g], exception, satisfied
         ))
     return outcomes
 
@@ -253,7 +263,7 @@ def verify_contrapositive(group: FiniteGroup) -> Verdict:
     n = group.order
     if n == 1:
         return Verdict(True, f"{group.name}: trivial group")
-    fact = numtheory.factorize(n)
+    fact = group._order_factorization()
     p = fact.largest_prime
     count = group.count_sylow(p)
     if count == 1:

@@ -658,10 +658,10 @@ def test_criterion_json(capsys):
 
 
 @pytest.mark.parametrize("spec, calls", [
-    # check_witnesses, verify_contrapositive and totient(12) of a generator
-    ("cyclic:12", 3),
-    # no witness: check_witnesses and verify_contrapositive
-    ("alt:4", 2),
+    # the group's one factorization of its order, and totient(12) of a generator
+    ("cyclic:12", 2),
+    # no witness: the group's one factorization of its order
+    ("alt:4", 1),
 ])
 def test_criterion_sylow_search_does_not_factor_the_order(monkeypatch, capsys, spec, calls):
     factorize = gs.numtheory.factorize
@@ -669,6 +669,74 @@ def test_criterion_sylow_search_does_not_factor_the_order(monkeypatch, capsys, s
     monkeypatch.setattr(gs.numtheory, "factorize", lambda n: seen.append(n) or factorize(n))
     code, _, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
     assert code == 0 and seen.count(12) == calls
+
+
+@pytest.mark.parametrize("spec, walks", [
+    # C_486: witnesses of orders 486 and 243
+    ("sdp:243:2:1", 2),
+    # Q(512) = 2, so no witness
+    ("abelian:2x2x2x2x2x2x2x2x2", 0),
+])
+def test_criterion_walks_each_witness_subgroup_once(monkeypatch, capsys, spec, walks):
+    walk = gs.FiniteGroup.cyclic_subgroup
+    walked = []
+
+    def counted(group, g):
+        powers = walk(group, g)
+        walked.append(frozenset(powers))
+        return powers
+
+    monkeypatch.setattr(gs.FiniteGroup, "cyclic_subgroup", counted)
+    code, out, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
+    assert code == 0 and len(walked) == len(set(walked)) == walks
+    group = cli.parse_group_spec(spec)
+    witnesses = [w["element"] for w in json.loads(out)["witnesses"]]
+    assert set(walked) == {frozenset(walk(group, g)) for g in witnesses}
+
+
+def criterion_payload(group, verdicts, outcomes):
+    """The criterion's JSON payload as a dict, which `json.dumps(payload,
+    sort_keys=True)` writes: the reference for `cli._criterion_json`."""
+    return {
+        "group": group.name,
+        "n": group.order,
+        "witnesses": [
+            {
+                "element": o.witness,
+                "order": o.witness_order,
+                "sylow_prime": o.sylow_prime,
+                "sylow_order": o.sylow_order,
+                "unique": o.unique,
+                "normal": o.normal,
+                "cyclic": o.cyclic,
+                "contained_in_gen": o.contained_in_gen,
+                "satisfied": o.satisfied,
+            }
+            for o in outcomes
+        ],
+        "verdicts": {key: v.to_json_dict() for key, v in verdicts.items()},
+    }
+
+
+def test_criterion_json_writer_equals_json_dumps_of_the_payload():
+    cases = []
+    for n in range(1, 61):
+        for group in gs.catalog(n):
+            cases.append((group, *gs.verify.verify_criterion(group)))
+    assert len(cases) == 294 and sum(bool(outcomes) for _, _, outcomes in cases) > 100
+    # a name JSON escapes, failing verdicts with counterexamples, and
+    # outcomes that share no template with their neighbours
+    group, verdicts, outcomes = next(case for case in cases if case[0].name == "cyclic:60")
+    named = gs.FiniteGroup(group.table, name='cyclic "60" \u00e9\n')
+    verdicts = {key: gs.verify.Verdict(False, "forced", {"group": named.name, "witness": 7})
+                for key in reversed(list(verdicts))}
+    outcomes = [dataclasses.replace(o, satisfied=i % 3 > 0, contained_in_gen=i % 2 > 0,
+                                    unique=i % 5 > 0)
+                for i, o in enumerate(outcomes)]
+    cases.append((named, verdicts, outcomes))
+    for group, verdicts, outcomes in cases:
+        expected = json.dumps(criterion_payload(group, verdicts, outcomes), sort_keys=True)
+        assert cli._criterion_json(group, verdicts, outcomes) == expected + "\n", group.name
 
 
 # --- pinned output bytes ---
@@ -691,6 +759,12 @@ PINNED_CRITERION_JSON = {
     "abelian:2x2x2x2x2x2x2x2x2": "b5346422038797cd8d014ab2975b8970a1b562464349f7cc207aeacc56375ab6",
     "sdp:243:2:242": "989b98365837f9bea69bafccee5a732cb3d913be10aa4661728fb02bd0858c2c",
     "cyclic:512": "c63f36013cdd9a8dc8d3eb8f2f89a2d2645112e3cfbe07b4ab9f2e5eea9425a1",
+    # groups with many witnesses, recorded before the witness records were
+    # written from one template per shape
+    "sdp:243:2:1": "d42f3c8f100d76eb5b67dd1ebaab56a571278695d98859fe2ea24883f8d13104",
+    "dihedral:243": "5bf87236b90a8eef3789ec5475ca7158ee13d7a7856ed2769ecbdf01ae332a9d",
+    "abelian:3x3x3x3x6": "bba61988d2dcbbd853699801430239a897e97edffe6bdb93309ad11eb4795c49",
+    "sdp:81:5:1": "f430581eb4292dfc3cc7d2a4fe210151b8ecd22d0e77d329aed5c311cdf36ac3",
     # the trivial group and the order-2 identity exception, recorded before
     # every command returned its text for `cli.run` to write once
     "cyclic:1": "cdf7ad8b343f40897e352ab56873eec7fec1828a89aa27ff83c32aec22e2d312",

@@ -400,6 +400,36 @@ def test_element_orders_match_closed_forms_in_index_order():
         assert list(group.element_orders()) == closed_form_orders(group.name), group.name
 
 
+def walk_orders(group):
+    """o(g) = |<key of g>|, read off the group's walk of its cyclic subgroups."""
+    key, powers = group._cyclic_classes()
+    return tuple(len(powers[k]) for k in key)
+
+
+def test_orders_by_powers_equal_the_walk_on_the_catalog_to_300():
+    groups = 0
+    for n in range(1, 301):
+        for group in gs.catalog(n):
+            assert group._orders_by_powers() == walk_orders(group), group.name
+            groups += 1
+    assert groups == 2236
+
+
+def test_orders_by_powers_equal_the_walk_on_drawn_files_and_products(tmp_path):
+    rng = random.Random(46)
+    specs = [spec for n in range(2, 121) for spec in gs.groups.catalog_specs(n)]
+    specs += ["sym:4", "alt:5", "prod:alt:4,cyclic:2"]
+    small = [spec for n in range(2, 13) for spec in gs.groups.catalog_specs(n)]
+    for i in range(30):
+        path = tmp_path / f"group-{i}.json"
+        base = gs.FiniteGroup.from_spec(rng.choice(specs))
+        path.write_text(relabelled(base, rng.randrange(2**32)).to_json())
+        for spec in (f"file:{path}", f"prod:{rng.choice(small)},{rng.choice(small)}",
+                     f"prod:file:{path},{rng.choice(small)}"):
+            group = gs.FiniteGroup.from_spec(spec, cap=2000)
+            assert group._orders_by_powers() == walk_orders(group), spec
+
+
 def test_s3_has_three_cycles_of_order_three():
     census = Counter(gs.symmetric(3).element_orders())
     assert census == {1: 1, 2: 3, 3: 2}
@@ -535,7 +565,7 @@ def test_generator_normalizer_matches_all_members_on_every_sylow_step(monkeypatc
     for n in range(2, 61):
         for group in gs.catalog(n):
             for q, _ in nt.factorize(n).factors:
-                sylow, normalizer = group._grown_sylow_pair(q)
+                sylow, normalizer = group._grown_sylow_pair(*group._q_orders(q))
                 assert set(normalizer) == naive_normalizer(group, sylow.members), (group.name, q)
                 pairs += 1
     assert pairs and len(calls) >= pairs
@@ -550,7 +580,7 @@ def test_generator_normalizer_matches_all_members_on_every_sylow_step(monkeypatc
 def test_generator_normalizer_matches_all_members_on_large_prime_powers(monkeypatch, spec):
     group = cli.parse_group_spec(spec)
     calls = recorded_normalizer_masks(monkeypatch)
-    group._grown_sylow_pair(2)
+    group._grown_sylow_pair(*group._q_orders(2))
     assert calls
     for _, inside, gens, mask in calls:
         assert np.array_equal(group.generated_subgroup(gens).mask, inside), (spec, gens)
@@ -684,9 +714,9 @@ def test_sylow_by_counting_exactly_when_the_sylow_subgroup_is_unique(monkeypatch
     grown = []
     real = gs.FiniteGroup._grown_sylow_pair
 
-    def record(self, q):
-        grown.append((self, q))
-        return real(self, q)
+    def record(self, q_part, q_orders):
+        grown.append((self, q_part))
+        return real(self, q_part, q_orders)
 
     monkeypatch.setattr(gs.FiniteGroup, "_grown_sylow_pair", record)
     counted = 0
@@ -697,7 +727,7 @@ def test_sylow_by_counting_exactly_when_the_sylow_subgroup_is_unique(monkeypatch
             grown.clear()
             answers = sylow_answers(group, q)
             by_growth = gs.FiniteGroup(t, group.identity)
-            by_growth._sylow[q] = real(by_growth, q)
+            by_growth._sylow[q] = real(by_growth, *by_growth._q_orders(q))
             assert sylow_answers(by_growth, q) == answers, (group.name, q)
             conjugates = {frozenset(int(t[t[g, h], inverse[g]]) for h in answers[0])
                           for g in range(n)}

@@ -175,31 +175,57 @@ def test_verify_main_reads_no_labels(monkeypatch):
         assert verify.verify_main(n).passed
 
 
-def test_build_and_witness_check_make_no_walk_after_element_orders(monkeypatch):
+def test_orders_walk_nothing_and_build_and_witness_check_walk_once_each(monkeypatch):
+    # the element orders come without a walk; the graph walks each cyclic
+    # subgroup once, and the witness check each witness subgroup once more
     group = gs.cyclic(60)
-    group.element_orders()
     walks = _count_walks(monkeypatch)
+    group.element_orders()
+    assert not walks
     assert pg.undirected_edge_count(pg.build(group)) == (gs.phi_of_group(group) - 60) // 2
+    assert set(walks.values()) == {1} and len(walks) == 12  # one per divisor of 60
+    walks.clear()
     outcomes = verify.check_witnesses(group)
     assert outcomes and all(o.satisfied for o in outcomes)
-    assert not walks
+    subgroups = {frozenset(naive_power_set(group, o.witness)) for o in outcomes}
+    assert set(walks.values()) == {1} and {sub for _, sub in walks} == subgroups
 
 
-def test_build_checks_keys_against_element_orders():
+def test_build_checks_keys_against_element_orders(monkeypatch):
     group = gs.cyclic(6)
-    group.element_orders()
+    walks = _count_walks(monkeypatch)
+    group.element_orders()  # without a walk, so the build's walk comes after
+    assert not walks
     group._orders = (1,) * 6  # corrupt the cached orders the check reads
     with pytest.raises(AssertionError, match="mutual generation"):
         pg.build(group)
+    assert walks
 
 
-def test_build_checks_each_element_against_its_key():
+def test_build_checks_each_element_against_its_key(monkeypatch):
     group = gs.cyclic(6)
+    walks = _count_walks(monkeypatch)
     group.element_orders()
+    assert not walks
     # 5 shares the key 1 of <1> = <5>, but no longer the order of 1
     group._orders = (1, 6, 3, 2, 3, 3)
     with pytest.raises(AssertionError, match="mutual generation"):
         pg.build(group)
+    assert walks
+
+
+def test_walk_that_disagrees_with_the_stored_orders_raises(monkeypatch):
+    # doubled orders: every element keeps its key's order and every power
+    # of a key with its order keeps that key, but no walk has its key's order
+    group = gs.cyclic(12)
+    group._orders = tuple(2 * m for m in group.element_orders())
+    with pytest.raises(AssertionError, match="mutual generation"):
+        pg.build(group)
+    # the witness check compares each walk it makes with the witness's order
+    walk = gs.FiniteGroup.cyclic_subgroup
+    monkeypatch.setattr(gs.FiniteGroup, "cyclic_subgroup", lambda group, g: walk(group, g)[1:])
+    with pytest.raises(AssertionError, match="not its order"):
+        verify.check_witnesses(gs.cyclic(12))
 
 
 def test_edge_count_identity_over_catalog():

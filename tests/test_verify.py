@@ -255,6 +255,19 @@ def test_verify_main_builds_one_totient_table_per_group(monkeypatch):
     assert report.passed and len(tables) == len(report.rows) == len(gs.catalog(24))
 
 
+def test_verify_main_reads_the_orders_off_the_power_graph_walk(monkeypatch):
+    # verify_main builds each power graph before it reads an order, so the
+    # walk its edge count needs gives the orders: none is computed by powers
+    def by_powers(group):
+        raise AssertionError(f"orders of {group.name} computed by powers")
+
+    monkeypatch.setattr(gs.FiniteGroup, "_orders_by_powers", by_powers)
+    with pytest.raises(AssertionError, match="by powers"):
+        gs.cyclic(4).element_orders()
+    for n in (1, 2, 12, 48, 60, 210):
+        assert verify.verify_main(n).passed, n
+
+
 def test_criterion_sweep_small():
     verdicts = verify.criterion_sweep(40)
     assert verdicts["thm-overall"].passed
