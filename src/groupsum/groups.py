@@ -51,9 +51,11 @@ The inverses are not a memo: the inverse check finds each element's inverse
 as the column of the identity in its row, and the group keeps that read-only
 array from construction on.  A group fills a few private memos lazily, each
 on first use: its cyclic subgroups, each keyed by its smallest generator
-with its members ascending; the element orders; the totient of each element
-order; the factorization of its order; and, per prime q dividing the order,
-one Sylow q-subgroup P with its normalizer N(P).  The cyclic subgroups are
+with its members ascending; the element orders; the factorization of its
+order; the totient of each element order, read off the primes of that
+factorization (every element order divides the group order, so none is
+factored); and, per prime q dividing the order, one Sylow q-subgroup P
+with its normalizer N(P).  The cyclic subgroups are
 found in one pass that walks each of them once, from its smallest
 generator, which the power graph needs for its keys; which positions of a
 walk of length m generate it, the phi(m) exponents coprime to m, is worked
@@ -218,6 +220,14 @@ def _power_all(arr: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
         if not k:
             return result
         x = arr[x, x]
+
+
+def _check_prime(q: int) -> int:
+    """q as an int (`_integer`), which must be prime."""
+    q = _integer(q, "q")
+    if not numtheory.is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    return q
 
 
 def _closure_of(
@@ -609,18 +619,19 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
-    def _check_index(self, g: int) -> None:
+    def _check_index(self, g: int) -> int:
+        """g as an int element index: an integer (`_integer`), in [0, order)."""
+        g = _integer(g, "element index")
         if not (0 <= g < self.order):
             raise IndexError(f"element index {g} out of range for order {self.order}")
+        return g
 
     def inverse(self, g: int) -> int:
-        self._check_index(g)
-        return int(self._inverses[g])
+        return int(self._inverses[self._check_index(g)])
 
     def element_order(self, g: int) -> int:
         """Smallest m >= 1 with g^m = identity; divides the group order."""
-        self._check_index(g)
-        return self.element_orders()[g]
+        return self.element_orders()[self._check_index(g)]
 
     def element_orders(self) -> tuple[int, ...]:
         """Orders of all elements (computed once, then cached): o(g) = |<g>|.
@@ -689,13 +700,15 @@ class FiniteGroup:
 
     def cyclic_subgroup(self, g: int) -> tuple[int, ...]:
         """The powers of g: (g, g^2, ..., identity)."""
-        self._check_index(g)
-        return tuple(_powers(self._table, g))
+        return tuple(_powers(self._table, self._check_index(g)))
 
     def order_totients(self) -> dict[int, int]:
-        """phi(m) for each distinct element order m (computed once, then cached)."""
+        """phi(m) for each distinct element order m (computed once, then
+        cached), read off the primes of the group's order, which every m
+        divides: no element order is factored."""
         if self._totients is None:
-            self._totients = numtheory.totient_table(self.element_orders())
+            self._totients = numtheory.totient_table(
+                self._order_factorization(), self.element_orders())
         return self._totients
 
     def phi(self) -> int:
@@ -711,11 +724,9 @@ class FiniteGroup:
 
     def generated_subgroup(self, gens: Iterable[int]) -> "Subgroup":
         """Smallest subgroup containing `gens`, adding one generator at a time."""
-        gens = list(gens)
+        gens = [self._check_index(g) for g in gens]
         if not gens:
             raise ValueError("need at least one generator")
-        for g in gens:
-            self._check_index(g)
         inside = _member_mask(self.order, [self.identity])
         for i, g in enumerate(gens):
             inside = _closure_of(self._table, inside, gens[:i], g)
@@ -762,8 +773,7 @@ class FiniteGroup:
         later calls return the same P.  Returns the trivial subgroup when q
         does not divide the order.
         """
-        if not numtheory.is_prime(q):
-            raise ValueError(f"{q} is not prime")
+        q = _check_prime(q)
         if self.order % q != 0:
             return Subgroup(self, (self.identity,))
         return self._sylow_pair(q)[0]
@@ -831,8 +841,7 @@ class FiniteGroup:
         Checks the classical constraints: congruent to 1 mod q and divides
         the q-free part of the order.
         """
-        if not numtheory.is_prime(q):
-            raise ValueError(f"{q} is not prime")
+        q = _check_prime(q)
         if self.order % q != 0:
             raise ValueError(f"{q} does not divide the group order {self.order}")
         p_subgroup, normalizer = self._sylow_pair(q)
@@ -944,11 +953,15 @@ class Subgroup:
 
     def __init__(self, parent: FiniteGroup, members: Sequence[int]):
         self.parent = parent
-        indices = np.asarray(members, dtype=np.intp)
-        if not indices.size:
+        # an integer array as it stands, any other members one by one as ints
+        # (an int past int64 makes an object array, checked before the cast)
+        if not (isinstance(members, np.ndarray) and members.dtype.kind in "iu"):
+            members = np.array([_integer(g, "subgroup member") for g in members])
+        if not members.size:
             raise ValueError("a subgroup cannot be empty")
-        if indices.min() < 0 or indices.max() >= parent.order:
+        if members.min() < 0 or members.max() >= parent.order:
             raise IndexError(f"subgroup members must lie in [0, {parent.order})")
+        indices = np.asarray(members, dtype=np.intp)
         self.mask = _member_mask(parent.order, indices)
         self.mask.flags.writeable = False
         if not self.mask[parent.identity]:
@@ -977,6 +990,11 @@ class Subgroup:
         return iter(self.members)
 
     def __contains__(self, g: int) -> bool:
+        """False for anything but an integer (`_integer`) member index."""
+        try:
+            g = _integer(g, "element index")
+        except ValueError:
+            return False
         return 0 <= g < self.mask.size and bool(self.mask[g])
 
     def __eq__(self, other) -> bool:
@@ -1365,8 +1383,9 @@ def _partitions(k: int, largest: Optional[int] = None):
             yield (first, *rest)
 
 
-def abelian_invariant_factor_lists(n: int) -> list[list[int]]:
-    """One invariant-factor list per abelian group of order n.
+def abelian_invariant_factor_lists(n: numtheory.IntLike) -> list[list[int]]:
+    """One invariant-factor list per abelian group of order n, an int or
+    its Factorization.
 
     Each prime power p^a exactly dividing n is split by a partition of a,
     written as its descending prime powers; one partition per prime gives
@@ -1376,7 +1395,7 @@ def abelian_invariant_factor_lists(n: int) -> list[list[int]]:
     """
     per_prime = [
         [[p**e for e in part] for part in _partitions(a)]
-        for p, a in numtheory.factorize(n).factors
+        for p, a in numtheory._coerce(n).factors
     ]
     return [
         sorted(map(math.prod, itertools.zip_longest(*combo, fillvalue=1))) or [1]
@@ -1395,15 +1414,17 @@ def catalog_specs(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[str]:
     exponent; each split takes a as the product of a proper, nonempty set
     of n's prime powers, in ascending order of a, with every valid action
     r.  This is catalog coverage, not a classification of all groups of
-    order n.  The order is checked against `cap` before it is factored.
+    order n.  The order is checked against `cap` before it is factored,
+    once, for both the abelian lists and the splits.
     """
     n = _integer(n, "order")
     if n < 1:
         raise ValueError("order must be positive")
     _check_cap(n, cap)
+    fact = numtheory.factorize(n)
     specs = [
         f"cyclic:{n}" if invariant == [n] else "abelian:" + "x".join(map(str, invariant))
-        for invariant in abelian_invariant_factor_lists(n)
+        for invariant in abelian_invariant_factor_lists(fact)
     ]
     if n % 2 == 0 and n >= 6:
         specs.append(f"dihedral:{n // 2}")
@@ -1414,7 +1435,7 @@ def catalog_specs(n: int, cap: int = DEFAULT_ORDER_CAP) -> list[str]:
             specs.append(f"sym:{k}")
         if math.factorial(k) // 2 == n:
             specs.append(f"alt:{k}")
-    powers = [p**e for p, e in numtheory.factorize(n).factors]
+    powers = [p**e for p, e in fact.factors]
     splits = (
         math.prod(part)
         for size in range(1, len(powers))

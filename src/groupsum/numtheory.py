@@ -8,15 +8,17 @@ first k with n < psi_k, the least odd composite that passes those k bases
 division.  Factorization trial-divides by the 168 primes below 1000 and
 splits what is left with Pollard's rho in Brent's form, using fixed
 constants, so both the factors and the running time repeat from run to
-run.  Totients come from the prime factorization, and every inequality is
-decided exactly, with `fractions.Fraction` or by cross-multiplying
-integers (never floats).  All integers are arbitrary precision, so
-products of many prime powers cannot overflow.  The module holds no
-state: nothing is cached, every value is computed from the arguments on
-each call, and its tables (`_BASES`, `_PSI`, `_TRIAL_PRIMES`) are
-constants.  Every integer argument is a Python or numpy integer, never a
-bool, and is held as an `int`; anything else raises `ValueError` naming
-the argument.  `_integer` holds this rule for `groups` too.
+run.  Totients come from the prime factorization (`totient_table` reads
+those of an order's divisors off the order's primes, factoring none of
+them), and every inequality is decided exactly, with `fractions.Fraction`
+or by cross-multiplying integers (never floats).  All integers are
+arbitrary precision, so products of many prime powers cannot overflow.
+The module holds no state: nothing is cached, every value is computed
+from the arguments on each call, and its tables (`_BASES`, `_PSI`,
+`_TRIAL_PRIMES`) are constants.  Every integer argument is a Python or
+numpy integer, never a bool, and is held as an `int`; anything else
+raises `ValueError` naming the argument.  `_integer` holds this rule for
+`groups` too.
 """
 
 from __future__ import annotations
@@ -321,16 +323,45 @@ def factorization_from_spf(n: int, spf: list[int]) -> Factorization:
 
 def totient(n: IntLike) -> int:
     """Euler's totient via phi(n) = prod p^(a-1)(p-1); phi(1) == 1."""
-    fact = _coerce(n)
+    return _totient_of_factors(_coerce(n).factors)
+
+
+def _totient_of_factors(factors: Iterable[tuple[int, int]]) -> int:
+    """prod p^(a-1)(p-1) over (prime, exponent) pairs: the one rule for phi."""
     result = 1
-    for p, a in fact.factors:
+    for p, a in factors:
         result *= p ** (a - 1) * (p - 1)
     return result
 
 
-def totient_table(values: Iterable[int]) -> dict[int, int]:
-    """phi(v) for each distinct v in values, each computed once."""
-    return {v: totient(v) for v in set(values)}
+def totient_table(order: IntLike, values: Iterable[int]) -> dict[int, int]:
+    """phi(v) for each distinct v in values, each computed once.
+
+    `order` is an int or its Factorization, and a v that divides it is
+    split over its primes, so no such v is factored: the element orders of
+    a group divide its order.  A v that does not divide it is factored
+    whole, and one below 1 raises ValueError.
+    """
+    fact = _coerce(order)
+    table = {}
+    for v in set(values):
+        v = _integer(v, "value")
+        if v < 1:
+            raise ValueError(f"totient of {v}: need a positive integer")
+        if fact.n % v:
+            table[v] = totient(v)
+            continue
+        m = v
+        factors = []
+        for p in fact.primes:
+            if m % p == 0:
+                a = 0
+                while m % p == 0:
+                    m //= p
+                    a += 1
+                factors.append((p, a))
+        table[v] = _totient_of_factors(factors)
+    return table
 
 
 def phi_cyclic_sum(n: IntLike) -> int:

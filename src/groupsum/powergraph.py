@@ -109,11 +109,10 @@ def undirected_edge_count(graph: PowerGraph) -> int:
 
 
 def undirected_degree(graph: PowerGraph, g: int) -> int:
-    """Undirected degree of g; equals phi(order(g)) - 1, asserted."""
-    if not 0 <= g < graph.group.order:
-        raise IndexError(f"element index {g} out of range")
-    degree = graph.key.count(graph.key[g]) - 1
+    """Undirected degree of g; equals phi(order(g)) - 1, asserted.  The
+    group checks g, as it does every element index."""
     expected = graph.group.order_totients()[graph.group.element_order(g)] - 1
+    degree = graph.key.count(graph.key[g]) - 1
     if degree != expected:
         raise AssertionError(
             f"{graph.group.name}: degree of {g} is {degree}, expected {expected}"

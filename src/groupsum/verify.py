@@ -108,8 +108,9 @@ def verify_main(n: int, cap: int = DEFAULT_ORDER_CAP) -> VerificationReport:
     therefore the undirected edge count of the directed power graph."""
     if n > cap and n >= 1:  # before factoring n; an order below 1 fails there
         raise OrderCapError(n, cap)
-    phi_cn = numtheory.phi_cyclic_sum(n)
-    q = numtheory.q_of(n)
+    fact = numtheory.factorize(n)
+    phi_cn = numtheory.phi_cyclic_sum(fact)
+    q = numtheory.q_of(fact)
     rows = []
     for group in catalog(n, cap):
         # the graph first: its walk of the cyclic subgroups gives the orders
@@ -602,7 +603,9 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
         return verdicts
 
     spf = numtheory.smallest_prime_factors(limit)
-    tot = [0] * (limit + 1)
+    # phi(n) for n up to the divisibility and sieve checks' cap, all they read
+    tot_limit = min(limit, 10**4)
+    tot = [0] * (tot_limit + 1)
 
     failures: dict[str, dict] = {}
     # values checked per hypothesis-limited statement; eq5 checks every n
@@ -614,7 +617,8 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
 
     for n in range(1, limit + 1):
         fact = numtheory.factorization_from_spf(n, spf)
-        tot[n] = numtheory.totient(fact)
+        if n <= tot_limit:
+            tot[n] = numtheory.totient(fact)
         sum_form = numtheory.phi_cyclic_sum(fact)
         product_form = numtheory.phi_cyclic_product(fact)
         if sum_form != product_form:
@@ -652,12 +656,11 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
             key not in failures, f"{count} values checked up to {limit}", failures.get(key)
         )
 
-    div_limit = min(limit, 10**4)
     div_bad = None
     pairs = 0
-    for a in range(1, div_limit + 1):
+    for a in range(1, tot_limit + 1):
         ta = tot[a]
-        for b in range(2 * a, div_limit + 1, a):
+        for b in range(2 * a, tot_limit + 1, a):
             pairs += 1
             if tot[b] % ta != 0:
                 div_bad = {"a": a, "b": b}
@@ -665,7 +668,7 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
         if div_bad:
             break
     verdicts["phi-divisibility"] = Verdict(
-        div_bad is None, f"{pairs} divisor pairs up to {div_limit}", div_bad
+        div_bad is None, f"{pairs} divisor pairs up to {tot_limit}", div_bad
     )
 
     # An independent sieve is checked against totient() up to 10^4, then
@@ -674,10 +677,9 @@ def verify_numtheory_sweep(limit: int) -> dict[str, Verdict]:
     # `pairs` counts the pairs that walk checks up to and including it.
     mul_limit = min(limit, 10**3)
     sieve_tot = _totient_sieve(mul_limit * mul_limit)
-    agree_limit = min(limit, 10**4)
     mul_bad = None
     pairs = 0
-    disagree = np.flatnonzero(sieve_tot[1 : agree_limit + 1] != tot[1 : agree_limit + 1])
+    disagree = np.flatnonzero(sieve_tot[1 : tot_limit + 1] != tot[1 : tot_limit + 1])
     if disagree.size:
         mul_bad = {"n": int(disagree[0]) + 1, "info": "sieve disagrees with totient()"}
     else:

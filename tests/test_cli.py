@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -658,8 +659,9 @@ def test_criterion_json(capsys):
 
 
 @pytest.mark.parametrize("spec, calls", [
-    # the group's one factorization of its order, and totient(12) of a generator
-    ("cyclic:12", 2),
+    # the group's one factorization of its order; the witnesses' totients
+    # are read off it
+    ("cyclic:12", 1),
     # no witness: the group's one factorization of its order
     ("alt:4", 1),
 ])
@@ -669,6 +671,21 @@ def test_criterion_sylow_search_does_not_factor_the_order(monkeypatch, capsys, s
     monkeypatch.setattr(gs.numtheory, "factorize", lambda n: seen.append(n) or factorize(n))
     code, _, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
     assert code == 0 and seen.count(12) == calls
+
+
+@pytest.mark.parametrize("spec, factored", [
+    ("cyclic:12", {12: 1}),
+    # C_486: 243 and 486 are witness orders, read off 486's primes
+    ("sdp:243:2:1", {486: 1}),
+    # the product checks its order law on its factors' orders
+    ("prod:sym:3,cyclic:5", {6: 1, 5: 1, 30: 1}),
+])
+def test_criterion_factors_each_group_order_once(monkeypatch, capsys, spec, factored):
+    factorize = gs.numtheory.factorize
+    seen = []
+    monkeypatch.setattr(gs.numtheory, "factorize", lambda n: seen.append(n) or factorize(n))
+    code, _, _ = run_cli(capsys, "criterion", "--group", spec, "--format", "json")
+    assert code == 0 and Counter(seen) == factored
 
 
 @pytest.mark.parametrize("spec, walks", [

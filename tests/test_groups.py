@@ -430,6 +430,32 @@ def test_orders_by_powers_equal_the_walk_on_drawn_files_and_products(tmp_path):
             assert group._orders_by_powers() == walk_orders(group), spec
 
 
+def test_order_totients_equal_totient_on_the_catalog_to_300():
+    groups = 0
+    for n in range(1, 301):
+        for group in gs.catalog(n):
+            orders = set(group.element_orders())
+            assert group.order_totients() == {m: nt.totient(m) for m in orders}, group.name
+            groups += 1
+    assert groups == 2236
+
+
+def test_order_totients_equal_totient_on_drawn_files_and_products(tmp_path):
+    rng = random.Random(47)
+    specs = [spec for n in range(2, 121) for spec in gs.groups.catalog_specs(n)]
+    middle = [spec for n in range(2, 41) for spec in gs.groups.catalog_specs(n)]
+    small = [spec for n in range(2, 13) for spec in gs.groups.catalog_specs(n)]
+    for i in range(20):
+        path = tmp_path / f"group-{i}.json"
+        base = gs.FiniteGroup.from_spec(rng.choice(specs))
+        path.write_text(relabelled(base, rng.randrange(2**32)).to_json())
+        for spec in (f"file:{path}", f"prod:{rng.choice(middle)},{rng.choice(middle)}",
+                     f"prod:file:{path},{rng.choice(small)}"):
+            group = gs.FiniteGroup.from_spec(spec, cap=2000)
+            orders = set(group.element_orders())
+            assert group.order_totients() == {m: nt.totient(m) for m in orders}, spec
+
+
 def test_s3_has_three_cycles_of_order_three():
     census = Counter(gs.symmetric(3).element_orders())
     assert census == {1: 1, 2: 3, 3: 2}
@@ -489,6 +515,52 @@ def test_subgroup_validation():
     assert c6.order // len(sub) == 2 and 2 in sub
     assert repr(sub) == "Subgroup(order=3 of 'cyclic:6')"
     assert gs.Subgroup(c6, [5, *range(6)]).members == tuple(range(6))
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 3.5, "1", None, np.float64(1.0), np.bool_(True)])
+def test_element_index_must_be_an_integer(index):
+    c6 = gs.cyclic(6)
+    for query in (c6.inverse, c6.element_order, c6.cyclic_subgroup,
+                  lambda g: c6.generated_subgroup([0, g])):
+        with pytest.raises(ValueError, match="element index must be an integer"):
+            query(index)
+
+
+def test_element_index_accepts_numpy_integers_and_keeps_its_range_error():
+    c6 = gs.cyclic(6)
+    assert c6.element_order(np.int64(1)) == 6 and c6.inverse(np.uint8(2)) == 4
+    assert c6.cyclic_subgroup(np.int32(2)) == (2, 4, 0)
+    assert c6.generated_subgroup([np.int16(3)]).members == (0, 3)
+    for query in (c6.inverse, c6.element_order, c6.cyclic_subgroup,
+                  lambda g: c6.generated_subgroup([g])):
+        with pytest.raises(IndexError, match="element index 6 out of range for order 6"):
+            query(6)
+        with pytest.raises(IndexError, match="element index -1 out of range"):
+            query(-1)
+
+
+def test_subgroup_members_must_be_integers():
+    c6 = gs.cyclic(6)
+    for members in ([0, 3.5], ["0", "3"], [0, True], [False, 3], [0.0, 3.0],
+                    np.array([0.0, 3.0]), np.array([True, False]), [0, None]):
+        with pytest.raises(ValueError, match="subgroup member must be an integer"):
+            gs.Subgroup(c6, members)
+    for members in ([0, 2**70], [-(2**70), 0], np.array([0, 2**70], dtype=object),
+                    np.array([0, 2**63], dtype=np.uint64)):
+        with pytest.raises(IndexError, match=re.escape("subgroup members must lie in [0, 6)")):
+            gs.Subgroup(c6, members)
+    for members in ([0, 3], (np.int64(0), np.int8(3)), np.array([3, 0], dtype=np.uint8),
+                    np.array([0, 3], dtype=object), range(0, 6, 3)):
+        assert gs.Subgroup(c6, members).members == (0, 3)
+
+
+def test_subgroup_contains_only_integer_members():
+    sylow = gs.cyclic(6).sylow_subgroup(2)
+    assert sylow.members == (0, 3)
+    assert 3 in sylow and np.int64(3) in sylow and 0 in sylow
+    assert 1 not in sylow and 6 not in sylow and -3 not in sylow and 2**70 not in sylow
+    for value in (True, False, np.bool_(True), 3.0, "3", None, (3,)):
+        assert value not in sylow
 
 
 def test_is_cyclic():
@@ -660,6 +732,11 @@ def test_sylow_nondivisor_and_errors():
         c12.count_sylow(5)
     with pytest.raises(ValueError, match="4 is not prime"):
         c12.count_sylow(4)
+    for value in (True, 2.0, "2", np.float64(3.0)):
+        for query in (c12.sylow_subgroup, c12.count_sylow):
+            with pytest.raises(ValueError, match="^q must be an integer, got "):
+                query(value)
+    assert len(c12.sylow_subgroup(np.int64(2))) == 4 and c12.count_sylow(np.uint8(3)) == 1
 
 
 def test_sylow_orders_and_counts_over_catalog():

@@ -361,6 +361,32 @@ def test_totient_divides_along_divisibility():
                 assert tb % nt.totient(a) == 0
 
 
+def test_totient_table_reads_divisors_off_the_order_without_factoring_them(monkeypatch):
+    fact = nt.factorize(2**4 * 3**2 * 5 * 7)
+    divisors = [d for d in range(1, fact.n + 1) if fact.n % d == 0]
+    expected = {d: naive_totient(d) for d in divisors}
+    factorize = nt.factorize
+    seen = []
+    monkeypatch.setattr(nt, "factorize", lambda n: seen.append(n) or factorize(n))
+    assert nt.totient_table(fact, divisors + divisors[::-1]) == expected
+    assert seen == []
+    # an int order is factored once, and no divisor is
+    assert nt.totient_table(fact.n, divisors) == expected
+    assert seen == [fact.n]
+
+
+def test_totient_table_factors_a_value_that_does_not_divide_the_order():
+    # 2 and 10 do not divide 21; 9 shares the prime 3 with it but not the power
+    assert nt.totient_table(21, [1, 2, 3, 9, 10, 21]) == {
+        1: 1, 2: 1, 3: 2, 9: 6, 10: 4, 21: 12}
+
+
+@pytest.mark.parametrize("value", [0, -3, True, 2.0, "3", None])
+def test_totient_table_rejects_a_value_that_is_not_a_positive_integer(value):
+    with pytest.raises(ValueError):
+        nt.totient_table(12, [4, value])
+
+
 # --- the two closed forms for phi(C_n) ---
 
 

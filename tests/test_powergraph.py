@@ -78,6 +78,17 @@ def test_degrees():
         pg.undirected_degree(graph5, 5)
 
 
+def test_degree_takes_the_groups_element_index_rule():
+    graph = pg.build(gs.cyclic(6))
+    for index in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="element index must be an integer"):
+            pg.undirected_degree(graph, index)
+    for index in (6, -1):
+        with pytest.raises(IndexError, match=f"element index {index} out of range for order 6"):
+            pg.undirected_degree(graph, index)
+    assert pg.undirected_degree(graph, np.int64(1)) == 1
+
+
 def test_edges_match_brute_force_oracle():
     for n in range(1, 41):
         for group in gs.catalog(n):

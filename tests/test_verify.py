@@ -250,9 +250,25 @@ def test_verify_main_builds_one_totient_table_per_group(monkeypatch):
     tables = []
     totient_table = gs.numtheory.totient_table
     monkeypatch.setattr(gs.numtheory, "totient_table",
-                        lambda values: tables.append(values) or totient_table(values))
+                        lambda order, values: tables.append(values) or totient_table(order, values))
     report = verify.verify_main(24)
     assert report.passed and len(tables) == len(report.rows) == len(gs.catalog(24))
+
+
+def test_verify_main_factors_only_the_order_once_per_group_and_calls_no_totient(monkeypatch):
+    # once for phi(C_24) and Q(24), once for the catalog's specs, and once per
+    # catalog group, whose element-order totients are read off 24's primes
+    factorize = gs.numtheory.factorize
+    seen = []
+    monkeypatch.setattr(gs.numtheory, "factorize", lambda n: seen.append(n) or factorize(n))
+
+    def no_totient(n):
+        raise AssertionError(f"totient({n}) called")
+
+    monkeypatch.setattr(gs.numtheory, "totient", no_totient)
+    report = verify.verify_main(24)
+    assert report.passed and len(report.rows) == 9
+    assert seen == [24] * 11
 
 
 def test_verify_main_reads_the_orders_off_the_power_graph_walk(monkeypatch):
@@ -695,6 +711,17 @@ def test_table_1_reports_the_first_altered_row(monkeypatch):
     assert not verdict.passed
     assert verdict.detail == "9 rows compared exactly"
     assert verdict.counterexample == {"ell": 5}
+
+
+def test_numtheory_sweep_computes_totients_only_up_to_their_checks(monkeypatch):
+    # tot[n] is read up to 10^4; past it, totient runs only inside lem-2.6,
+    # once for each n that is not a power of two (none in 10001..10040)
+    totient = gs.numtheory.totient
+    seen = []
+    monkeypatch.setattr(gs.numtheory, "totient", lambda n: seen.append(n) or totient(n))
+    verdicts = verify.verify_numtheory_sweep(10**4 + 40)
+    assert all(v.passed for v in verdicts.values())
+    assert sum(1 for fact in seen if fact.n > 10**4) == 40
 
 
 def test_numtheory_sweep_limit_cap():
